@@ -27,8 +27,8 @@ from .core import (
     preset_desirable_undesirable,
     preset_egalitarian,
 )
-from .idealcut import max_weight_ideal_cut, parse_dag, validate_dag
-from .oracle import all_stable_matchings, brute_max_weight_cut, brute_max_weight_matching
+from .idealcut import cut_weight, max_weight_ideal_cut, parse_dag, validate_dag
+from .oracle import all_ideal_cuts, all_stable_matchings, brute_max_weight_matching
 from .reduction import UniqueMatching, solve_max_weight
 from .rotations import build_poset
 from .sublattice import (
@@ -223,7 +223,11 @@ def _run_cut_solve(cfg: RunConfig) -> str:
     g = parse_dag(_read(cfg.dag_path))
     validate_dag(g)
     if cfg.oracle:
-        cut, weight = brute_max_weight_cut(g)
+        # The largest source side among the heaviest cuts, as the flow
+        # path reports; all_ideal_cuts lists cuts by size.
+        cuts = all_ideal_cuts(g)
+        weight = max(cut_weight(g, c) for c in cuts)
+        cut = [c for c in cuts if cut_weight(g, c) == weight][-1]
     else:
         cut, weight = max_weight_ideal_cut(g)
     side = " ".join(str(v + 1) for v in sorted(cut.source_side))

@@ -218,6 +218,25 @@ def _parse_decimal(token: str) -> tuple[int, int]:
     return sign * magnitude, len(frac)
 
 
+def _scale_rows(
+    rows: list[tuple[int, list[tuple[int, int]]]],
+) -> tuple[list[tuple[int, ...]], int]:
+    """Bring rows of :func:`_parse_decimal` results, each tagged with its
+    line number, to one power-of-ten scale chosen from the longest
+    fraction.  Returns the scaled rows and the scale."""
+    digits = max((d for _, row in rows for _, d in row), default=0)
+    scaled_rows = []
+    for lineno, row in rows:
+        scaled_row = []
+        for value, d in row:
+            scaled = value * 10 ** (digits - d)
+            if abs(scaled) > _ENTRY_LIMIT:
+                raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
+            scaled_row.append(scaled)
+        scaled_rows.append(tuple(scaled_row))
+    return scaled_rows, 10**digits
+
+
 def parse_weights(text: str, n: int) -> WeightFunction:
     """Parse an n-by-n table of decimal weights (row = boy, column = girl).
 
@@ -227,7 +246,7 @@ def parse_weights(text: str, n: int) -> WeightFunction:
     lines = _content_lines(text)
     if len(lines) != n:
         raise ParseError(f"expected {n} weight rows, found {len(lines)}")
-    raw: list[list[tuple[int, int]]] = []
+    raw: list[tuple[int, list[tuple[int, int]]]] = []
     for lineno, line in lines:
         tokens = line.split()
         if len(tokens) != n:
@@ -238,18 +257,8 @@ def parse_weights(text: str, n: int) -> WeightFunction:
                 row.append(_parse_decimal(token))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-        raw.append(row)
-    digits = max((d for row in raw for _, d in row), default=0)
-    scale = 10**digits
-    table = []
-    for (lineno, _), row in zip(lines, raw):
-        scaled_row = []
-        for value, d in row:
-            scaled = value * 10 ** (digits - d)
-            if abs(scaled) > _ENTRY_LIMIT:
-                raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
-            scaled_row.append(scaled)
-        table.append(tuple(scaled_row))
+        raw.append((lineno, row))
+    table, scale = _scale_rows(raw)
     return WeightFunction(tuple(table), scale)
 
 

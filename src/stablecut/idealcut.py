@@ -13,10 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
-from .core import ContractViolation, ParseError, _content_lines, _parse_decimal, _ENTRY_LIMIT
-from .ideals import iter_ideals
+from .core import ContractViolation, ParseError, _content_lines, _parse_decimal, _scale_rows
+from .ideals import _capped, _preds_from_edges, _proper_ideals
 
 
 class Edge(NamedTuple):
@@ -113,16 +113,8 @@ class ResidualGraph:
         return tuple(tuple(lst) for lst in adj)
 
     def reachable(self, start: int) -> frozenset[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for i in self.out_arcs[v]:
-                head = self.arcs[i].head
-                if head not in seen:
-                    seen.add(head)
-                    queue.append(head)
-        return frozenset(seen)
+        parent = _bfs_parents(self.out_arcs, [arc.head for arc in self.arcs], start)
+        return frozenset(v for v, p in enumerate(parent) if p != -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +132,29 @@ class CondensedDag:
             if vertex in comp:
                 return i
         raise ValueError(f"vertex {vertex + 1} not in any component")
+
+
+def _bfs_parents(adjacency: Sequence[Sequence[int]], endpoint: Sequence[int], root: int) -> list[int]:
+    """parent[v]: id of the edge that first reaches v from the root, -2 at
+    the root and -1 for unreached vertices.  ``adjacency[v]`` lists the ids
+    of the edges leaving v in scan order and ``endpoint[i]`` is the vertex
+    edge i leads to, so the same search runs forwards or backwards."""
+    parent = [-1] * len(adjacency)
+    parent[root] = -2
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for i in adjacency[v]:
+            w = endpoint[i]
+            if parent[w] == -1:
+                parent[w] = i
+                queue.append(w)
+    return parent
+
+
+def _net_outflow(g: WeightedDag, flow: Sequence[int], v: int) -> int:
+    """Flow leaving v minus flow entering it."""
+    return sum(flow[i] for i in g.out_edges[v]) - sum(flow[i] for i in g.in_edges[v])
 
 
 def big_capacity(g: WeightedDag) -> int:
@@ -192,29 +207,13 @@ def validate_dag(g: WeightedDag) -> None:
         cycle = [x + 1 for x in reversed(loop)]
         raise ValueError(f"graph has a cycle through vertices {cycle}")
 
-    forward = {g.source}
-    queue = deque([g.source])
-    while queue:
-        v = queue.popleft()
-        for i in g.out_edges[v]:
-            head = g.edges[i].head
-            if head not in forward:
-                forward.add(head)
-                queue.append(head)
+    forward = _bfs_parents(g.out_edges, [e.head for e in g.edges], g.source)
     for v in range(n):
-        if v not in forward:
+        if forward[v] == -1:
             raise ValueError(f"vertex {v + 1} is not reachable from the source")
-    backward = {g.sink}
-    queue = deque([g.sink])
-    while queue:
-        v = queue.popleft()
-        for i in g.in_edges[v]:
-            tail = g.edges[i].tail
-            if tail not in backward:
-                backward.add(tail)
-                queue.append(tail)
+    backward = _bfs_parents(g.in_edges, [e.tail for e in g.edges], g.sink)
     for v in range(n):
-        if v not in backward:
+        if backward[v] == -1:
             raise ValueError(f"vertex {v + 1} cannot reach the sink")
 
 
@@ -240,49 +239,15 @@ def cut_weight(g: WeightedDag, cut: IdealCut) -> int:
     return sum(e.weight for e in g.edges if e.tail in side and e.head not in side)
 
 
-def _bfs_tree_from(g: WeightedDag, root: int) -> list[int]:
-    """parent_edge[v]: edge index that first reaches v from the root, -1 at
-    the root and for unreached vertices.  Neighbours are scanned in
-    ascending head order, so paths break ties toward low vertex ids."""
-    parent_edge = [-1] * g.num_vertices
-    seen = [False] * g.num_vertices
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for i in g.out_edges[v]:
-            head = g.edges[i].head
-            if not seen[head]:
-                seen[head] = True
-                parent_edge[head] = i
-                queue.append(head)
-    return parent_edge
-
-
-def _bfs_tree_to(g: WeightedDag, root: int) -> list[int]:
-    """child_edge[v]: first edge of a shortest v-to-root path, -1 at root."""
-    child_edge = [-1] * g.num_vertices
-    seen = [False] * g.num_vertices
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for i in g.in_edges[v]:
-            tail = g.edges[i].tail
-            if not seen[tail]:
-                seen[tail] = True
-                child_edge[tail] = i
-                queue.append(tail)
-    return child_edge
-
-
 def feasible_flow(g: WeightedDag) -> Flow:
     """A flow meeting every lower bound: for each edge demanding w > 0 units,
     push w along a source-to-sink path through it.  Flow only ever grows,
     so every edge stays satisfied once handled."""
     validate_dag(g)
-    from_source = _bfs_tree_from(g, g.source)
-    to_sink = _bfs_tree_to(g, g.sink)
+    # Shortest paths from the source and to the sink; edges are scanned in
+    # ascending far-end order, so paths break ties toward low vertex ids.
+    from_source = _bfs_parents(g.out_edges, [e.head for e in g.edges], g.source)
+    to_sink = _bfs_parents(g.in_edges, [e.tail for e in g.edges], g.sink)
     flow = [0] * len(g.edges)
     for idx, e in enumerate(g.edges):
         if e.weight > 0 and flow[idx] < e.weight:
@@ -302,32 +267,33 @@ def feasible_flow(g: WeightedDag) -> Flow:
     for idx, e in enumerate(g.edges):
         if flow[idx] < e.weight:
             raise ContractViolation("constructed flow misses a lower bound")
-    value = sum(flow[i] for i in g.out_edges[g.source]) - sum(
-        flow[i] for i in g.in_edges[g.source]
-    )
-    return Flow(tuple(flow), value)
+    return Flow(tuple(flow), _net_outflow(g, flow, g.source))
+
+
+def _residual_arcs(g: WeightedDag, edge_flow: Sequence[int]) -> list[ResidualArc]:
+    """Forward arcs with the big capacity by edge index, then backward arcs
+    by edge index wherever the flow exceeds the lower bound."""
+    big = big_capacity(g)
+    arcs = [ResidualArc(e.tail, e.head, big, False, i) for i, e in enumerate(g.edges)]
+    for i, e in enumerate(g.edges):
+        slack = edge_flow[i] - e.weight
+        if slack > 0:
+            arcs.append(ResidualArc(e.head, e.tail, slack, True, i))
+    return arcs
 
 
 def residual(g: WeightedDag, f: Flow) -> ResidualGraph:
     """Residual graph of f: forward arcs always usable (big capacity),
     backward arcs where flow exceeds the lower bound.  Arc order is forward
     by edge index, then backward by edge index."""
-    big = big_capacity(g)
-    arcs = [ResidualArc(e.tail, e.head, big, False, i) for i, e in enumerate(g.edges)]
-    for i, e in enumerate(g.edges):
-        slack = f.edge_flow[i] - e.weight
-        if slack > 0:
-            arcs.append(ResidualArc(e.head, e.tail, slack, True, i))
-    return ResidualGraph(g.num_vertices, tuple(arcs))
+    return ResidualGraph(g.num_vertices, tuple(_residual_arcs(g, f.edge_flow)))
 
 
 def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
     for v in range(g.num_vertices):
         if v in (g.source, g.sink):
             continue
-        inflow = sum(flow[i] for i in g.in_edges[v])
-        outflow = sum(flow[i] for i in g.out_edges[v])
-        if inflow != outflow:
+        if _net_outflow(g, flow, v) != 0:
             raise ContractViolation(f"flow conservation fails at vertex {v + 1}")
 
 
@@ -340,8 +306,6 @@ def min_flow(g: WeightedDag) -> Flow:
     edge flows.  The result's value equals the maximum ideal cut weight.
     """
     base = feasible_flow(g)
-    big = big_capacity(g)
-    num_edges = len(g.edges)
 
     # Arc arrays: each arc is paired with its undo arc at index ^1.  Signs
     # say how one unit on the arc changes the underlying edge's flow.
@@ -363,12 +327,8 @@ def min_flow(g: WeightedDag) -> Flow:
         of_edge.append(edge)
         sign.append(-direction)
 
-    for i, e in enumerate(g.edges):
-        add_pair(e.tail, e.head, big, i, +1)
-    for i, e in enumerate(g.edges):
-        slack = base.edge_flow[i] - e.weight
-        if slack > 0:
-            add_pair(e.head, e.tail, slack, i, -1)
+    for arc in _residual_arcs(g, base.edge_flow):
+        add_pair(arc.tail, arc.head, arc.capacity, arc.edge, -1 if arc.backward else +1)
 
     composed = list(base.edge_flow)
     pushed_total = 0
@@ -403,9 +363,7 @@ def min_flow(g: WeightedDag) -> Flow:
         pushed_total += bottleneck
 
     _assert_conservation(g, composed)
-    value = sum(composed[i] for i in g.out_edges[g.source]) - sum(
-        composed[i] for i in g.in_edges[g.source]
-    )
+    value = _net_outflow(g, composed, g.source)
     if value != base.value - pushed_total:
         raise ContractViolation("composed flow value is inconsistent")
     result = Flow(tuple(composed), value)
@@ -507,13 +465,6 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
     )
 
 
-def _component_preds(d: CondensedDag) -> list[frozenset[int]]:
-    preds: list[set[int]] = [set() for _ in d.components]
-    for a, b in d.edges:
-        preds[b].add(a)
-    return [frozenset(p) for p in preds]
-
-
 def enumerate_max_cuts(d: CondensedDag, cap: int) -> tuple[list[IdealCut], bool]:
     """All maximum-weight ideal cuts of the original graph, by source-side
     size then lexicographic, truncated after ``cap`` results.
@@ -522,39 +473,24 @@ def enumerate_max_cuts(d: CondensedDag, cap: int) -> tuple[list[IdealCut], bool]
     sink component the unique maximum, so every closed component subset
     other than the empty and the full one is a valid cut.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
     count = len(d.components)
-    preds = _component_preds(d)
-    full = frozenset(range(count))
-    out: list[IdealCut] = []
-    truncated = False
-    for ideal in iter_ideals(count, preds):
-        if not ideal or ideal == full:
-            continue
+
+    def to_cut(ideal: frozenset[int]) -> IdealCut:
         if d.source_component not in ideal or d.sink_component in ideal:
             raise ContractViolation("component ideal violates the cut poles")
-        if len(out) == cap:
-            truncated = True
-            break
         vertices: set[int] = set()
         for ci in ideal:
             vertices |= d.components[ci]
-        out.append(IdealCut(frozenset(vertices)))
-    return out, truncated
+        return IdealCut(frozenset(vertices))
+
+    return _capped(_proper_ideals(count, _preds_from_edges(count, d.edges)), cap, to_cut)
 
 
 def iterate_ideal_cuts(g: WeightedDag) -> Iterator[IdealCut]:
     """Generate every ideal cut of a validated DAG, smallest source side
     first.  The count can be exponential; callers bound consumption."""
-    preds = [
-        frozenset(g.edges[i].tail for i in g.in_edges[v])
-        for v in range(g.num_vertices)
-    ]
-    full = frozenset(range(g.num_vertices))
-    for ideal in iter_ideals(g.num_vertices, preds):
-        if not ideal or ideal == full:
-            continue
+    preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
+    for ideal in _proper_ideals(g.num_vertices, preds):
         yield IdealCut(ideal)
 
 
@@ -595,7 +531,8 @@ def parse_dag(text: str) -> WeightedDag:
     rows = lines[2:]
     if len(rows) != num_edges:
         raise ParseError(f"expected {num_edges} edge rows, found {len(rows)}")
-    raw = []
+    ends = []
+    weights = []
     for lineno, line in rows:
         parts = line.split()
         if len(parts) != 3:
@@ -610,15 +547,10 @@ def parse_dag(text: str) -> WeightedDag:
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         try:
-            value, d = _parse_decimal(parts[2])
+            weights.append((lineno, [_parse_decimal(parts[2])]))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        raw.append((lineno, u - 1, v - 1, value, d))
-    digits = max((d for *_, d in raw), default=0)
-    edges = []
-    for lineno, u, v, value, d in raw:
-        scaled = value * 10 ** (digits - d)
-        if abs(scaled) > _ENTRY_LIMIT:
-            raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
-        edges.append(Edge(u, v, scaled))
-    return WeightedDag(num_vertices, source - 1, sink - 1, tuple(edges), 10**digits)
+        ends.append((u - 1, v - 1))
+    scaled, scale = _scale_rows(weights)
+    edges = tuple(Edge(u, v, w) for (u, v), (w,) in zip(ends, scaled))
+    return WeightedDag(num_vertices, source - 1, sink - 1, edges, scale)

@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
-from .ideals import iter_ideals
+from .ideals import _capped, iter_ideals
 
 Pair = tuple[int, int]
 
@@ -319,13 +319,4 @@ def all_closed_sets(
 ) -> tuple[list[frozenset[int]], bool]:
     """All predecessor-closed rotation subsets, by size then lexicographic,
     truncated after ``cap`` results."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    out: list[frozenset[int]] = []
-    truncated = False
-    for ideal in iter_ideals(len(poset.rotations), poset.preds):
-        if len(out) == cap:
-            truncated = True
-            break
-        out.append(ideal)
-    return out, truncated
+    return _capped(iter_ideals(len(poset.rotations), poset.preds), cap, lambda ideal: ideal)

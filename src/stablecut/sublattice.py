@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
 from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow, validate_dag
-from .ideals import iter_ideals
-from .reduction import ReductionArtifacts, UniqueMatching, build_reduction
+from .ideals import _capped, _preds_from_edges, _proper_ideals
+from .reduction import UniqueMatching, build_reduction
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
 
@@ -38,10 +38,7 @@ class MetaRotationPoset:
     t_element: int
 
     def preds(self) -> list[frozenset[int]]:
-        preds: list[set[int]] = [set() for _ in self.rotation_sets]
-        for a, b in self.edges:
-            preds[b].add(a)
-        return [frozenset(p) for p in preds]
+        return _preds_from_edges(len(self.rotation_sets), self.edges)
 
 
 def meta_rotation_poset(
@@ -131,28 +128,18 @@ def girl_optimal_max(p: MetaRotationPoset | UniqueMatching) -> Matching:
 def enumerate_max_matchings(
     p: MetaRotationPoset | UniqueMatching, cap: int
 ) -> tuple[list[Matching], bool]:
-    """All maximum-weight stable matchings, deduplicated, with a truncation
-    flag once ``cap`` results are out."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    """All maximum-weight stable matchings, with a truncation flag once
+    ``cap`` results are out.
+
+    Every element other than the poles holds a rotation, so distinct
+    ideals give distinct matchings; a repeat is a ContractViolation.
+    """
     if isinstance(p, UniqueMatching):
-        return [p.matching], False
-    count = len(p.rotation_sets)
-    preds = p.preds()
-    full = frozenset(range(count))
-    out: list[Matching] = []
-    seen: set[tuple[int, ...]] = set()
-    truncated = False
-    for ideal in iter_ideals(count, preds):
-        if not ideal or ideal == full:
-            continue
-        if len(out) == cap:
-            truncated = True
-            break
-        m = _elements_to_matching(p, ideal)
-        if m.partner_of_boy not in seen:
-            seen.add(m.partner_of_boy)
-            out.append(m)
+        return _capped([p.matching], cap, lambda m: m)
+    ideals = _proper_ideals(len(p.rotation_sets), p.preds())
+    out, truncated = _capped(ideals, cap, lambda ideal: _elements_to_matching(p, ideal))
+    if len({m.partner_of_boy for m in out}) != len(out):
+        raise ContractViolation("two meta-rotation ideals give the same matching")
     return out, truncated
 
 
@@ -174,7 +161,8 @@ def solve_bi_objective(
         m = p.matching
         return m, p.weight, matching_weight(m, w2)
     art2 = build_reduction(inst, w2, p.poset)
-    assert isinstance(art2, ReductionArtifacts)
+    if isinstance(art2, UniqueMatching):
+        raise ContractViolation("the second cut graph is empty but the first is not")
 
     element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
     for i, group in enumerate(p.rotation_sets):

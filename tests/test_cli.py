@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import IDENTITY_THREE_TEXT, TWO_BY_TWO_TEXT
-from stablecut import ContractViolation, ParseError
+from stablecut import ContractViolation, Matching, ParseError, UniqueMatching, sublattice
 from stablecut.cli import RunConfig, config_from_args, main, parse_pair_file, run
 
 BRANCH_FOUR_TEXT = """\
@@ -213,6 +213,13 @@ def test_cut_solve_diamond(files):
     assert (status, report) == (0, "weight 7\nS: 1 2")
 
 
+def test_cut_solve_oracle_reports_the_largest_tied_side(files):
+    dag = files("dag.txt", "3 2\n1 3\n1 2 2\n2 3 2\n")
+    for oracle in (False, True):
+        status, report = run(RunConfig("cut-solve", dag_path=dag, oracle=oracle))
+        assert (status, report) == (0, "weight 2\nS: 1 2")
+
+
 def test_cut_solve_decimal_weights(files):
     status, report = run(
         RunConfig("cut-solve", dag_path=files("dag.txt", "2 1\n1 2\n1 2 -3.5\n"))
@@ -294,6 +301,29 @@ def test_contract_violations_exit_two(files, monkeypatch):
     )
     assert status == 2
     assert "forced" in report
+
+
+def test_bi_objective_missing_second_cut_graph_exits_two(files, monkeypatch):
+    real = sublattice.build_reduction
+    calls = []
+
+    def second_is_empty(inst, w, poset=None):
+        calls.append(w)
+        art = real(inst, w, poset)
+        return art if len(calls) == 1 else UniqueMatching(Matching((0, 1)), 0, 1)
+
+    monkeypatch.setattr(sublattice, "build_reduction", second_is_empty)
+    status, report = run(
+        RunConfig(
+            "bi-objective",
+            instance_path=files("inst.txt", TWO_BY_TWO_TEXT),
+            weights1_path=files("w1.txt", TIE_TABLE_TEXT),
+            weights2_path=files("w2.txt", "0 1\n0 0\n"),
+        )
+    )
+    assert status == 2
+    assert "second cut graph" in report
+    assert len(calls) == 2
 
 
 def test_reports_are_deterministic(files):

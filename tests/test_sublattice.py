@@ -148,6 +148,14 @@ def test_enumerate_cap_and_guard():
         enumerate_max_matchings(p, 0)
 
 
+def test_enumerate_rejects_a_repeated_matching(monkeypatch):
+    p = meta_rotation_poset(branch_four(), WeightFunction(BRANCH_TIE_TABLE))
+    fixed = boy_optimal_max(p)
+    monkeypatch.setattr("stablecut.sublattice._elements_to_matching", lambda p, subset: fixed)
+    with pytest.raises(ContractViolation, match="same matching"):
+        enumerate_max_matchings(p, 10)
+
+
 def test_enumerate_sentinel_passthrough():
     p = meta_rotation_poset(identity_three(), WeightFunction.zero(3))
     ms, truncated = enumerate_max_matchings(p, 10)
