@@ -1,10 +1,12 @@
 """Randomised stress run for the matching solver.
 
-Draws random instances and weight tables, solves each one, and checks the
-result three ways: the matching is stable, its weight matches the reported
-weight, and (small instances only) the weight agrees with the brute-force
-oracle.  Instances small enough to enumerate also get their optimum set
-checked for meet/join closure.
+Rounds rotate through the instance families of ``bench/families.py``:
+random instances, relabelled cyclic shifts and relabelled doubling-family
+instances.  Each round draws one instance and a weight table, solves it,
+and checks the result three ways: the matching is stable, its weight
+matches the reported weight, and (small instances only) the weight agrees
+with the brute-force oracle.  Instances small enough to enumerate also get
+their optimum set checked for meet/join closure.
 
 Usage:
     python scripts/random_stress.py --rounds 500 --max-n 40 --seed 7
@@ -14,8 +16,12 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-from stablecut import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import families  # noqa: E402
+from stablecut import (  # noqa: E402
     Instance,
     WeightFunction,
     brute_max_weight_matching,
@@ -28,35 +34,33 @@ from stablecut import (
     solve_max_weight,
 )
 
+FAMILIES = ("random", "cyclic", "doubling")
 ORACLE_LIMIT = 7
 ENUMERATION_CAP = 10_000
 
 
-def random_instance(rng: random.Random, n: int) -> Instance:
-    def side() -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for _ in range(n):
-            row = list(range(n))
-            rng.shuffle(row)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    return Instance(side(), side())
-
-
-def random_weights(rng: random.Random, n: int, spread: int) -> WeightFunction:
-    return WeightFunction(
-        tuple(tuple(rng.randint(-spread, spread) for _ in range(n)) for _ in range(n))
-    )
+def draw_instance(rng: random.Random, family: str, max_n: int) -> Instance:
+    """A random instance, or a relabelled cyclic shift or doubling-family
+    instance (n a power of two), with n at most max_n."""
+    if family == "random":
+        boys, girls = families.random_prefs(rng, rng.randint(2, max_n))
+    elif family == "cyclic":
+        boys, girls = families.relabel(rng, *families.cyclic_prefs(rng.randint(2, max_n)))
+    else:
+        n = 2 ** rng.randint(1, max_n.bit_length() - 1)
+        boys, girls = families.relabel(rng, *families.doubling_prefs(n))
+    return Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
 
 
-def check_round(rng: random.Random, max_n: int) -> str | None:
+def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
     """One stress round; returns a failure description or None."""
-    n = rng.randint(2, max_n)
+    inst = draw_instance(rng, family, max_n)
+    n = inst.n
     # alternate wide and narrow spreads so tied optima show up regularly
     spread = rng.choice((9, 9, 1))
-    inst = random_instance(rng, n)
-    w = random_weights(rng, n, spread)
+    w = WeightFunction(
+        tuple(map(tuple, families.random_weights(rng, n, -spread, spread, 0)))
+    )
 
     m, weight = solve_max_weight(inst, w)
     if not is_stable(inst, m):
@@ -94,9 +98,10 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(args.seed)
     start = time.perf_counter()
     for i in range(args.rounds):
-        failure = check_round(rng, args.max_n)
+        family = FAMILIES[i % len(FAMILIES)]
+        failure = check_round(rng, family, args.max_n)
         if failure is not None:
-            print(f"round {i}: {failure}")
+            print(f"round {i} ({family}): {failure}")
             return 1
         if (i + 1) % 50 == 0:
             print(f"{i + 1}/{args.rounds} rounds clean")

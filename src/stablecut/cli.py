@@ -29,7 +29,7 @@ from .core import (
 )
 from .idealcut import cut_weight, max_weight_ideal_cut, parse_dag, validate_dag
 from .oracle import all_ideal_cuts, all_stable_matchings, brute_max_weight_matching
-from .reduction import UniqueMatching, solve_max_weight
+from .reduction import solve_max_weight
 from .rotations import build_poset
 from .sublattice import (
     boy_optimal_max,
@@ -67,58 +67,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_weight_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--weights", metavar="PATH", help="weight table file")
+        p.add_argument("--weights", dest="weights_path", metavar="PATH", help="weight table file")
         p.add_argument("--preset", choices=PRESETS, help="built-in weight preset")
         p.add_argument(
             "--pairs",
+            dest="pairs_path",
             metavar="PATH",
             help="pair file for the desirable-undesirable preset",
         )
 
     p = sub.add_parser("solve", help="one maximum-weight stable matching")
-    p.add_argument("instance", help="instance file")
+    p.add_argument("instance_path", metavar="instance", help="instance file")
     add_weight_options(p)
     p.add_argument("--pole", choices=("boy", "girl"), help="which optimal pole to report")
     p.add_argument("--oracle", action="store_true", help="use the brute-force path")
 
     p = sub.add_parser("enumerate", help="all maximum-weight stable matchings")
-    p.add_argument("instance", help="instance file")
+    p.add_argument("instance_path", metavar="instance", help="instance file")
     add_weight_options(p)
     p.add_argument("--cap", type=int, default=1000, help="truncate after this many")
 
     p = sub.add_parser("poset", help="dump the rotation poset")
-    p.add_argument("instance", help="instance file")
+    p.add_argument("instance_path", metavar="instance", help="instance file")
 
     p = sub.add_parser("cut-solve", help="maximum-weight ideal cut of a DAG")
-    p.add_argument("dag", help="graph file")
+    p.add_argument("dag_path", metavar="dag", help="graph file")
     p.add_argument("--oracle", action="store_true", help="use the brute-force path")
 
     p = sub.add_parser("bi-objective", help="best secondary weight among primary optima")
-    p.add_argument("instance", help="instance file")
-    p.add_argument("--weights1", metavar="PATH", help="primary weight table file")
+    p.add_argument("instance_path", metavar="instance", help="instance file")
+    p.add_argument(
+        "--weights1", dest="weights1_path", metavar="PATH", help="primary weight table file"
+    )
     p.add_argument("--preset1", choices=PRESETS[:2], help="primary weight preset")
-    p.add_argument("--weights2", metavar="PATH", help="secondary weight table file")
+    p.add_argument(
+        "--weights2", dest="weights2_path", metavar="PATH", help="secondary weight table file"
+    )
     p.add_argument("--preset2", choices=PRESETS[:2], help="secondary weight preset")
     return parser
 
 
 def config_from_args(argv: list[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        instance_path=getattr(ns, "instance", None),
-        dag_path=getattr(ns, "dag", None),
-        weights_path=getattr(ns, "weights", None),
-        preset=getattr(ns, "preset", None),
-        pairs_path=getattr(ns, "pairs", None),
-        weights1_path=getattr(ns, "weights1", None),
-        preset1=getattr(ns, "preset1", None),
-        weights2_path=getattr(ns, "weights2", None),
-        preset2=getattr(ns, "preset2", None),
-        cap=getattr(ns, "cap", 1000),
-        oracle=getattr(ns, "oracle", False),
-        pole=getattr(ns, "pole", None),
-    )
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def _read(path: str) -> str:
@@ -175,9 +165,9 @@ def _run_solve(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
     w = _load_weights(inst, cfg.weights_path, cfg.preset, cfg.pairs_path)
     if cfg.oracle:
-        matching, weight = brute_max_weight_matching(inst, w)
-        if cfg.pole == "girl":
-            stable = all_stable_matchings(inst)
+        stable = all_stable_matchings(inst)
+        matching, weight = brute_max_weight_matching(inst, w, stable)
+        if cfg.pole != "boy":
             optima = [m for m in stable if matching_weight(m, w) == weight]
             bottom = [
                 m for m in optima if all(dominates(other, m, inst) for other in optima)
@@ -221,8 +211,8 @@ def _run_poset(cfg: RunConfig) -> str:
 
 def _run_cut_solve(cfg: RunConfig) -> str:
     g = parse_dag(_read(cfg.dag_path))
-    validate_dag(g)
     if cfg.oracle:
+        validate_dag(g)
         # The largest source side among the heaviest cuts, as the flow
         # path reports; all_ideal_cuts lists cuts by size.
         cuts = all_ideal_cuts(g)

@@ -98,9 +98,7 @@ class ResidualArc(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ResidualGraph:
-    """Residual structure of a flow: one forward arc per edge with the big
-    finite capacity, plus a backward arc wherever the flow sits strictly
-    above the edge's lower bound."""
+    """Residual structure of a flow, as built by :func:`residual`."""
 
     num_vertices: int
     arcs: tuple[ResidualArc, ...]
@@ -170,6 +168,12 @@ def big_capacity(g: WeightedDag) -> int:
 def validate_dag(g: WeightedDag) -> None:
     """Check acyclicity and that every vertex lies on a source-to-sink path;
     errors name a witness cycle or vertex."""
+    _validated_trees(g)
+
+
+def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int]]:
+    """The checks of :func:`validate_dag`, returning the two searches they
+    ran: the ``_bfs_parents`` trees from the source and to the sink."""
     n = g.num_vertices
     indegree = [0] * n
     for e in g.edges:
@@ -215,6 +219,7 @@ def validate_dag(g: WeightedDag) -> None:
     for v in range(n):
         if backward[v] == -1:
             raise ValueError(f"vertex {v + 1} cannot reach the sink")
+    return forward, backward
 
 
 def check_ideal_cut(g: WeightedDag, source_side: frozenset[int]) -> None:
@@ -241,13 +246,11 @@ def cut_weight(g: WeightedDag, cut: IdealCut) -> int:
 
 def feasible_flow(g: WeightedDag) -> Flow:
     """A flow meeting every lower bound: for each edge demanding w > 0 units,
-    push w along a source-to-sink path through it.  Flow only ever grows,
+    push w along a source-to-sink path through it.  Flow only ever forwards,
     so every edge stays satisfied once handled."""
-    validate_dag(g)
     # Shortest paths from the source and to the sink; edges are scanned in
     # ascending far-end order, so paths break ties toward low vertex ids.
-    from_source = _bfs_parents(g.out_edges, [e.head for e in g.edges], g.source)
-    to_sink = _bfs_parents(g.in_edges, [e.tail for e in g.edges], g.sink)
+    from_source, to_sink = _validated_trees(g)
     flow = [0] * len(g.edges)
     for idx, e in enumerate(g.edges):
         if e.weight > 0 and flow[idx] < e.weight:
@@ -270,23 +273,17 @@ def feasible_flow(g: WeightedDag) -> Flow:
     return Flow(tuple(flow), _net_outflow(g, flow, g.source))
 
 
-def _residual_arcs(g: WeightedDag, edge_flow: Sequence[int]) -> list[ResidualArc]:
-    """Forward arcs with the big capacity by edge index, then backward arcs
-    by edge index wherever the flow exceeds the lower bound."""
+def residual(g: WeightedDag, f: Flow) -> ResidualGraph:
+    """Residual graph of f under the rule stated in :func:`min_flow`, with
+    the big capacity standing in for an unlimited forward arc.  Arc order
+    is forward by edge index, then backward by edge index."""
     big = big_capacity(g)
     arcs = [ResidualArc(e.tail, e.head, big, False, i) for i, e in enumerate(g.edges)]
     for i, e in enumerate(g.edges):
-        slack = edge_flow[i] - e.weight
+        slack = f.edge_flow[i] - e.weight
         if slack > 0:
             arcs.append(ResidualArc(e.head, e.tail, slack, True, i))
-    return arcs
-
-
-def residual(g: WeightedDag, f: Flow) -> ResidualGraph:
-    """Residual graph of f: forward arcs always usable (big capacity),
-    backward arcs where flow exceeds the lower bound.  Arc order is forward
-    by edge index, then backward by edge index."""
-    return ResidualGraph(g.num_vertices, tuple(_residual_arcs(g, f.edge_flow)))
+    return ResidualGraph(g.num_vertices, tuple(arcs))
 
 
 def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
@@ -300,65 +297,62 @@ def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
 def min_flow(g: WeightedDag) -> Flow:
     """Minimum-value flow subject to f(e) >= w(e) on every edge.
 
-    Starts from a feasible flow and pushes the largest possible flow from
-    sink back to source through the residual graph with shortest
-    breadth-first augmenting paths, folding each augmentation into the
-    edge flows.  The result's value equals the maximum ideal cut weight.
+    Starts from a feasible flow and pushes flow from sink back to source
+    along shortest breadth-first augmenting paths (Edmonds-Karp), updating
+    the edge flows.  The residual rule: any edge can take more flow
+    forwards, since there is no upper bound, and an edge can give back (a
+    backward step) whatever it carries above w(e).  The sink has no
+    out-edges, so every sink-to-source path has a backward step, and the
+    bottleneck is the smallest slack among the path's backward steps.  The
+    result's value equals the maximum ideal cut weight.
     """
     base = feasible_flow(g)
-
-    # Arc arrays: each arc is paired with its undo arc at index ^1.  Signs
-    # say how one unit on the arc changes the underlying edge's flow.
-    heads: list[int] = []
-    caps: list[int] = []
-    of_edge: list[int] = []
-    sign: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
-
-    def add_pair(u: int, v: int, cap: int, edge: int, direction: int) -> None:
-        adj[u].append(len(heads))
-        heads.append(v)
-        caps.append(cap)
-        of_edge.append(edge)
-        sign.append(direction)
-        adj[v].append(len(heads))
-        heads.append(u)
-        caps.append(0)
-        of_edge.append(edge)
-        sign.append(-direction)
-
-    for arc in _residual_arcs(g, base.edge_flow):
-        add_pair(arc.tail, arc.head, arc.capacity, arc.edge, -1 if arc.backward else +1)
-
+    source, sink = g.source, g.sink
+    out_edges, in_edges = g.out_edges, g.in_edges
+    tails = [e.tail for e in g.edges]
+    heads = [e.head for e in g.edges]
+    lower = [e.weight for e in g.edges]
     composed = list(base.edge_flow)
     pushed_total = 0
     while True:
-        parent_arc = [-1] * g.num_vertices
-        parent_arc[g.sink] = -2
-        queue = deque([g.sink])
+        # parent[v]: the edge the search reached v by, forwards (v is its
+        # head) or backwards (v is its tail).
+        parent = [-1] * g.num_vertices
+        parent[sink] = -2
+        queue = deque([sink])
         while queue:
             v = queue.popleft()
-            if v == g.source:
+            if v == source:
                 break
-            for a in adj[v]:
-                if caps[a] > 0 and parent_arc[heads[a]] == -1:
-                    parent_arc[heads[a]] = a
-                    queue.append(heads[a])
-        if parent_arc[g.source] < 0:
+            for i in out_edges[v]:
+                w = heads[i]
+                if parent[w] == -1:
+                    parent[w] = i
+                    queue.append(w)
+            for i in in_edges[v]:
+                u = tails[i]
+                if parent[u] == -1 and composed[i] > lower[i]:
+                    parent[u] = i
+                    queue.append(u)
+        if parent[source] < 0:
             break
-        path = []
-        v = g.source
-        while v != g.sink:
-            a = parent_arc[v]
-            path.append(a)
-            v = heads[a ^ 1]
-        bottleneck = min(caps[a] for a in path)
-        for a in path:
-            caps[a] -= bottleneck
-            caps[a ^ 1] += bottleneck
-            edge = of_edge[a]
-            composed[edge] += sign[a] * bottleneck
-            if composed[edge] < g.edges[edge].weight:
+        forward: list[int] = []
+        backward: list[int] = []
+        v = source
+        while v != sink:
+            i = parent[v]
+            if heads[i] == v:
+                forward.append(i)
+                v = tails[i]
+            else:
+                backward.append(i)
+                v = heads[i]
+        bottleneck = min(composed[i] - lower[i] for i in backward)
+        for i in forward:
+            composed[i] += bottleneck
+        for i in backward:
+            composed[i] -= bottleneck
+            if composed[i] < lower[i]:
                 raise ContractViolation("augmentation broke a lower bound")
         pushed_total += bottleneck
 

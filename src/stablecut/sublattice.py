@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
-from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow, validate_dag
+from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow
 from .ideals import _capped, _preds_from_edges, _proper_ideals
 from .reduction import UniqueMatching, build_reduction
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
@@ -180,7 +180,6 @@ def solve_bi_objective(
         edges=tuple(contracted),
         scale=w2.scale,
     )
-    validate_dag(merged)
     cut, _ = max_weight_ideal_cut(merged)
     m = closed_subset_to_max_matching(p, cut.source_side)
     return m, matching_weight(m, w1), matching_weight(m, w2)

@@ -73,11 +73,15 @@ def test_solve_oracle_path(files):
     inst = files("inst.txt", TWO_BY_TWO_TEXT)
     w = files("w.txt", TIE_TABLE_TEXT)
     status, report = run(RunConfig("solve", instance_path=inst, weights_path=w, oracle=True))
-    assert (status, report) == (0, "weight 4\n1 1\n2 2")
+    assert (status, report) == (0, "weight 4\n1 2\n2 1")
     status, report = run(
         RunConfig("solve", instance_path=inst, weights_path=w, oracle=True, pole="girl")
     )
     assert (status, report) == (0, "weight 4\n1 2\n2 1")
+    status, report = run(
+        RunConfig("solve", instance_path=inst, weights_path=w, oracle=True, pole="boy")
+    )
+    assert (status, report) == (0, "weight 4\n1 1\n2 2")
 
 
 def test_solve_oracle_agrees_with_the_solver_on_weight(files):
