@@ -88,30 +88,20 @@ class Flow:
     value: int
 
 
-class ResidualArc(NamedTuple):
-    tail: int
-    head: int
-    capacity: int
-    backward: bool
-    edge: int
-
-
 @dataclass(frozen=True, eq=False)
 class ResidualGraph:
-    """Residual structure of a flow, as built by :func:`residual`."""
+    """Residual structure of a flow, as built by :func:`residual`.
 
-    num_vertices: int
-    arcs: tuple[ResidualArc, ...]
+    ``heads[v]`` lists the vertices v has a residual arc to: the heads of
+    v's out-edges, then the tails of v's in-edges that carry more than
+    their weight, each group by edge index.
+    """
 
-    @cached_property
-    def out_arcs(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for i, arc in enumerate(self.arcs):
-            adj[arc.tail].append(i)
-        return tuple(tuple(lst) for lst in adj)
+    heads: tuple[tuple[int, ...], ...]
 
     def reachable(self, start: int) -> frozenset[int]:
-        parent = _bfs_parents(self.out_arcs, [arc.head for arc in self.arcs], start)
+        # Each adjacency entry is a vertex, so the far end of entry v is v.
+        parent = _bfs_parents(self.heads, range(len(self.heads)), start)
         return frozenset(v for v, p in enumerate(parent) if p != -1)
 
 
@@ -153,16 +143,6 @@ def _bfs_parents(adjacency: Sequence[Sequence[int]], endpoint: Sequence[int], ro
 def _net_outflow(g: WeightedDag, flow: Sequence[int], v: int) -> int:
     """Flow leaving v minus flow entering it."""
     return sum(flow[i] for i in g.out_edges[v]) - sum(flow[i] for i in g.in_edges[v])
-
-
-def big_capacity(g: WeightedDag) -> int:
-    """Finite stand-in for infinity on forward residual arcs.
-
-    One more than the total absolute weight: any single augmenting path
-    can be charged against distinct units of that total, so no forward arc
-    ever needs more.
-    """
-    return 1 + sum(abs(e.weight) for e in g.edges)
 
 
 def validate_dag(g: WeightedDag) -> None:
@@ -274,16 +254,16 @@ def feasible_flow(g: WeightedDag) -> Flow:
 
 
 def residual(g: WeightedDag, f: Flow) -> ResidualGraph:
-    """Residual graph of f under the rule stated in :func:`min_flow`, with
-    the big capacity standing in for an unlimited forward arc.  Arc order
-    is forward by edge index, then backward by edge index."""
-    big = big_capacity(g)
-    arcs = [ResidualArc(e.tail, e.head, big, False, i) for i, e in enumerate(g.edges)]
-    for i, e in enumerate(g.edges):
-        slack = f.edge_flow[i] - e.weight
-        if slack > 0:
-            arcs.append(ResidualArc(e.head, e.tail, slack, True, i))
-    return ResidualGraph(g.num_vertices, tuple(arcs))
+    """Residual graph of f under the rule stated in :func:`min_flow`: every
+    edge gives a forward arc, and an edge carrying more than its weight
+    also gives a backward arc."""
+    heads: list[list[int]] = [[] for _ in range(g.num_vertices)]
+    for e in g.edges:
+        heads[e.tail].append(e.head)
+    for e, flow in zip(g.edges, f.edge_flow):
+        if flow > e.weight:
+            heads[e.head].append(e.tail)
+    return ResidualGraph(tuple(tuple(lst) for lst in heads))
 
 
 def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
@@ -384,7 +364,7 @@ def max_weight_ideal_cut(g: WeightedDag) -> tuple[IdealCut, int]:
 def _tarjan_components(res: ResidualGraph) -> list[list[int]]:
     """Strongly connected components, iterative Tarjan, in reverse
     topological order of the condensation."""
-    n = res.num_vertices
+    n = len(res.heads)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -403,9 +383,9 @@ def _tarjan_components(res: ResidualGraph) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            arcs = res.out_arcs[v]
-            while pos < len(arcs):
-                head = res.arcs[arcs[pos]].head
+            heads = res.heads[v]
+            while pos < len(heads):
+                head = heads[pos]
                 pos += 1
                 if index[head] == -1:
                     work.append((v, pos))
@@ -447,9 +427,10 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
         for v in comp:
             comp_of[v] = ci
     edges = {
-        (comp_of[arc.tail], comp_of[arc.head])
-        for arc in res.arcs
-        if comp_of[arc.tail] != comp_of[arc.head]
+        (comp_of[v], comp_of[u])
+        for v, heads in enumerate(res.heads)
+        for u in heads
+        if comp_of[v] != comp_of[u]
     }
     return CondensedDag(
         components=tuple(frozenset(c) for c in comps),
@@ -509,6 +490,12 @@ def parse_dag(text: str) -> WeightedDag:
         raise ParseError(f"line {lineno}: need at least two vertices")
     if num_edges < 0:
         raise ParseError(f"line {lineno}: negative edge count")
+    # Every vertex but the source needs an in-edge to be reachable, so the
+    # header alone rules out larger graphs before anything is allocated.
+    if num_vertices > num_edges + 1:
+        raise ParseError(
+            f"line {lineno}: {num_vertices} vertices need at least {num_vertices - 1} edges"
+        )
     lineno, pole_line = lines[1]
     parts = pole_line.split()
     if len(parts) != 2:

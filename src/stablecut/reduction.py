@@ -10,12 +10,11 @@ constant for the pairs present everywhere.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
-from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
+from .idealcut import Edge, IdealCut, WeightedDag, _bfs_parents, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
 Pair = tuple[int, int]
@@ -52,35 +51,6 @@ class ReductionArtifacts:
     rotation_of_vertex: Mapping[int, int]
 
 
-def _shortest_path_edges(
-    dag_adj: tuple[tuple[int, ...], ...], edges: list[Edge], start: int, goal: int
-) -> tuple[int, ...]:
-    """Breadth-first shortest edge path, ties toward low vertex ids."""
-    if start == goal:
-        return ()
-    parent_edge = {start: -1}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            break
-        for i in dag_adj[v]:
-            head = edges[i].head
-            if head not in parent_edge:
-                parent_edge[head] = i
-                queue.append(head)
-    if goal not in parent_edge:
-        raise ContractViolation("required path is missing from the cut graph")
-    path = []
-    v = goal
-    while v != start:
-        i = parent_edge[v]
-        path.append(i)
-        v = edges[i].tail
-    path.reverse()
-    return tuple(path)
-
-
 def build_reduction(
     inst: Instance, w: WeightFunction, poset: RotationPoset | None = None
 ) -> ReductionArtifacts | UniqueMatching:
@@ -107,7 +77,9 @@ def build_reduction(
     for rid in range(k):
         if rid not in has_pred:
             edge_list.append(Edge(source, vertex_of_rotation[rid], 0))
+    arc_edge: dict[tuple[int, int], int] = {}
     for a, b in sorted(poset.edges):
+        arc_edge[(a, b)] = len(edge_list)
         edge_list.append(Edge(vertex_of_rotation[a], vertex_of_rotation[b], 0))
     for rid in range(k):
         if rid not in has_succ:
@@ -118,15 +90,25 @@ def build_reduction(
         adj[e.tail].append(i)
     for lst in adj:
         lst.sort(key=lambda i: (edge_list[i].head, i))
-    dag_adj = tuple(tuple(lst) for lst in adj)
+    heads = [e.head for e in edge_list]
+    trees: dict[int, list[int]] = {}
 
-    path_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def path_between(a: int, b: int) -> tuple[int, ...]:
-        key = (a, b)
-        if key not in path_cache:
-            path_cache[key] = _shortest_path_edges(dag_adj, edge_list, a, b)
-        return path_cache[key]
+    def tree_path(start: int, goal: int) -> tuple[int, ...]:
+        """The edge path to goal in the breadth-first tree from start, which
+        scans edges by head id, so ties go toward low vertex ids."""
+        if start not in trees:
+            trees[start] = _bfs_parents(adj, heads, start)
+        parent = trees[start]
+        if parent[goal] == -1:
+            raise ContractViolation("required path is missing from the cut graph")
+        path = []
+        v = goal
+        while v != start:
+            i = parent[v]
+            path.append(i)
+            v = edge_list[i].tail
+        path.reverse()
+        return tuple(path)
 
     # Stable pairs that can vary are the boy-optimal pairs plus every pair
     # some rotation creates; a pair present in both extreme matchings is
@@ -148,21 +130,23 @@ def build_reduction(
         rid = poset.moves_from.get((b, g))
         if rid is None:
             raise ContractViolation("boy-optimal pair has no removing rotation")
-        add_pair((b, g), path_between(source, vertex_of_rotation[rid]))
+        add_pair((b, g), tree_path(source, vertex_of_rotation[rid]))
     for rho in poset.rotations:
         r = len(rho.pairs)
         for i, (b, _) in enumerate(rho.pairs):
             g = rho.pairs[(i + 1) % r][1]
             if mz.partner_of_boy[b] == g:
-                add_pair((b, g), path_between(vertex_of_rotation[rho.id], sink))
+                add_pair((b, g), tree_path(vertex_of_rotation[rho.id], sink))
                 continue
             taker = poset.moves_from.get((b, g))
             if taker is None:
                 raise ContractViolation("transient pair has no removing rotation")
-            add_pair(
-                (b, g),
-                path_between(vertex_of_rotation[rho.id], vertex_of_rotation[taker]),
-            )
+            # A pair handed from rho to its taker is exactly what makes the
+            # precedence arc (rho, taker), so its path is that arc's edge.
+            edge = arc_edge.get((rho.id, taker))
+            if edge is None:
+                raise ContractViolation("required path is missing from the cut graph")
+            add_pair((b, g), (edge,))
 
     weighted = tuple(
         Edge(e.tail, e.head, acc) for e, acc in zip(edge_list, accumulated)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
-from .ideals import _capped, iter_ideals
+from .ideals import _capped, _preds_from_edges, iter_ideals
 
 Pair = tuple[int, int]
 
@@ -40,15 +39,15 @@ class RotationPoset:
     """All rotations of an instance plus their precedence arcs.
 
     An arc (a, b) in ``edges`` means rotation a precedes rotation b: any
-    predecessor-closed subset containing b must contain a.
+    predecessor-closed subset containing b must contain a.  Every arc has
+    a < b, so increasing id is a topological order.  ``moves_from`` maps
+    each pair a rotation removes to that rotation's id.
     """
 
     rotations: tuple[Rotation, ...]
     edges: frozenset[tuple[int, int]]
-    moves_to: Mapping[Pair, int]
     moves_from: Mapping[Pair, int]
     preds: tuple[frozenset[int], ...]
-    topo_order: tuple[int, ...]
 
     def is_closed(self, members: frozenset[int]) -> bool:
         return all(self.preds[r] <= members for r in members)
@@ -169,7 +168,9 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
     Walks a single elimination chain from the boy-optimal matching down to
     the girl-optimal one, re-detecting exposed cycles after each step;
     every rotation appears exactly once along any such chain.  Ids are
-    assigned in first-sighting order.
+    assigned in first-sighting order, and the chain always eliminates the
+    oldest exposed rotation, so ids are a topological order of the
+    precedence poset.
     """
     walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
     ids: dict[tuple[Pair, ...], int] = {}
@@ -264,34 +265,16 @@ def build_poset(inst: Instance) -> RotationPoset:
                     raise ContractViolation("inconsistent girl crossing event")
                 edges.add((rid, rho.id))
 
-    k = len(rotations)
-    preds: list[set[int]] = [set() for _ in range(k)]
-    succs: list[set[int]] = [set() for _ in range(k)]
     for a, b in edges:
-        preds[b].add(a)
-        succs[a].add(b)
-    indegree = [len(p) for p in preds]
-    ready = [r for r in range(k) if indegree[r] == 0]
-    heap: list[int] = []
-    for r in ready:
-        heappush(heap, r)
-    topo: list[int] = []
-    while heap:
-        r = heappop(heap)
-        topo.append(r)
-        for nxt in succs[r]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heappush(heap, nxt)
-    if len(topo) != k:
-        raise ContractViolation("precedence arcs contain a cycle")
+        if a >= b:
+            raise ContractViolation(
+                f"precedence arc ({a}, {b}) does not follow rotation ids"
+            )
     return RotationPoset(
         rotations=rotations,
         edges=frozenset(edges),
-        moves_to=moves_to,
         moves_from=moves_from,
-        preds=tuple(frozenset(p) for p in preds),
-        topo_order=tuple(topo),
+        preds=tuple(_preds_from_edges(len(rotations), edges)),
     )
 
 
@@ -299,8 +282,8 @@ def closed_set_to_matching(
     inst: Instance, poset: RotationPoset, closed: Iterable[int]
 ) -> Matching:
     """Eliminate exactly the rotations in ``closed`` from the boy-optimal
-    matching, in precedence order.  Raises ContractViolation when the set
-    is not predecessor-closed."""
+    matching, in increasing id, which is a precedence order.  Raises
+    ContractViolation when the set is not predecessor-closed."""
     members = frozenset(closed)
     for rid in members:
         if not 0 <= rid < len(poset.rotations):
@@ -308,9 +291,8 @@ def closed_set_to_matching(
     if not poset.is_closed(members):
         raise ContractViolation("rotation set is not predecessor-closed")
     walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
-    for rid in poset.topo_order:
-        if rid in members:
-            walk.apply_cycle(poset.rotations[rid].pairs)
+    for rid in sorted(members):
+        walk.apply_cycle(poset.rotations[rid].pairs)
     return walk.matching()
 
 

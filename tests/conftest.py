@@ -2,16 +2,19 @@
 
 The small instances here have all their derived facts (rotations, poset
 edges, optimal matchings) cross-checked against the brute-force oracle;
-tests freeze those values directly.
+tests freeze those values directly.  Random instances and weights come
+from the benchmark's generators in ``bench/families.py``.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import strategies as st
 
-from stablecut import Edge, Instance, WeightedDag, WeightFunction
+import families
+from stablecut import Edge, Instance, Rotation, WeightedDag, WeightFunction, rotations
 
 # Two couples where each boy's favourite girl ranks him last: two stable
 # matchings, one rotation apart.
@@ -78,23 +81,26 @@ def diamond_dag() -> WeightedDag:
 
 
 def random_instance(rng: random.Random, n: int) -> Instance:
-    def side() -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for _ in range(n):
-            row = list(range(n))
-            rng.shuffle(row)
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    return Instance(side(), side())
+    boys, girls = families.random_prefs(rng, n)
+    return Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
 
 
 def random_weights(
     rng: random.Random, n: int, lo: int = -9, hi: int = 9
 ) -> WeightFunction:
-    return WeightFunction(
-        tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
-    )
+    return WeightFunction(tuple(map(tuple, families.random_weights(rng, n, lo, hi, 0))))
+
+
+@pytest.fixture
+def reversed_rotation_ids(monkeypatch):
+    """Make rotation discovery number rotations last-seen first."""
+    real = rotations.enumerate_rotations
+
+    def reverse(inst: Instance) -> list[Rotation]:
+        found = real(inst)
+        return [Rotation(r.pairs, len(found) - 1 - r.id) for r in reversed(found)]
+
+    monkeypatch.setattr(rotations, "enumerate_rotations", reverse)
 
 
 def random_dag(

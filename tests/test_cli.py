@@ -307,6 +307,25 @@ def test_contract_violations_exit_two(files, monkeypatch):
     assert "forced" in report
 
 
+def test_poset_with_arcs_against_rotation_ids_exits_two(files, reversed_rotation_ids):
+    status, report = run(
+        RunConfig("poset", instance_path=files("inst.txt", BRANCH_FOUR_TEXT))
+    )
+    assert status == 2
+    assert "does not follow rotation ids" in report
+
+
+def test_cut_solve_rejects_a_header_with_too_few_edges(files, capsys):
+    dag = files("dag.txt", "100000000 1\n1 2\n1 2 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["cut-solve", dag])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1:")
+    assert "Traceback" not in captured.err
+
+
 def test_bi_objective_missing_second_cut_graph_exits_two(files, monkeypatch):
     real = sublattice.build_reduction
     calls = []

@@ -20,6 +20,7 @@ from stablecut import (
     all_stable_matchings,
     boy_optimal_max,
     brute_max_weight_matching,
+    build_poset,
     build_reduction,
     condense,
     cut_weight,
@@ -55,6 +56,7 @@ def _weight_tables(n: int) -> list[WeightFunction]:
 @pytest.mark.parametrize("family,n", CASES)
 def test_solver_matches_the_oracle_on_adversarial_families(family, n):
     inst = _instance(family, n)
+    assert all(a < b for a, b in build_poset(inst).edges)
     stable = all_stable_matchings(inst)
     for w in _weight_tables(n):
         boy_pole, best = brute_max_weight_matching(inst, w, stable)

@@ -149,13 +149,20 @@ def test_solver_weight_matches_oracle(pair):
 def test_every_cut_transports_weight_and_membership(inst):
     """For every ideal cut of the reduction graph: the selected matching's
     weight equals cut weight plus base, and a varying pair is matched
-    exactly when its path has an edge leaving the cut."""
+    exactly when its path has an edge leaving the cut.  A pair handed from
+    one rotation to another travels along their precedence arc."""
     rng = random.Random(1234)
     w = random_weights(rng, inst.n)
     poset = build_poset(inst)
     art = build_reduction(inst, w, poset)
     if isinstance(art, UniqueMatching):
         return
+    for path in art.path_of_pair.values():
+        first, last = art.dag.edges[path[0]], art.dag.edges[path[-1]]
+        if first.tail in art.rotation_of_vertex and last.head in art.rotation_of_vertex:
+            assert len(path) == 1
+            a, b = art.rotation_of_vertex[first.tail], art.rotation_of_vertex[last.head]
+            assert (a, b) in poset.edges
     for cut in iterate_ideal_cuts(art.dag):
         m = cut_to_matching(art, poset, cut)
         assert matching_weight(m, w) == cut_weight(art.dag, cut) + art.base_weight

@@ -80,7 +80,13 @@ def test_branch_four_rotations_and_edges():
     ]
     assert sorted(poset.edges) == [(0, 1), (0, 2)]
     assert poset.preds == (frozenset(), frozenset({0}), frozenset({0}))
-    assert poset.topo_order == (0, 1, 2)
+
+
+def test_build_poset_rejects_arcs_against_rotation_ids(reversed_rotation_ids):
+    # Reversed, branch_four's arcs would be (2, 0) and (2, 1): acyclic,
+    # but increasing id would no longer be a precedence order.
+    with pytest.raises(ContractViolation, match=r"arc \(2, [01]\) does not follow"):
+        build_poset(branch_four())
 
 
 def test_poset_two_by_two_has_no_edges():
