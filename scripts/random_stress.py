@@ -3,10 +3,13 @@
 Rounds rotate through the instance families of ``bench/families.py``:
 random instances, relabelled cyclic shifts and relabelled doubling-family
 instances.  Each round draws one instance and a weight table, solves it,
-and checks the result three ways: the matching is stable, its weight
-matches the reported weight, and (small instances only) the weight agrees
-with the brute-force oracle.  Instances small enough to enumerate also get
-their optimum set checked for meet/join closure.
+and checks the result: the matching is stable, its weight matches the
+reported weight, it is the girl pole that the meta-rotation poset gives
+(the solver reaches that pole through the maximum-weight ideal cut, the
+``--pole girl`` path through the poset), the boy pole dominates it, and
+(small instances only) the weight agrees with the brute-force oracle.
+Instances small enough to enumerate also get their optimum set checked
+for meet/join closure.
 
 Usage:
     python scripts/random_stress.py --rounds 500 --max-n 40 --seed 7
@@ -24,8 +27,11 @@ import families  # noqa: E402
 from stablecut import (  # noqa: E402
     Instance,
     WeightFunction,
+    boy_optimal_max,
     brute_max_weight_matching,
+    dominates,
     enumerate_max_matchings,
+    girl_optimal_max,
     is_stable,
     join,
     matching_weight,
@@ -67,14 +73,17 @@ def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
         return f"n={n}: solver returned an unstable matching"
     if matching_weight(m, w) != weight:
         return f"n={n}: reported weight {weight} != recomputed weight"
+    p = meta_rotation_poset(inst, w)
+    if girl_optimal_max(p) != m:
+        return f"n={n}: solver matching is not the poset's girl pole"
+    if not dominates(boy_optimal_max(p), m, inst):
+        return f"n={n}: boy pole does not dominate the girl pole"
 
     if n <= ORACLE_LIMIT:
         _, best = brute_max_weight_matching(inst, w)
         if weight != best:
             return f"n={n}: solver weight {weight} != oracle weight {best}"
-        optima, truncated = enumerate_max_matchings(
-            meta_rotation_poset(inst, w), ENUMERATION_CAP
-        )
+        optima, truncated = enumerate_max_matchings(p, ENUMERATION_CAP)
         if truncated:
             return f"n={n}: optimum enumeration truncated at {ENUMERATION_CAP}"
         keys = {opt.partner_of_boy for opt in optima}

@@ -115,12 +115,6 @@ class CondensedDag:
     source_component: int
     sink_component: int
 
-    def component_of(self, vertex: int) -> int:
-        for i, comp in enumerate(self.components):
-            if vertex in comp:
-                return i
-        raise ValueError(f"vertex {vertex + 1} not in any component")
-
 
 def _bfs_parents(adjacency: Sequence[Sequence[int]], endpoint: Sequence[int], root: int) -> list[int]:
     """parent[v]: id of the edge that first reaches v from the root, -2 at

@@ -20,29 +20,19 @@ from .rotations import RotationPoset, build_poset, closed_set_to_matching
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class UniqueMatching:
-    """Sentinel for instances with exactly one stable matching: no cut graph
-    is built and the answer is already known."""
-
-    matching: Matching
-    weight: int
-    scale: int
-
-
 @dataclass(frozen=True, eq=False)
 class ReductionArtifacts:
     """The cut graph plus everything needed to translate answers back.
 
     ``dag`` vertex 0 is the source, vertex ``len(rotations) + 1`` the sink,
-    and rotation r sits at vertex r + 1.  ``path_of_pair`` maps each stable
+    and rotation r sits at vertex r + 1; without rotations the graph is the
+    one edge from source to sink.  ``path_of_pair`` maps each stable
     pair that varies across matchings to the edge indices of its path.
     ``base_weight`` is the total weight of pairs present in every stable
     matching and must be added to any cut weight.
     """
 
     inst: Instance
-    weights: WeightFunction
     poset: RotationPoset
     dag: WeightedDag
     path_of_pair: Mapping[Pair, tuple[int, ...]]
@@ -53,19 +43,16 @@ class ReductionArtifacts:
 
 def build_reduction(
     inst: Instance, w: WeightFunction, poset: RotationPoset | None = None
-) -> ReductionArtifacts | UniqueMatching:
+) -> ReductionArtifacts:
     """Build the weighted cut graph for an instance.
 
-    Returns a :class:`UniqueMatching` sentinel when the rotation poset is
-    empty.  A precomputed poset may be passed to avoid rebuilding it.
+    A precomputed poset may be passed to avoid rebuilding it.
     """
     if w.n != inst.n:
         raise ValueError("weight table size does not match the instance")
     if poset is None:
         poset = build_poset(inst)
     m0 = gale_shapley(inst, "boys")
-    if not poset.rotations:
-        return UniqueMatching(m0, matching_weight(m0, w), w.scale)
     mz = gale_shapley(inst, "girls")
     k = len(poset.rotations)
     source, sink = 0, k + 1
@@ -73,7 +60,8 @@ def build_reduction(
 
     has_pred = {b for _, b in poset.edges}
     has_succ = {a for a, _ in poset.edges}
-    edge_list: list[Edge] = []
+    # With no rotations the one stable matching is the one ideal cut {source}.
+    edge_list = [] if k else [Edge(source, sink, 0)]
     for rid in range(k):
         if rid not in has_pred:
             edge_list.append(Edge(source, vertex_of_rotation[rid], 0))
@@ -155,7 +143,6 @@ def build_reduction(
     validate_dag(dag)
     return ReductionArtifacts(
         inst=inst,
-        weights=w,
         poset=poset,
         dag=dag,
         path_of_pair=path_of_pair,
@@ -165,16 +152,14 @@ def build_reduction(
     )
 
 
-def cut_to_matching(
-    art: ReductionArtifacts, poset: RotationPoset, cut: IdealCut
-) -> Matching:
+def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:
     """Translate an ideal cut of the reduction graph into the stable
     matching generated by the rotations on the cut's source side."""
     check_ideal_cut(art.dag, cut.source_side)
     closed = frozenset(
         art.rotation_of_vertex[v] for v in cut.source_side if v != art.dag.source
     )
-    return closed_set_to_matching(art.inst, poset, closed)
+    return closed_set_to_matching(art.inst, art.poset, closed)
 
 
 def matching_weight_from_cut(art: ReductionArtifacts, cut: IdealCut) -> int:
@@ -192,10 +177,8 @@ def solve_max_weight(inst: Instance, w: WeightFunction) -> tuple[Matching, int]:
     """
     poset = build_poset(inst)
     art = build_reduction(inst, w, poset)
-    if isinstance(art, UniqueMatching):
-        return art.matching, art.weight
     cut, weight = max_weight_ideal_cut(art.dag)
-    m = cut_to_matching(art, poset, cut)
+    m = cut_to_matching(art, cut)
     total = weight + art.base_weight
     if total != matching_weight(m, w):
         raise ContractViolation("cut weight does not transport to the matching")

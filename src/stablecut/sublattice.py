@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
 from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow
 from .ideals import _capped, _preds_from_edges, _proper_ideals
-from .reduction import UniqueMatching, build_reduction
+from .reduction import build_reduction
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
 
@@ -41,18 +41,10 @@ class MetaRotationPoset:
         return _preds_from_edges(len(self.rotation_sets), self.edges)
 
 
-def meta_rotation_poset(
-    inst: Instance, w: WeightFunction
-) -> MetaRotationPoset | UniqueMatching:
-    """Group rotations by how the optimal flow's residual connects them.
-
-    Returns the :class:`UniqueMatching` sentinel when the instance has a
-    single stable matching.
-    """
+def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
+    """Group rotations by how the optimal flow's residual connects them."""
     poset = build_poset(inst)
     art = build_reduction(inst, w, poset)
-    if isinstance(art, UniqueMatching):
-        return art
     flow = min_flow(art.dag)
     d = condense(art.dag, flow)
     if d.source_component == d.sink_component:
@@ -108,34 +100,26 @@ def closed_subset_to_max_matching(
     return _elements_to_matching(p, subset)
 
 
-def boy_optimal_max(p: MetaRotationPoset | UniqueMatching) -> Matching:
+def boy_optimal_max(p: MetaRotationPoset) -> Matching:
     """The optimum every boy weakly prefers: only the source element's
     rotations are eliminated."""
-    if isinstance(p, UniqueMatching):
-        return p.matching
     return closed_subset_to_max_matching(p, frozenset({p.s_element}))
 
 
-def girl_optimal_max(p: MetaRotationPoset | UniqueMatching) -> Matching:
+def girl_optimal_max(p: MetaRotationPoset) -> Matching:
     """The optimum every girl weakly prefers: everything but the sink
     element is eliminated."""
-    if isinstance(p, UniqueMatching):
-        return p.matching
     subset = frozenset(range(len(p.rotation_sets))) - {p.t_element}
     return closed_subset_to_max_matching(p, subset)
 
 
-def enumerate_max_matchings(
-    p: MetaRotationPoset | UniqueMatching, cap: int
-) -> tuple[list[Matching], bool]:
+def enumerate_max_matchings(p: MetaRotationPoset, cap: int) -> tuple[list[Matching], bool]:
     """All maximum-weight stable matchings, with a truncation flag once
     ``cap`` results are out.
 
     Every element other than the poles holds a rotation, so distinct
     ideals give distinct matchings; a repeat is a ContractViolation.
     """
-    if isinstance(p, UniqueMatching):
-        return _capped([p.matching], cap, lambda m: m)
     ideals = _proper_ideals(len(p.rotation_sets), p.preds())
     out, truncated = _capped(ideals, cap, lambda ideal: _elements_to_matching(p, ideal))
     if len({m.partner_of_boy for m in out}) != len(out):
@@ -157,12 +141,7 @@ def solve_bi_objective(
     if w1.n != inst.n or w2.n != inst.n:
         raise ValueError("weight table size does not match the instance")
     p = meta_rotation_poset(inst, w1)
-    if isinstance(p, UniqueMatching):
-        m = p.matching
-        return m, p.weight, matching_weight(m, w2)
     art2 = build_reduction(inst, w2, p.poset)
-    if isinstance(art2, UniqueMatching):
-        raise ContractViolation("the second cut graph is empty but the first is not")
 
     element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
     for i, group in enumerate(p.rotation_sets):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import IDENTITY_THREE_TEXT, TWO_BY_TWO_TEXT
-from stablecut import ContractViolation, Matching, ParseError, UniqueMatching, sublattice
+from stablecut import ContractViolation, ParseError
 from stablecut.cli import RunConfig, config_from_args, main, parse_pair_file, run
 
 BRANCH_FOUR_TEXT = """\
@@ -277,6 +277,25 @@ def test_bi_objective_needs_both_sources(files):
     assert "secondary" in report
 
 
+def test_every_subcommand_on_an_instance_with_one_stable_matching(files):
+    inst = files("inst.txt", IDENTITY_THREE_TEXT)
+    w = files("w.txt", "3 0 0\n0 -1 0\n0 0 2.5\n")
+    only = "1 1\n2 2\n3 3"
+    for extra in ({}, {"pole": "boy"}, {"pole": "girl"}, {"oracle": True}):
+        cfg = RunConfig("solve", instance_path=inst, weights_path=w, **extra)
+        assert run(cfg) == (0, f"weight 4.5\n{only}")
+    for cap in (1000, 1):
+        cfg = RunConfig("enumerate", instance_path=inst, weights_path=w, cap=cap)
+        assert run(cfg) == (0, f"count 1\nmatching 1\n{only}\ntruncated: no")
+    cfg = RunConfig(
+        "bi-objective",
+        instance_path=inst,
+        preset1="egalitarian-min",
+        preset2="egalitarian-max",
+    )
+    assert run(cfg) == (0, f"weight1 -12\nweight2 12\n{only}")
+
+
 def test_missing_file_is_an_input_error():
     status, report = run(RunConfig("solve", instance_path="/nonexistent/file.txt"))
     assert status == 1
@@ -324,29 +343,6 @@ def test_cut_solve_rejects_a_header_with_too_few_edges(files, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: line 1:")
     assert "Traceback" not in captured.err
-
-
-def test_bi_objective_missing_second_cut_graph_exits_two(files, monkeypatch):
-    real = sublattice.build_reduction
-    calls = []
-
-    def second_is_empty(inst, w, poset=None):
-        calls.append(w)
-        art = real(inst, w, poset)
-        return art if len(calls) == 1 else UniqueMatching(Matching((0, 1)), 0, 1)
-
-    monkeypatch.setattr(sublattice, "build_reduction", second_is_empty)
-    status, report = run(
-        RunConfig(
-            "bi-objective",
-            instance_path=files("inst.txt", TWO_BY_TWO_TEXT),
-            weights1_path=files("w1.txt", TIE_TABLE_TEXT),
-            weights2_path=files("w2.txt", "0 1\n0 0\n"),
-        )
-    )
-    assert status == 2
-    assert "second cut graph" in report
-    assert len(calls) == 2
 
 
 def test_reports_are_deterministic(files):

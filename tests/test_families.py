@@ -14,7 +14,6 @@ import pytest
 import families
 from stablecut import (
     Instance,
-    UniqueMatching,
     WeightFunction,
     all_ideal_cuts,
     all_stable_matchings,
@@ -77,7 +76,6 @@ def test_min_flow_matches_brute_force_cuts_on_adversarial_families(family, n):
     inst = _instance(family, n)
     for w in _weight_tables(n):
         art = build_reduction(inst, w)
-        assert not isinstance(art, UniqueMatching)
         g = art.dag
         if g.num_vertices > MAX_ORACLE_VERTICES:
             continue

@@ -156,7 +156,6 @@ def test_condense_path_dag():
     assert d.source_component == 0
     assert d.sink_component == 1
     assert d.edges == frozenset({(0, 1)})
-    assert d.component_of(1) == 1
 
 
 def test_condense_rejects_non_optimal_flow():

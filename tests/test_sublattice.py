@@ -19,7 +19,6 @@ from conftest import (
 )
 from stablecut import (
     ContractViolation,
-    UniqueMatching,
     WeightFunction,
     all_stable_matchings,
     boy_optimal_max,
@@ -55,8 +54,11 @@ def test_meta_poset_two_by_two_unique_optimum():
 
 def test_meta_poset_unique_stable_matching_sentinel():
     p = meta_rotation_poset(identity_three(), WeightFunction.zero(3))
-    assert isinstance(p, UniqueMatching)
-    assert p.matching.partner_of_boy == (0, 1, 2)
+    assert p.rotation_sets == (frozenset(), frozenset())
+    assert (p.s_element, p.t_element) == (0, 1)
+    assert p.edges == frozenset({(0, 1)})
+    assert boy_optimal_max(p).partner_of_boy == (0, 1, 2)
+    assert girl_optimal_max(p).partner_of_boy == (0, 1, 2)
 
 
 def test_meta_poset_branch_four_tie():
