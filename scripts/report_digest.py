@@ -1,0 +1,118 @@
+"""One digest over the command line reports of a fixed seeded corpus.
+
+Draws random, relabelled cyclic and relabelled doubling instances with
+n <= 16 from ``bench/families.py``, each with wide, coarse, zero and
+2-decimal weight tables, writes them to a temporary directory and runs
+``stablecut.cli.run`` on every configuration: ``solve`` (default,
+``--pole boy``, ``--pole girl``, and ``--oracle`` for n <= 7),
+``enumerate`` (caps 1 and 50), ``bi-objective`` and ``poset``.  It prints
+the report count and one sha256 over (configuration, exit status,
+report), with file paths given relative to the temporary directory, so
+two checkouts print the same line exactly when every report is
+byte-identical.
+
+Usage:
+    python scripts/report_digest.py --seed 1
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import families  # noqa: E402
+from stablecut.cli import RunConfig, run  # noqa: E402
+
+FAMILIES = ("random", "cyclic", "doubling")
+INSTANCES = 300
+MAX_N = 16
+ORACLE_LIMIT = 7
+CAPS = (1, 50)
+# name: (low, high, fraction digits); None is the all-zero table
+WEIGHTS = {
+    "wide": (-9, 9, 0),
+    "coarse": (-1, 1, 0),
+    "zero": None,
+    "decimal": (-9, 9, 2),
+}
+
+
+def draw_prefs(rng: random.Random, family: str) -> tuple[families.Prefs, families.Prefs]:
+    if family == "random":
+        return families.random_prefs(rng, rng.randint(2, MAX_N))
+    if family == "cyclic":
+        return families.relabel(rng, *families.cyclic_prefs(rng.randint(2, MAX_N)))
+    n = 2 ** rng.randint(1, MAX_N.bit_length() - 1)
+    return families.relabel(rng, *families.doubling_prefs(n))
+
+
+def instance_configs(n: int, inst: str, weights: list[str]) -> list[dict]:
+    """Every configuration run on one instance; file fields hold names."""
+    configs = [{"subcommand": "poset", "instance_path": inst}]
+    for w in weights:
+        solve = {"subcommand": "solve", "instance_path": inst, "weights_path": w}
+        configs.append(solve)
+        configs.extend({**solve, "pole": pole} for pole in ("boy", "girl"))
+        if n <= ORACLE_LIMIT:
+            configs.append({**solve, "oracle": True})
+        configs.extend({**solve, "subcommand": "enumerate", "cap": cap} for cap in CAPS)
+    for w1, w2 in zip(weights, weights[1:] + weights[:1]):
+        configs.append(
+            {
+                "subcommand": "bi-objective",
+                "instance_path": inst,
+                "weights1_path": w1,
+                "weights2_path": w2,
+            }
+        )
+    return configs
+
+
+def digest(seed: int, workdir: Path) -> tuple[int, str]:
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    count = 0
+    for i in range(INSTANCES):
+        boys, girls = draw_prefs(rng, FAMILIES[i % len(FAMILIES)])
+        n = len(boys)
+        inst = f"inst{i}.txt"
+        families.write_instance(workdir / inst, boys, girls)
+        weights = []
+        for name, spec in WEIGHTS.items():
+            if spec is None:
+                table, digits = families.zero_weights(n), 0
+            else:
+                low, high, digits = spec
+                table = families.random_weights(rng, n, low, high, digits)
+            weights.append(f"w{i}-{name}.txt")
+            families.write_weights(workdir / weights[-1], table, digits)
+        for config in instance_configs(n, inst, weights):
+            paths = {
+                key: str(workdir / value) if key.endswith("_path") else value
+                for key, value in config.items()
+            }
+            status, report = run(RunConfig(**paths))
+            h.update(repr((sorted(config.items()), status, report)).encode())
+            count += 1
+    return count, h.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        count, hexdigest = digest(args.seed, Path(tmp))
+    print(f"{count} reports sha256 {hexdigest}")
+    print(f"in {time.perf_counter() - start:.1f}s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

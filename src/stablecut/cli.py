@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: solve, enumerate, poset, cut-solve, bi-objective.  Exit
-status 0 on success, 1 for input errors, 2 for internal contract
+status 0 on success, 1 for input and usage errors, 2 for internal contract
 violations.  All weights are printed as exact decimals.
 """
 
@@ -130,8 +130,10 @@ def parse_pair_file(text: str, n: int) -> tuple[set[tuple[int, int]], set[tuple[
             raise ParseError(f"line {lineno}: malformed pair") from None
         if not (1 <= b <= n and 1 <= g <= n):
             raise ParseError(f"line {lineno}: pair ({b}, {g}) out of range 1..{n}")
-        target = desirable if parts[0].lower() == "d" else undesirable
-        target.add((b - 1, g - 1))
+        desired = parts[0].lower() == "d"
+        if (b - 1, g - 1) in (undesirable if desired else desirable):
+            raise ParseError(f"line {lineno}: pair ({b}, {g}) is both desirable and undesirable")
+        (desirable if desired else undesirable).add((b - 1, g - 1))
     return desirable, undesirable
 
 
@@ -142,9 +144,15 @@ def _load_weights(
     pairs_path: str | None,
     slot: str = "",
 ) -> WeightFunction:
-    tag = f" {slot}" if slot else ""
+    """The weight function of one source; ``slot`` is the bi-objective
+    flag suffix, "1" or "2", and empty for solve and enumerate."""
+    tag = {"": "", "1": " primary", "2": " secondary"}[slot]
     if (weights_path is None) == (preset is None):
-        raise ValueError(f"need exactly one{tag} weight source (--weights or --preset)")
+        raise ValueError(
+            f"need exactly one{tag} weight source (--weights{slot} or --preset{slot})"
+        )
+    if pairs_path is not None and preset != "desirable-undesirable":
+        raise ValueError("--pairs is only read by the desirable-undesirable preset")
     if weights_path is not None:
         return parse_weights(_read(weights_path), inst.n)
     if preset == "egalitarian-min":
@@ -226,8 +234,8 @@ def _run_cut_solve(cfg: RunConfig) -> str:
 
 def _run_bi_objective(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
-    w1 = _load_weights(inst, cfg.weights1_path, cfg.preset1, None, slot="primary")
-    w2 = _load_weights(inst, cfg.weights2_path, cfg.preset2, None, slot="secondary")
+    w1 = _load_weights(inst, cfg.weights1_path, cfg.preset1, None, slot="1")
+    w2 = _load_weights(inst, cfg.weights2_path, cfg.preset2, None, slot="2")
     m, v1, v2 = solve_bi_objective(inst, w1, w2)
     lines = [
         f"weight1 {format_scaled(v1, w1.scale)}",
@@ -257,7 +265,13 @@ def run(cfg: RunConfig) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> None:
-    cfg = config_from_args(sys.argv[1:] if argv is None else argv)
+    try:
+        cfg = config_from_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:
+        # A usage error is bad input; argparse's own code 2 is ours for contracts.
+        if exc.code:
+            sys.exit(1)
+        raise
     status, report = run(cfg)
     print(report, file=sys.stdout if status == 0 else sys.stderr)
     sys.exit(status)

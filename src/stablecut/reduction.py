@@ -38,7 +38,6 @@ class ReductionArtifacts:
     path_of_pair: Mapping[Pair, tuple[int, ...]]
     base_weight: int
     vertex_of_rotation: tuple[int, ...]
-    rotation_of_vertex: Mapping[int, int]
 
 
 def build_reduction(
@@ -148,7 +147,6 @@ def build_reduction(
         path_of_pair=path_of_pair,
         base_weight=base_weight,
         vertex_of_rotation=vertex_of_rotation,
-        rotation_of_vertex={v: rid for rid, v in enumerate(vertex_of_rotation)},
     )
 
 
@@ -157,7 +155,7 @@ def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:
     matching generated by the rotations on the cut's source side."""
     check_ideal_cut(art.dag, cut.source_side)
     closed = frozenset(
-        art.rotation_of_vertex[v] for v in cut.source_side if v != art.dag.source
+        rid for rid, v in enumerate(art.vertex_of_rotation) if v in cut.source_side
     )
     return closed_set_to_matching(art.inst, art.poset, closed)
 

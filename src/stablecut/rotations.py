@@ -8,7 +8,7 @@ stable matchings, which is what every solver in this package builds on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -22,9 +22,9 @@ Pair = tuple[int, int]
 class Rotation:
     """An ordered cycle ((b0, g0), ..., (br-1, gr-1)) of matched pairs.
 
-    ``id`` is the dense discovery index within an instance; detection
-    helpers that are not tied to an enumeration return rotations with
-    id -1.
+    ``id`` is the dense discovery index within an instance, which is also
+    its elimination order; detection helpers that are not tied to an
+    enumeration return rotations with id -1.
     """
 
     pairs: tuple[Pair, ...]
@@ -167,53 +167,29 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
 
     Walks a single elimination chain from the boy-optimal matching down to
     the girl-optimal one, re-detecting exposed cycles after each step;
-    every rotation appears exactly once along any such chain.  Ids are
-    assigned in first-sighting order, and the chain always eliminates the
-    oldest exposed rotation, so ids are a topological order of the
-    precedence poset.
+    every rotation appears exactly once along any such chain.  Rotations
+    are eliminated first-in first-out in first-sighting order, which works
+    because an exposed rotation stays exposed until it is eliminated; so
+    ids are the elimination order and a topological order of the poset.
     """
     walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
-    ids: dict[tuple[Pair, ...], int] = {}
     order: list[tuple[Pair, ...]] = []
+    seen: set[tuple[Pair, ...]] = set()
+    eliminated = 0
     while True:
-        cycles = walk.exposed_cycles()
-        if not cycles:
-            break
-        for pairs in cycles:
-            if pairs not in ids:
-                ids[pairs] = len(order)
+        for pairs in walk.exposed_cycles():
+            if pairs not in seen:
+                seen.add(pairs)
                 order.append(pairs)
-        first = min(cycles, key=lambda pairs: ids[pairs])
-        walk.apply_cycle(first)
+        if eliminated == len(order):
+            break
+        walk.apply_cycle(order[eliminated])
+        eliminated += 1
     if walk.matching() != gale_shapley(inst, "girls"):
         raise ContractViolation("elimination chain did not end girl-optimal")
     if len(order) > rotation_count_limit(inst.n):
         raise ContractViolation("rotation count exceeds the n(n-1)/2 + n bound")
     return [Rotation(pairs, rid) for rid, pairs in enumerate(order)]
-
-
-def _girl_crossings(
-    inst: Instance, rotations: Iterable[Rotation]
-) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
-    """Per girl, her partner-change events sorted by improving rank.
-
-    Returns (new_ranks, events) where events[g] holds (old_rank, rid)
-    aligned with new_ranks[g]; event rid moved girl g from a boy she ranks
-    old_rank to one she ranks new_rank < old_rank.
-    """
-    staged: list[list[tuple[int, int, int]]] = [[] for _ in range(inst.n)]
-    for rho in rotations:
-        r = len(rho.pairs)
-        for i, (b, g) in enumerate(rho.pairs):
-            b_new = rho.pairs[(i - 1) % r][0]
-            staged[g].append((inst.girl_rank[g][b_new], inst.girl_rank[g][b], rho.id))
-    new_ranks: list[list[int]] = []
-    events: list[list[tuple[int, int]]] = []
-    for per_girl in staged:
-        per_girl.sort()
-        new_ranks.append([new for new, _, _ in per_girl])
-        events.append([(old, rid) for _, old, rid in per_girl])
-    return new_ranks, events
 
 
 def build_poset(inst: Instance) -> RotationPoset:
@@ -223,7 +199,10 @@ def build_poset(inst: Instance) -> RotationPoset:
     rotation hands a pair to another, the giver precedes the taker.  And if
     a rotation drags boy b past a girl g he never stably holds, then g must
     already rank her partner above b at that point, so the unique rotation
-    that lifted g across b precedes it.
+    that lifted g across b precedes it.  Ids are the elimination order, so
+    replaying the rotations in id order meets each girl's rises in the
+    order the chain made them, and each rotation's lookups see exactly
+    the rises before it.
     """
     rotations = tuple(enumerate_rotations(inst))
     moves_to: dict[Pair, int] = {}
@@ -244,8 +223,10 @@ def build_poset(inst: Instance) -> RotationPoset:
             edges.add((giver, taker))
 
     m0 = gale_shapley(inst, "boys")
-    new_ranks, events = _girl_crossings(inst, rotations)
     boy_rank, girl_rank = inst.boy_rank, inst.girl_rank
+    # Per girl, her new partners' negated ranks (ascending) and their lifters.
+    rises: list[list[int]] = [[] for _ in range(inst.n)]
+    lifters: list[list[int]] = [[] for _ in range(inst.n)]
     for rho in rotations:
         r = len(rho.pairs)
         for i, (b, g_from) in enumerate(rho.pairs):
@@ -255,15 +236,18 @@ def build_poset(inst: Instance) -> RotationPoset:
                 threshold = girl_rank[g][b]
                 if girl_rank[g][m0.partner_of_girl[g]] < threshold:
                     continue
-                j = bisect_left(new_ranks[g], threshold) - 1
-                if j < 0:
+                j = bisect_right(rises[g], -threshold)
+                if j == len(rises[g]):
                     raise ContractViolation(
                         f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
                     )
-                old_rank, rid = events[g][j]
-                if old_rank <= threshold or rid == rho.id:
-                    raise ContractViolation("inconsistent girl crossing event")
-                edges.add((rid, rho.id))
+                edges.add((lifters[g][j], rho.id))
+        for i, (b, g) in enumerate(rho.pairs):
+            rank = girl_rank[g][rho.pairs[(i - 1) % r][0]]
+            if rank >= girl_rank[g][b]:
+                raise ContractViolation(f"girl {g + 1} does not rise to her next partner")
+            rises[g].append(-rank)
+            lifters[g].append(rho.id)
 
     for a, b in edges:
         if a >= b:

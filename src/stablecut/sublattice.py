@@ -49,12 +49,9 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     d = condense(art.dag, flow)
     if d.source_component == d.sink_component:
         raise ContractViolation("source and sink fell into one component")
+    rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
     rotation_sets = tuple(
-        frozenset(
-            art.rotation_of_vertex[v]
-            for v in comp
-            if v not in (art.dag.source, art.dag.sink)
-        )
+        frozenset(rotation_of_vertex[v] for v in comp if v in rotation_of_vertex)
         for comp in d.components
     )
     covered: set[int] = set()

@@ -6,7 +6,14 @@ import pytest
 
 from conftest import IDENTITY_THREE_TEXT, TWO_BY_TWO_TEXT
 from stablecut import ContractViolation, ParseError
-from stablecut.cli import RunConfig, config_from_args, main, parse_pair_file, run
+from stablecut.cli import (
+    RunConfig,
+    build_parser,
+    config_from_args,
+    main,
+    parse_pair_file,
+    run,
+)
 
 BRANCH_FOUR_TEXT = """\
 4
@@ -161,6 +168,38 @@ def test_parse_pair_file_errors():
         parse_pair_file("d one 2\n", 2)
 
 
+def test_pair_tagged_both_ways_names_the_later_line(files):
+    with pytest.raises(ParseError, match=r"^line 3: pair \(1, 1\) is both desirable"):
+        parse_pair_file("u 1 1\n# retagged\nd 1 1\n", 2)
+    status, report = run(
+        RunConfig(
+            "solve",
+            instance_path=files("inst.txt", TWO_BY_TWO_TEXT),
+            preset="desirable-undesirable",
+            pairs_path=files("pairs.txt", "d 1 1\nd 2 2\nu 1 1\n"),
+        )
+    )
+    assert (status, report) == (
+        1,
+        "error: line 3: pair (1, 1) is both desirable and undesirable",
+    )
+
+
+def test_pairs_flag_is_rejected_unless_read(files):
+    inst = files("inst.txt", TWO_BY_TWO_TEXT)
+    pairs = files("pairs.txt", "d 1 1\n")
+    for subcommand in ("solve", "enumerate"):
+        for source in (
+            {"weights_path": files("w.txt", TIE_TABLE_TEXT)},
+            {"preset": "egalitarian-min"},
+            {"preset": "egalitarian-max"},
+        ):
+            cfg = RunConfig(subcommand, instance_path=inst, pairs_path=pairs, **source)
+            status, report = run(cfg)
+            assert status == 1
+            assert "--pairs" in report
+
+
 def test_enumerate_tie(files):
     status, report = run(
         RunConfig(
@@ -266,15 +305,17 @@ def test_bi_objective_with_presets(files):
 
 
 def test_bi_objective_needs_both_sources(files):
-    status, report = run(
-        RunConfig(
-            "bi-objective",
-            instance_path=files("inst.txt", TWO_BY_TWO_TEXT),
-            weights1_path=files("w1.txt", TIE_TABLE_TEXT),
-        )
-    )
-    assert status == 1
-    assert "secondary" in report
+    inst = files("inst.txt", TWO_BY_TWO_TEXT)
+    w = files("w.txt", TIE_TABLE_TEXT)
+    primary = "error: need exactly one primary weight source (--weights1 or --preset1)"
+    secondary = "error: need exactly one secondary weight source (--weights2 or --preset2)"
+    for sources, message in (
+        ({"weights1_path": w}, secondary),
+        ({"weights2_path": w}, primary),
+        ({"weights1_path": w, "weights2_path": w, "preset2": "egalitarian-max"}, secondary),
+    ):
+        cfg = RunConfig("bi-objective", instance_path=inst, **sources)
+        assert run(cfg) == (1, message)
 
 
 def test_every_subcommand_on_an_instance_with_one_stable_matching(files):
@@ -392,3 +433,22 @@ def test_main_failure_prints_to_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_usage_errors_exit_one_with_argparse_usage_text(capsys):
+    for argv in (["solve"], ["solve", "i.txt", "--pole", "left"], ["frobnicate"], []):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        expected = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == expected
+        assert captured.err.startswith("usage: stablecut")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stablecut solve")

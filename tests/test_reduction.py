@@ -154,11 +154,12 @@ def test_every_cut_transports_weight_and_membership(inst):
     w = random_weights(rng, inst.n)
     poset = build_poset(inst)
     art = build_reduction(inst, w, poset)
+    rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
     for path in art.path_of_pair.values():
         first, last = art.dag.edges[path[0]], art.dag.edges[path[-1]]
-        if first.tail in art.rotation_of_vertex and last.head in art.rotation_of_vertex:
+        if first.tail in rotation_of_vertex and last.head in rotation_of_vertex:
             assert len(path) == 1
-            a, b = art.rotation_of_vertex[first.tail], art.rotation_of_vertex[last.head]
+            a, b = rotation_of_vertex[first.tail], rotation_of_vertex[last.head]
             assert (a, b) in poset.edges
     for cut in iterate_ideal_cuts(art.dag):
         m = cut_to_matching(art, cut)

@@ -21,6 +21,7 @@ from stablecut import (
     gale_shapley,
     is_stable,
     rotation_count_limit,
+    rotations,
 )
 
 SWAP = Rotation(((0, 0), (1, 1)))  # the single rotation of two_by_two
@@ -87,6 +88,15 @@ def test_build_poset_rejects_arcs_against_rotation_ids(reversed_rotation_ids):
     # but increasing id would no longer be a precedence order.
     with pytest.raises(ContractViolation, match=r"arc \(2, [01]\) does not follow"):
         build_poset(branch_four())
+
+
+def test_build_poset_rejects_a_rotation_that_lowers_a_girl(monkeypatch):
+    # two_by_two's rotation run backwards hands each girl the boy she ranks
+    # below the one she leaves.
+    backwards = Rotation(((0, 1), (1, 0)), 0)
+    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: [backwards])
+    with pytest.raises(ContractViolation, match="girl 2 does not rise to her next partner"):
+        build_poset(two_by_two())
 
 
 def test_poset_two_by_two_has_no_edges():
