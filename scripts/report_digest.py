@@ -5,7 +5,9 @@ n <= 16 from ``bench/families.py``, each with wide, coarse, zero and
 2-decimal weight tables, writes them to a temporary directory and runs
 ``stablecut.cli.run`` on every configuration: ``solve`` (default,
 ``--pole boy``, ``--pole girl``, and ``--oracle`` for n <= 7),
-``enumerate`` (caps 1 and 50), ``bi-objective`` and ``poset``.  It prints
+``enumerate`` (caps 1 and 50), ``bi-objective`` and ``poset``.  Each
+weight table's reduction DAG is written as a DAG file and run through
+``cut-solve``, plus ``--oracle`` for DAGs of at most 20 vertices.  It prints
 the report count and one sha256 over (configuration, exit status,
 report), with file paths given relative to the temporary directory, so
 two checkouts print the same line exactly when every report is
@@ -26,7 +28,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import families  # noqa: E402
+from stablecut import WeightedDag, build_poset, build_reduction, format_scaled  # noqa: E402
 from stablecut.cli import RunConfig, run  # noqa: E402
+from stablecut.core import parse_instance, parse_weights  # noqa: E402
+from stablecut.oracle import MAX_ORACLE_VERTICES  # noqa: E402
 
 FAMILIES = ("random", "cyclic", "doubling")
 INSTANCES = 300
@@ -73,6 +78,28 @@ def instance_configs(n: int, inst: str, weights: list[str]) -> list[dict]:
     return configs
 
 
+def write_dag(path: Path, g: WeightedDag) -> None:
+    rows = [f"{g.num_vertices} {len(g.edges)}", f"{g.source + 1} {g.sink + 1}"]
+    rows.extend(f"{e.tail + 1} {e.head + 1} {format_scaled(e.weight, g.scale)}" for e in g.edges)
+    path.write_text("\n".join(rows) + "\n")
+
+
+def dag_configs(workdir: Path, inst: str, weights: list[str]) -> list[dict]:
+    """Write each weight table's reduction DAG and list its cut-solve runs."""
+    instance = parse_instance((workdir / inst).read_text())
+    poset = build_poset(instance)
+    configs = []
+    for w in weights:
+        table = parse_weights((workdir / w).read_text(), instance.n)
+        g = build_reduction(instance, table, poset).dag
+        dag = f"dag-{w}"
+        write_dag(workdir / dag, g)
+        configs.append({"subcommand": "cut-solve", "dag_path": dag})
+        if g.num_vertices <= MAX_ORACLE_VERTICES:
+            configs.append({**configs[-1], "oracle": True})
+    return configs
+
+
 def digest(seed: int, workdir: Path) -> tuple[int, str]:
     rng = random.Random(seed)
     h = hashlib.sha256()
@@ -91,7 +118,8 @@ def digest(seed: int, workdir: Path) -> tuple[int, str]:
                 table = families.random_weights(rng, n, low, high, digits)
             weights.append(f"w{i}-{name}.txt")
             families.write_weights(workdir / weights[-1], table, digits)
-        for config in instance_configs(n, inst, weights):
+        configs = instance_configs(n, inst, weights) + dag_configs(workdir, inst, weights)
+        for config in configs:
             paths = {
                 key: str(workdir / value) if key.endswith("_path") else value
                 for key, value in config.items()

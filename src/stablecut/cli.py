@@ -34,7 +34,6 @@ from .rotations import build_poset
 from .sublattice import (
     boy_optimal_max,
     enumerate_max_matchings,
-    girl_optimal_max,
     meta_rotation_poset,
     solve_bi_objective,
 )
@@ -181,9 +180,8 @@ def _run_solve(cfg: RunConfig) -> str:
                 m for m in optima if all(dominates(other, m, inst) for other in optima)
             ]
             matching = min(bottom or optima, key=lambda m: m.partner_of_boy)
-    elif cfg.pole is not None:
-        p = meta_rotation_poset(inst, w)
-        matching = boy_optimal_max(p) if cfg.pole == "boy" else girl_optimal_max(p)
+    elif cfg.pole == "boy":
+        matching = boy_optimal_max(meta_rotation_poset(inst, w))
         weight = matching_weight(matching, w)
     else:
         matching, weight = solve_max_weight(inst, w)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
 from .idealcut import Edge, IdealCut, WeightedDag, _bfs_parents, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
-from .rotations import RotationPoset, build_poset, closed_set_to_matching
+from .rotations import RotationPoset, _check_partner, build_poset, closed_set_to_matching
 
 Pair = tuple[int, int]
 
@@ -41,16 +41,16 @@ class ReductionArtifacts:
 
 
 def build_reduction(
-    inst: Instance, w: WeightFunction, poset: RotationPoset | None = None
+    inst: Instance, w: WeightFunction, poset: RotationPoset
 ) -> ReductionArtifacts:
-    """Build the weighted cut graph for an instance.
+    """Build the weighted cut graph for an instance and its rotation poset.
 
-    A precomputed poset may be passed to avoid rebuilding it.
+    Raises ContractViolation unless the poset's rotations, replayed in id
+    order, lead from the instance's boy-optimal matching to its
+    girl-optimal one.
     """
     if w.n != inst.n:
         raise ValueError("weight table size does not match the instance")
-    if poset is None:
-        poset = build_poset(inst)
     m0 = gale_shapley(inst, "boys")
     mz = gale_shapley(inst, "girls")
     k = len(poset.rotations)
@@ -72,19 +72,14 @@ def build_reduction(
         if rid not in has_succ:
             edge_list.append(Edge(vertex_of_rotation[rid], sink, 0))
 
-    adj: list[list[int]] = [[] for _ in range(k + 2)]
-    for i, e in enumerate(edge_list):
-        adj[e.tail].append(i)
-    for lst in adj:
-        lst.sort(key=lambda i: (edge_list[i].head, i))
+    out_edges = WeightedDag(k + 2, source, sink, tuple(edge_list)).out_edges
     heads = [e.head for e in edge_list]
     trees: dict[int, list[int]] = {}
 
     def tree_path(start: int, goal: int) -> tuple[int, ...]:
-        """The edge path to goal in the breadth-first tree from start, which
-        scans edges by head id, so ties go toward low vertex ids."""
+        """The edge path to goal in the breadth-first tree from start."""
         if start not in trees:
-            trees[start] = _bfs_parents(adj, heads, start)
+            trees[start] = _bfs_parents(out_edges, heads, start)
         parent = trees[start]
         if parent[goal] == -1:
             raise ContractViolation("required path is missing from the cut graph")
@@ -97,9 +92,6 @@ def build_reduction(
         path.reverse()
         return tuple(path)
 
-    # Stable pairs that can vary are the boy-optimal pairs plus every pair
-    # some rotation creates; a pair present in both extreme matchings is
-    # present everywhere and only shifts the total by a constant.
     base_weight = 0
     accumulated = [0] * len(edge_list)
     path_of_pair: dict[Pair, tuple[int, ...]] = {}
@@ -110,30 +102,35 @@ def build_reduction(
         for i in path:
             accumulated[i] += weight
 
-    for b, g in m0.pairs():
-        if mz.partner_of_boy[b] == g:
-            base_weight += w.table[b][g]
-            continue
-        rid = poset.moves_from.get((b, g))
-        if rid is None:
-            raise ContractViolation("boy-optimal pair has no removing rotation")
-        add_pair((b, g), tree_path(source, vertex_of_rotation[rid]))
+    # Replay the rotations in id order, the elimination order, from the
+    # boy-optimal matching.  Each pair a rotation breaks was made by the
+    # last rotation to move its boy, or is boy-optimal when none has.
+    partner = list(m0.partner_of_boy)
+    giver = [-1] * inst.n
     for rho in poset.rotations:
         r = len(rho.pairs)
-        for i, (b, _) in enumerate(rho.pairs):
-            g = rho.pairs[(i + 1) % r][1]
-            if mz.partner_of_boy[b] == g:
-                add_pair((b, g), tree_path(vertex_of_rotation[rho.id], sink))
-                continue
-            taker = poset.moves_from.get((b, g))
-            if taker is None:
-                raise ContractViolation("transient pair has no removing rotation")
-            # A pair handed from rho to its taker is exactly what makes the
-            # precedence arc (rho, taker), so its path is that arc's edge.
-            edge = arc_edge.get((rho.id, taker))
-            if edge is None:
-                raise ContractViolation("required path is missing from the cut graph")
-            add_pair((b, g), (edge,))
+        for i, (b, g) in enumerate(rho.pairs):
+            _check_partner(rho, b, g, partner)
+            if giver[b] < 0:
+                add_pair((b, g), tree_path(source, vertex_of_rotation[rho.id]))
+            else:
+                # A pair handed on is exactly what makes the precedence
+                # arc (giver, rho), so its path is that arc's edge.
+                edge = arc_edge.get((giver[b], rho.id))
+                if edge is None:
+                    raise ContractViolation("required path is missing from the cut graph")
+                add_pair((b, g), (edge,))
+            partner[b] = rho.pairs[(i + 1) % r][1]
+            giver[b] = rho.id
+    if partner != list(mz.partner_of_boy):
+        raise ContractViolation("rotations do not end at the girl-optimal matching")
+    # A boy no rotation moves keeps one partner in every stable matching,
+    # which only shifts the total by a constant.
+    for b, g in enumerate(partner):
+        if giver[b] < 0:
+            base_weight += w.table[b][g]
+        else:
+            add_pair((b, g), tree_path(vertex_of_rotation[giver[b]], sink))
 
     weighted = tuple(
         Edge(e.tail, e.head, acc) for e, acc in zip(edge_list, accumulated)

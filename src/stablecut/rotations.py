@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
 from .ideals import _capped, _preds_from_edges, iter_ideals
@@ -40,13 +40,12 @@ class RotationPoset:
 
     An arc (a, b) in ``edges`` means rotation a precedes rotation b: any
     predecessor-closed subset containing b must contain a.  Every arc has
-    a < b, so increasing id is a topological order.  ``moves_from`` maps
-    each pair a rotation removes to that rotation's id.
+    a < b, so increasing id is a topological order.  ``preds[r]`` holds
+    the tails of the arcs into r.
     """
 
     rotations: tuple[Rotation, ...]
     edges: frozenset[tuple[int, int]]
-    moves_from: Mapping[Pair, int]
     preds: tuple[frozenset[int], ...]
 
     def is_closed(self, members: frozenset[int]) -> bool:
@@ -192,6 +191,16 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
     return [Rotation(pairs, rid) for rid, pairs in enumerate(order)]
 
 
+def _check_partner(rho: Rotation, b: int, g: int, partner: list[int]) -> None:
+    """Raise unless boy b holds girl g when rho, replayed along the
+    elimination chain, moves him away from her."""
+    if partner[b] != g:
+        raise ContractViolation(
+            f"rotation {rho.id} moves boy {b + 1} from girl {g + 1},"
+            f" but his partner is girl {partner[b] + 1}"
+        )
+
+
 def build_poset(inst: Instance) -> RotationPoset:
     """Enumerate rotations and connect them with precedence arcs.
 
@@ -200,36 +209,29 @@ def build_poset(inst: Instance) -> RotationPoset:
     a rotation drags boy b past a girl g he never stably holds, then g must
     already rank her partner above b at that point, so the unique rotation
     that lifted g across b precedes it.  Ids are the elimination order, so
-    replaying the rotations in id order meets each girl's rises in the
-    order the chain made them, and each rotation's lookups see exactly
-    the rises before it.
+    replaying the rotations in id order from the boy-optimal matching
+    meets each boy's moves and each girl's rises in the order the chain
+    made them: the pair a rotation breaks was made by the last rotation to
+    move that boy, and each rotation's lookups see exactly the rises
+    before it.
     """
     rotations = tuple(enumerate_rotations(inst))
-    moves_to: dict[Pair, int] = {}
-    moves_from: dict[Pair, int] = {}
-    for rho in rotations:
-        r = len(rho.pairs)
-        for i, (b, g) in enumerate(rho.pairs):
-            g_next = rho.pairs[(i + 1) % r][1]
-            if (b, g) in moves_from or (b, g_next) in moves_to:
-                raise ContractViolation("two rotations move the same pair")
-            moves_from[(b, g)] = rho.id
-            moves_to[(b, g_next)] = rho.id
-
-    edges: set[tuple[int, int]] = set()
-    for pair, giver in moves_to.items():
-        taker = moves_from.get(pair)
-        if taker is not None:
-            edges.add((giver, taker))
-
     m0 = gale_shapley(inst, "boys")
     boy_rank, girl_rank = inst.boy_rank, inst.girl_rank
+    # Each boy's current partner along the chain and the last rotation
+    # that moved him, who hands his pair to the next rotation to move him.
+    partner = list(m0.partner_of_boy)
+    giver = [-1] * inst.n
     # Per girl, her new partners' negated ranks (ascending) and their lifters.
     rises: list[list[int]] = [[] for _ in range(inst.n)]
     lifters: list[list[int]] = [[] for _ in range(inst.n)]
+    edges: set[tuple[int, int]] = set()
     for rho in rotations:
         r = len(rho.pairs)
         for i, (b, g_from) in enumerate(rho.pairs):
+            _check_partner(rho, b, g_from, partner)
+            if giver[b] >= 0:
+                edges.add((giver[b], rho.id))
             g_to = rho.pairs[(i + 1) % r][1]
             lo, hi = boy_rank[b][g_from], boy_rank[b][g_to]
             for g in inst.boy_prefs[b][lo + 1 : hi]:
@@ -242,6 +244,8 @@ def build_poset(inst: Instance) -> RotationPoset:
                         f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
                     )
                 edges.add((lifters[g][j], rho.id))
+            partner[b] = g_to
+            giver[b] = rho.id
         for i, (b, g) in enumerate(rho.pairs):
             rank = girl_rank[g][rho.pairs[(i - 1) % r][0]]
             if rank >= girl_rank[g][b]:
@@ -257,7 +261,6 @@ def build_poset(inst: Instance) -> RotationPoset:
     return RotationPoset(
         rotations=rotations,
         edges=frozenset(edges),
-        moves_from=moves_from,
         preds=tuple(_preds_from_edges(len(rotations), edges)),
     )
 

@@ -372,7 +372,7 @@ def test_poset_with_arcs_against_rotation_ids_exits_two(files, reversed_rotation
         RunConfig("poset", instance_path=files("inst.txt", BRANCH_FOUR_TEXT))
     )
     assert status == 2
-    assert "does not follow rotation ids" in report
+    assert report == "error: rotation 0 moves boy 2 from girl 4, but his partner is girl 3"
 
 
 def test_cut_solve_rejects_a_header_with_too_few_edges(files, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import (
@@ -18,8 +19,10 @@ from conftest import (
     weighted_instances,
 )
 from stablecut import (
+    ContractViolation,
     Edge,
     IdealCut,
+    Instance,
     WeightFunction,
     brute_max_weight_matching,
     build_poset,
@@ -37,7 +40,7 @@ from stablecut import (
 
 def test_reduction_two_by_two_tie():
     inst = two_by_two()
-    art = build_reduction(inst, tie_weights())
+    art = build_reduction(inst, tie_weights(), build_poset(inst))
     assert art.dag.num_vertices == 3
     assert (art.dag.source, art.dag.sink) == (0, 2)
     assert art.dag.edges == (Edge(0, 1, 4), Edge(1, 2, 4))
@@ -56,7 +59,7 @@ def test_reduction_branch_four():
     w = WeightFunction.from_rows(
         [[2, -1, 0, 3], [0, 1, 4, -2], [1, 0, 2, 5], [3, 2, -1, 0]]
     )
-    art = build_reduction(inst, w)
+    art = build_reduction(inst, w, build_poset(inst))
     assert art.dag.edges == (
         Edge(0, 1, 10),
         Edge(1, 2, 3),
@@ -73,11 +76,24 @@ def test_reduction_branch_four():
 def test_reduction_unique_matching_sentinel():
     inst = identity_three()
     w = preset_egalitarian(inst, "minimize")
-    art = build_reduction(inst, w)
+    art = build_reduction(inst, w, build_poset(inst))
     assert (art.dag.num_vertices, art.dag.source, art.dag.sink) == (2, 0, 1)
     assert art.dag.edges == (Edge(0, 1, 0),)
     assert art.base_weight == -12
     assert art.path_of_pair == {}
+
+
+def test_build_reduction_rejects_a_poset_from_another_instance():
+    # a has two stable matchings, b only one, weighing 4 under w.  Built
+    # on a's rotation, b's cut graph would report an optimum of 8.
+    a = Instance(((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    b = Instance(((0, 1), (0, 1)), ((0, 1), (1, 0)))
+    w = WeightFunction(((6, 3), (-8, -2)))
+    with pytest.raises(
+        ContractViolation,
+        match="rotation 0 moves boy 1 from girl 2, but his partner is girl 1",
+    ):
+        build_reduction(b, w, build_poset(a))
 
 
 def test_cut_to_matching_two_by_two():
@@ -92,7 +108,7 @@ def test_cut_to_matching_two_by_two():
 
 def test_matching_weight_from_cut_two_by_two():
     inst = two_by_two()
-    art = build_reduction(inst, tie_weights())
+    art = build_reduction(inst, tie_weights(), build_poset(inst))
     assert matching_weight_from_cut(art, IdealCut(frozenset({0}))) == 4
     assert matching_weight_from_cut(art, IdealCut(frozenset({0, 1}))) == 4
 

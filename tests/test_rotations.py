@@ -84,19 +84,34 @@ def test_branch_four_rotations_and_edges():
 
 
 def test_build_poset_rejects_arcs_against_rotation_ids(reversed_rotation_ids):
-    # Reversed, branch_four's arcs would be (2, 0) and (2, 1): acyclic,
-    # but increasing id would no longer be a precedence order.
-    with pytest.raises(ContractViolation, match=r"arc \(2, [01]\) does not follow"):
+    # Reversed, branch_four's rotations leave the elimination chain: the
+    # first one replayed breaks a pair its boy does not hold yet.
+    with pytest.raises(
+        ContractViolation,
+        match="rotation 0 moves boy 2 from girl 4, but his partner is girl 3",
+    ):
+        build_poset(branch_four())
+
+
+def test_build_poset_rejects_ids_relabelled_in_chain_order(monkeypatch):
+    # Chain order kept but ids counted down: the hand-off arcs become
+    # (2, 1) and (2, 0), acyclic but against increasing id.
+    found = enumerate_rotations(branch_four())
+    relabelled = [Rotation(r.pairs, len(found) - 1 - r.id) for r in found]
+    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: relabelled)
+    with pytest.raises(
+        ContractViolation, match=r"precedence arc \(2, 0\) does not follow rotation ids"
+    ):
         build_poset(branch_four())
 
 
 def test_build_poset_rejects_a_rotation_that_lowers_a_girl(monkeypatch):
-    # two_by_two's rotation run backwards hands each girl the boy she ranks
-    # below the one she leaves.
-    backwards = Rotation(((0, 1), (1, 0)), 0)
-    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: [backwards])
-    with pytest.raises(ContractViolation, match="girl 2 does not rise to her next partner"):
-        build_poset(two_by_two())
+    # Boys 1 and 2 swapping partners in identity_three hands girl 1 the
+    # boy she ranks below the one she leaves.
+    swap = Rotation(((0, 0), (1, 1)), 0)
+    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: [swap])
+    with pytest.raises(ContractViolation, match="girl 1 does not rise to her next partner"):
+        build_poset(identity_three())
 
 
 def test_poset_two_by_two_has_no_edges():
