@@ -21,9 +21,12 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+# This checkout's own package first, so an installed copy is never tested.
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import families  # noqa: E402
+from report_digest import draw_prefs  # noqa: E402
 from stablecut import (  # noqa: E402
     Instance,
     WeightFunction,
@@ -45,22 +48,10 @@ ORACLE_LIMIT = 7
 ENUMERATION_CAP = 10_000
 
 
-def draw_instance(rng: random.Random, family: str, max_n: int) -> Instance:
-    """A random instance, or a relabelled cyclic shift or doubling-family
-    instance (n a power of two), with n at most max_n."""
-    if family == "random":
-        boys, girls = families.random_prefs(rng, rng.randint(2, max_n))
-    elif family == "cyclic":
-        boys, girls = families.relabel(rng, *families.cyclic_prefs(rng.randint(2, max_n)))
-    else:
-        n = 2 ** rng.randint(1, max_n.bit_length() - 1)
-        boys, girls = families.relabel(rng, *families.doubling_prefs(n))
-    return Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
-
-
 def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
     """One stress round; returns a failure description or None."""
-    inst = draw_instance(rng, family, max_n)
+    boys, girls = draw_prefs(rng, family, max_n)
+    inst = Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
     n = inst.n
     # alternate wide and narrow spreads so tied optima show up regularly
     spread = rng.choice((9, 9, 1))

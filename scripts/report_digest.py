@@ -25,7 +25,9 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+# This checkout's own package first, so an installed copy is never digested.
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import families  # noqa: E402
 from stablecut import WeightedDag, build_poset, build_reduction, format_scaled  # noqa: E402
@@ -47,12 +49,14 @@ WEIGHTS = {
 }
 
 
-def draw_prefs(rng: random.Random, family: str) -> tuple[families.Prefs, families.Prefs]:
+def draw_prefs(rng: random.Random, family: str, max_n: int) -> tuple[families.Prefs, families.Prefs]:
+    """A random instance, or a relabelled cyclic shift or doubling-family
+    instance (n a power of two), with n at most max_n."""
     if family == "random":
-        return families.random_prefs(rng, rng.randint(2, MAX_N))
+        return families.random_prefs(rng, rng.randint(2, max_n))
     if family == "cyclic":
-        return families.relabel(rng, *families.cyclic_prefs(rng.randint(2, MAX_N)))
-    n = 2 ** rng.randint(1, MAX_N.bit_length() - 1)
+        return families.relabel(rng, *families.cyclic_prefs(rng.randint(2, max_n)))
+    n = 2 ** rng.randint(1, max_n.bit_length() - 1)
     return families.relabel(rng, *families.doubling_prefs(n))
 
 
@@ -91,7 +95,7 @@ def dag_configs(workdir: Path, inst: str, weights: list[str]) -> list[dict]:
     configs = []
     for w in weights:
         table = parse_weights((workdir / w).read_text(), instance.n)
-        g = build_reduction(instance, table, poset).dag
+        g = build_reduction(poset, table).dag
         dag = f"dag-{w}"
         write_dag(workdir / dag, g)
         configs.append({"subcommand": "cut-solve", "dag_path": dag})
@@ -105,7 +109,7 @@ def digest(seed: int, workdir: Path) -> tuple[int, str]:
     h = hashlib.sha256()
     count = 0
     for i in range(INSTANCES):
-        boys, girls = draw_prefs(rng, FAMILIES[i % len(FAMILIES)])
+        boys, girls = draw_prefs(rng, FAMILIES[i % len(FAMILIES)], MAX_N)
         n = len(boys)
         inst = f"inst{i}.txt"
         families.write_instance(workdir / inst, boys, girls)

@@ -89,23 +89,6 @@ class Flow:
 
 
 @dataclass(frozen=True, eq=False)
-class ResidualGraph:
-    """Residual structure of a flow, as built by :func:`residual`.
-
-    ``heads[v]`` lists the vertices v has a residual arc to: the heads of
-    v's out-edges, then the tails of v's in-edges that carry more than
-    their weight, each group by edge index.
-    """
-
-    heads: tuple[tuple[int, ...], ...]
-
-    def reachable(self, start: int) -> frozenset[int]:
-        # Each adjacency entry is a vertex, so the far end of entry v is v.
-        parent = _bfs_parents(self.heads, range(len(self.heads)), start)
-        return frozenset(v for v, p in enumerate(parent) if p != -1)
-
-
-@dataclass(frozen=True, eq=False)
 class CondensedDag:
     """Strongly connected components of a residual graph, listed in
     topological order, with the deduplicated arcs between them."""
@@ -132,6 +115,14 @@ def _bfs_parents(adjacency: Sequence[Sequence[int]], endpoint: Sequence[int], ro
                 parent[w] = i
                 queue.append(w)
     return parent
+
+
+def _reachable(heads: Sequence[Sequence[int]], start: int) -> frozenset[int]:
+    """Vertices reachable from start in a head adjacency such as
+    :func:`residual` returns."""
+    # Each adjacency entry is a vertex, so the far end of entry v is v.
+    parent = _bfs_parents(heads, range(len(heads)), start)
+    return frozenset(v for v, p in enumerate(parent) if p != -1)
 
 
 def _net_outflow(g: WeightedDag, flow: Sequence[int], v: int) -> int:
@@ -247,17 +238,22 @@ def feasible_flow(g: WeightedDag) -> Flow:
     return Flow(tuple(flow), _net_outflow(g, flow, g.source))
 
 
-def residual(g: WeightedDag, f: Flow) -> ResidualGraph:
+def residual(g: WeightedDag, f: Flow) -> tuple[tuple[int, ...], ...]:
     """Residual graph of f under the rule stated in :func:`min_flow`: every
     edge gives a forward arc, and an edge carrying more than its weight
-    also gives a backward arc."""
+    also gives a backward arc.
+
+    Entry v lists the vertices v has a residual arc to: the heads of v's
+    out-edges, then the tails of v's in-edges that carry more than their
+    weight, each group by edge index.
+    """
     heads: list[list[int]] = [[] for _ in range(g.num_vertices)]
     for e in g.edges:
         heads[e.tail].append(e.head)
     for e, flow in zip(g.edges, f.edge_flow):
         if flow > e.weight:
             heads[e.head].append(e.tail)
-    return ResidualGraph(tuple(tuple(lst) for lst in heads))
+    return tuple(tuple(lst) for lst in heads)
 
 
 def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
@@ -337,7 +333,7 @@ def min_flow(g: WeightedDag) -> Flow:
     result = Flow(tuple(composed), value)
     # Optimality certificate: with the flow minimal, the sink can no longer
     # reach the source through the residual graph.
-    if g.source in residual(g, result).reachable(g.sink):
+    if g.source in _reachable(residual(g, result), g.sink):
         raise ContractViolation("residual still connects sink to source")
     return result
 
@@ -346,8 +342,7 @@ def max_weight_ideal_cut(g: WeightedDag) -> tuple[IdealCut, int]:
     """The maximum-weight ideal cut with the largest source side, plus its
     weight.  The weight always equals the minimum flow value."""
     f = min_flow(g)
-    res = residual(g, f)
-    sink_side = res.reachable(g.sink)
+    sink_side = _reachable(residual(g, f), g.sink)
     cut = IdealCut(frozenset(range(g.num_vertices)) - sink_side)
     weight = cut_weight(g, cut)
     if weight != f.value:
@@ -355,10 +350,10 @@ def max_weight_ideal_cut(g: WeightedDag) -> tuple[IdealCut, int]:
     return cut, weight
 
 
-def _tarjan_components(res: ResidualGraph) -> list[list[int]]:
-    """Strongly connected components, iterative Tarjan, in reverse
-    topological order of the condensation."""
-    n = len(res.heads)
+def _tarjan_components(res: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of a head adjacency, iterative
+    Tarjan, in reverse topological order of the condensation."""
+    n = len(res)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -377,7 +372,7 @@ def _tarjan_components(res: ResidualGraph) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            heads = res.heads[v]
+            heads = res[v]
             while pos < len(heads):
                 head = heads[pos]
                 pos += 1
@@ -413,7 +408,7 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
     ContractViolation otherwise.
     """
     res = residual(g, f)
-    if g.source in res.reachable(g.sink):
+    if g.source in _reachable(res, g.sink):
         raise ContractViolation("flow is not optimal: sink reaches source")
     comps = list(reversed(_tarjan_components(res)))
     comp_of = [0] * g.num_vertices
@@ -422,7 +417,7 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
             comp_of[v] = ci
     edges = {
         (comp_of[v], comp_of[u])
-        for v, heads in enumerate(res.heads)
+        for v, heads in enumerate(res)
         for u in heads
         if comp_of[v] != comp_of[u]
     }

@@ -29,10 +29,10 @@ class ReductionArtifacts:
     one edge from source to sink.  ``path_of_pair`` maps each stable
     pair that varies across matchings to the edge indices of its path.
     ``base_weight`` is the total weight of pairs present in every stable
-    matching and must be added to any cut weight.
+    matching and must be added to any cut weight.  The instance is
+    ``poset.inst``.
     """
 
-    inst: Instance
     poset: RotationPoset
     dag: WeightedDag
     path_of_pair: Mapping[Pair, tuple[int, ...]]
@@ -40,15 +40,14 @@ class ReductionArtifacts:
     vertex_of_rotation: tuple[int, ...]
 
 
-def build_reduction(
-    inst: Instance, w: WeightFunction, poset: RotationPoset
-) -> ReductionArtifacts:
-    """Build the weighted cut graph for an instance and its rotation poset.
+def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifacts:
+    """Build the weighted cut graph for a rotation poset's instance.
 
     Raises ContractViolation unless the poset's rotations, replayed in id
     order, lead from the instance's boy-optimal matching to its
     girl-optimal one.
     """
+    inst = poset.inst
     if w.n != inst.n:
         raise ValueError("weight table size does not match the instance")
     m0 = gale_shapley(inst, "boys")
@@ -138,7 +137,6 @@ def build_reduction(
     dag = WeightedDag(k + 2, source, sink, weighted, w.scale)
     validate_dag(dag)
     return ReductionArtifacts(
-        inst=inst,
         poset=poset,
         dag=dag,
         path_of_pair=path_of_pair,
@@ -154,7 +152,7 @@ def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:
     closed = frozenset(
         rid for rid, v in enumerate(art.vertex_of_rotation) if v in cut.source_side
     )
-    return closed_set_to_matching(art.inst, art.poset, closed)
+    return closed_set_to_matching(art.poset, closed)
 
 
 def matching_weight_from_cut(art: ReductionArtifacts, cut: IdealCut) -> int:
@@ -170,8 +168,7 @@ def solve_max_weight(inst: Instance, w: WeightFunction) -> tuple[Matching, int]:
     rotations eliminated, which is the girl-favouring end of the optimal
     sublattice.
     """
-    poset = build_poset(inst)
-    art = build_reduction(inst, w, poset)
+    art = build_reduction(build_poset(inst), w)
     cut, weight = max_weight_ideal_cut(art.dag)
     m = cut_to_matching(art, cut)
     total = weight + art.base_weight

@@ -36,14 +36,17 @@ class Rotation:
 
 @dataclass(frozen=True, eq=False)
 class RotationPoset:
-    """All rotations of an instance plus their precedence arcs.
+    """All rotations of the instance ``inst`` plus their precedence arcs.
 
     An arc (a, b) in ``edges`` means rotation a precedes rotation b: any
     predecessor-closed subset containing b must contain a.  Every arc has
     a < b, so increasing id is a topological order.  ``preds[r]`` holds
-    the tails of the arcs into r.
+    the tails of the arcs into r.  :func:`build_poset` stores the
+    instance it enumerated, so consumers take the poset alone and cannot
+    pair it with another instance.
     """
 
+    inst: Instance
     rotations: tuple[Rotation, ...]
     edges: frozenset[tuple[int, int]]
     preds: tuple[frozenset[int], ...]
@@ -259,25 +262,25 @@ def build_poset(inst: Instance) -> RotationPoset:
                 f"precedence arc ({a}, {b}) does not follow rotation ids"
             )
     return RotationPoset(
+        inst=inst,
         rotations=rotations,
         edges=frozenset(edges),
         preds=tuple(_preds_from_edges(len(rotations), edges)),
     )
 
 
-def closed_set_to_matching(
-    inst: Instance, poset: RotationPoset, closed: Iterable[int]
-) -> Matching:
+def closed_set_to_matching(poset: RotationPoset, closed: Iterable[int]) -> Matching:
     """Eliminate exactly the rotations in ``closed`` from the boy-optimal
-    matching, in increasing id, which is a precedence order.  Raises
-    ContractViolation when the set is not predecessor-closed."""
+    matching of the poset's instance, in increasing id, which is a
+    precedence order.  Raises ContractViolation when the set is not
+    predecessor-closed."""
     members = frozenset(closed)
     for rid in members:
         if not 0 <= rid < len(poset.rotations):
             raise ValueError(f"rotation id {rid} out of range")
     if not poset.is_closed(members):
         raise ContractViolation("rotation set is not predecessor-closed")
-    walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
+    walk = _ChainWalk(poset.inst, gale_shapley(poset.inst, "boys"))
     for rid in sorted(members):
         walk.apply_cycle(poset.rotations[rid].pairs)
     return walk.matching()

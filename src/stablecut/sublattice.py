@@ -27,10 +27,9 @@ class MetaRotationPoset:
     ``rotation_sets[i]`` holds the rotation ids of element i; the source
     marker lives in ``s_element`` and the sink marker in ``t_element``
     (both elements may also hold rotations).  Every rotation belongs to
-    exactly one element.
+    exactly one element.  The instance is ``poset.inst``.
     """
 
-    inst: Instance
     poset: RotationPoset
     rotation_sets: tuple[frozenset[int], ...]
     edges: frozenset[tuple[int, int]]
@@ -44,7 +43,7 @@ class MetaRotationPoset:
 def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     """Group rotations by how the optimal flow's residual connects them."""
     poset = build_poset(inst)
-    art = build_reduction(inst, w, poset)
+    art = build_reduction(poset, w)
     flow = min_flow(art.dag)
     d = condense(art.dag, flow)
     if d.source_component == d.sink_component:
@@ -62,7 +61,6 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     if covered != set(range(len(poset.rotations))):
         raise ContractViolation("meta-rotations do not cover every rotation")
     return MetaRotationPoset(
-        inst=inst,
         poset=poset,
         rotation_sets=rotation_sets,
         edges=d.edges,
@@ -75,7 +73,7 @@ def _elements_to_matching(p: MetaRotationPoset, subset: frozenset[int]) -> Match
     closed: set[int] = set()
     for i in subset:
         closed |= p.rotation_sets[i]
-    return closed_set_to_matching(p.inst, p.poset, frozenset(closed))
+    return closed_set_to_matching(p.poset, frozenset(closed))
 
 
 def closed_subset_to_max_matching(
@@ -135,10 +133,8 @@ def solve_bi_objective(
     elements), and solves one more maximum-weight ideal cut.  Returns the
     matching with both scaled weights.
     """
-    if w1.n != inst.n or w2.n != inst.n:
-        raise ValueError("weight table size does not match the instance")
     p = meta_rotation_poset(inst, w1)
-    art2 = build_reduction(inst, w2, p.poset)
+    art2 = build_reduction(p.poset, w2)
 
     element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
     for i, group in enumerate(p.rotation_sets):

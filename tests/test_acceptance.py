@@ -163,10 +163,10 @@ def test_criterion_02_closed_sets_biject_with_stable_matchings(
     matching_corpus, stable_sets, posets
 ):
     bad = 0
-    for (inst, _), stables, poset in zip(matching_corpus, stable_sets, posets):
+    for stables, poset in zip(stable_sets, posets):
         closed, truncated = all_closed_sets(poset, ENUMERATION_CAP)
         generated = {
-            closed_set_to_matching(inst, poset, s).partner_of_boy for s in closed
+            closed_set_to_matching(poset, s).partner_of_boy for s in closed
         }
         expected = {m.partner_of_boy for m in stables}
         if truncated or len(closed) != len(stables) or generated != expected:
@@ -283,10 +283,10 @@ def test_criterion_07_poles_bound_every_optimum(matching_corpus):
 def test_criterion_08_cut_membership_matches_path_crossing(matching_corpus, posets):
     bad = 0
     cuts_checked = 0
-    for (inst, w), poset in zip(matching_corpus, posets):
+    for (_, w), poset in zip(matching_corpus, posets):
         if len(poset.rotations) > 20:
             continue
-        art = build_reduction(inst, w, poset)
+        art = build_reduction(poset, w)
         for cut in iterate_ideal_cuts(art.dag):
             cuts_checked += 1
             m = cut_to_matching(art, cut)

@@ -75,7 +75,7 @@ def test_solver_matches_the_oracle_on_adversarial_families(family, n):
 def test_min_flow_matches_brute_force_cuts_on_adversarial_families(family, n):
     inst = _instance(family, n)
     for w in _weight_tables(n):
-        art = build_reduction(inst, w, build_poset(inst))
+        art = build_reduction(build_poset(inst), w)
         g = art.dag
         if g.num_vertices > MAX_ORACLE_VERTICES:
             continue

@@ -26,6 +26,7 @@ from stablecut import (
     residual,
     validate_dag,
 )
+from stablecut.idealcut import _reachable
 
 
 def single_edge_dag(weight: int) -> WeightedDag:
@@ -117,18 +118,17 @@ def test_min_flow_single_negative_edge():
 def test_residual_structure_at_the_path_optimum():
     g = path_dag()
     f = min_flow(g)
-    res = residual(g, f)
     # Flow sits exactly on the bound of the first edge, 7 above the second,
     # so only the second edge gives a backward arc.
     assert f.edge_flow == (5, 5)
-    assert res.heads == ((1,), (2,), (1,))
-    assert 0 not in res.reachable(2)
+    res = residual(g, f)
+    assert res == ((1,), (2,), (1,))
+    assert 0 not in _reachable(res, 2)
 
 
 def test_min_flow_leaves_no_sink_to_source_path():
     g = diamond_dag()
-    res = residual(g, min_flow(g))
-    assert 0 not in res.reachable(3)
+    assert 0 not in _reachable(residual(g, min_flow(g)), 3)
 
 
 def test_max_cut_path_dag():

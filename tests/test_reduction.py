@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from stablecut import (
     iterate_ideal_cuts,
     matching_weight,
     matching_weight_from_cut,
+    max_weight_ideal_cut,
     preset_egalitarian,
     solve_max_weight,
     validate_dag,
@@ -40,7 +42,7 @@ from stablecut import (
 
 def test_reduction_two_by_two_tie():
     inst = two_by_two()
-    art = build_reduction(inst, tie_weights(), build_poset(inst))
+    art = build_reduction(build_poset(inst), tie_weights())
     assert art.dag.num_vertices == 3
     assert (art.dag.source, art.dag.sink) == (0, 2)
     assert art.dag.edges == (Edge(0, 1, 4), Edge(1, 2, 4))
@@ -59,7 +61,7 @@ def test_reduction_branch_four():
     w = WeightFunction.from_rows(
         [[2, -1, 0, 3], [0, 1, 4, -2], [1, 0, 2, 5], [3, 2, -1, 0]]
     )
-    art = build_reduction(inst, w, build_poset(inst))
+    art = build_reduction(build_poset(inst), w)
     assert art.dag.edges == (
         Edge(0, 1, 10),
         Edge(1, 2, 3),
@@ -76,7 +78,7 @@ def test_reduction_branch_four():
 def test_reduction_unique_matching_sentinel():
     inst = identity_three()
     w = preset_egalitarian(inst, "minimize")
-    art = build_reduction(inst, w, build_poset(inst))
+    art = build_reduction(build_poset(inst), w)
     assert (art.dag.num_vertices, art.dag.source, art.dag.sink) == (2, 0, 1)
     assert art.dag.edges == (Edge(0, 1, 0),)
     assert art.base_weight == -12
@@ -93,13 +95,29 @@ def test_build_reduction_rejects_a_poset_from_another_instance():
         ContractViolation,
         match="rotation 0 moves boy 1 from girl 2, but his partner is girl 1",
     ):
-        build_reduction(b, w, build_poset(a))
+        build_reduction(dataclasses.replace(build_poset(a), inst=b), w)
+
+
+def test_poset_carries_the_instance_it_was_built_from():
+    # a's one rotation replays from b's boy-optimal to its girl-optimal
+    # matching, so no replay check rejects it, yet b has two other
+    # rotations: a cut graph for b built on a's poset gives an optimum of
+    # -6, while b's is -1.
+    a = Instance(((2, 1, 0), (2, 0, 1), (0, 2, 1)), ((0, 2, 1), (2, 1, 0), (2, 1, 0)))
+    b = Instance(((1, 2, 0), (2, 1, 0), (0, 1, 2)), ((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+    w = WeightFunction(((-1, -4, -9), (3, -8, -3), (-7, 3, 3)))
+    assert len(build_poset(a).rotations) == 1
+    poset = build_poset(b)
+    assert poset.inst is b
+    art = build_reduction(poset, w)
+    _, weight = max_weight_ideal_cut(art.dag)
+    assert weight + art.base_weight == brute_max_weight_matching(b, w)[1] == -1
 
 
 def test_cut_to_matching_two_by_two():
     inst = two_by_two()
     poset = build_poset(inst)
-    art = build_reduction(inst, tie_weights(), poset)
+    art = build_reduction(poset, tie_weights())
     top = cut_to_matching(art, IdealCut(frozenset({0})))
     bottom = cut_to_matching(art, IdealCut(frozenset({0, 1})))
     assert top.partner_of_boy == (0, 1)
@@ -108,7 +126,7 @@ def test_cut_to_matching_two_by_two():
 
 def test_matching_weight_from_cut_two_by_two():
     inst = two_by_two()
-    art = build_reduction(inst, tie_weights(), build_poset(inst))
+    art = build_reduction(build_poset(inst), tie_weights())
     assert matching_weight_from_cut(art, IdealCut(frozenset({0}))) == 4
     assert matching_weight_from_cut(art, IdealCut(frozenset({0, 1}))) == 4
 
@@ -169,7 +187,7 @@ def test_every_cut_transports_weight_and_membership(inst):
     rng = random.Random(1234)
     w = random_weights(rng, inst.n)
     poset = build_poset(inst)
-    art = build_reduction(inst, w, poset)
+    art = build_reduction(poset, w)
     rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
     for path in art.path_of_pair.values():
         first, last = art.dag.edges[path[0]], art.dag.edges[path[-1]]

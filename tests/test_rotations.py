@@ -144,21 +144,21 @@ def test_closed_set_to_matching_branch_four():
         frozenset({0, 1, 2}): (0, 1, 3, 2),
     }
     for closed, partners in expected.items():
-        assert closed_set_to_matching(inst, poset, closed).partner_of_boy == partners
+        assert closed_set_to_matching(poset, closed).partner_of_boy == partners
 
 
 def test_closed_set_to_matching_rejects_open_set():
     inst = branch_four()
     poset = build_poset(inst)
     with pytest.raises(ContractViolation, match="not predecessor-closed"):
-        closed_set_to_matching(inst, poset, {1})
+        closed_set_to_matching(poset, {1})
 
 
 def test_closed_set_to_matching_rejects_bad_id():
     inst = two_by_two()
     poset = build_poset(inst)
     with pytest.raises(ValueError, match="out of range"):
-        closed_set_to_matching(inst, poset, {7})
+        closed_set_to_matching(poset, {7})
 
 
 def test_all_closed_sets_two_by_two():
@@ -199,7 +199,7 @@ def test_closed_sets_biject_with_stable_matchings(inst):
     sets, truncated = all_closed_sets(poset, 100_000)
     assert not truncated
     generated = {
-        closed_set_to_matching(inst, poset, c).partner_of_boy for c in sets
+        closed_set_to_matching(poset, c).partner_of_boy for c in sets
     }
     oracle = {m.partner_of_boy for m in all_stable_matchings(inst)}
     assert len(generated) == len(sets)
