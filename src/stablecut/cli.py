@@ -1,13 +1,15 @@
 """Command line front end.
 
 Subcommands: solve, enumerate, poset, cut-solve, bi-objective.  Exit
-status 0 on success, 1 for input and usage errors, 2 for internal contract
-violations.  All weights are printed as exact decimals.
+status 0 on success, 1 for input and usage errors or a closed output
+pipe, 2 for internal contract violations.  All weights are printed as
+exact decimals.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,9 +223,9 @@ def _run_cut_solve(cfg: RunConfig) -> str:
         validate_dag(g)
         # The largest source side among the heaviest cuts, as the flow
         # path reports; all_ideal_cuts lists cuts by size.
-        cuts = all_ideal_cuts(g)
-        weight = max(cut_weight(g, c) for c in cuts)
-        cut = [c for c in cuts if cut_weight(g, c) == weight][-1]
+        weighed = [(cut_weight(g, c), c) for c in all_ideal_cuts(g)]
+        weight = max(wt for wt, _ in weighed)
+        cut = [c for wt, c in weighed if wt == weight][-1]
     else:
         cut, weight = max_weight_ideal_cut(g)
     side = " ".join(str(v + 1) for v in sorted(cut.source_side))
@@ -271,7 +273,15 @@ def main(argv: list[str] | None = None) -> None:
             sys.exit(1)
         raise
     status, report = run(cfg)
-    print(report, file=sys.stdout if status == 0 else sys.stderr)
+    out = sys.stdout if status == 0 else sys.stderr
+    try:
+        print(report, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head -1`).  Point the stream
+        # at devnull so the flush at exit cannot raise again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        sys.exit(1)
     sys.exit(status)
 
 

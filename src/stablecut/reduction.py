@@ -2,10 +2,11 @@
 
 The cut graph has one vertex per rotation between artificial source and
 sink.  Every stable pair that is matched in some but not all stable
-matchings gets a directed path whose endpoints encode when the pair is
-present; adding the pair's weight to each path edge makes every ideal
-cut weigh exactly as much as the stable matching it selects, up to a
-constant for the pairs present everywhere.
+matchings puts its weight on one edge, from the rotation that makes the
+pair (or the source) to the rotation that breaks it (or the sink).  An
+ideal cut crosses that edge exactly when its matching holds the pair, so
+every ideal cut weighs exactly as much as the stable matching it
+selects, up to a constant for the pairs present everywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
-from .idealcut import Edge, IdealCut, WeightedDag, _bfs_parents, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
+from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
 from .rotations import RotationPoset, _check_partner, build_poset, closed_set_to_matching
 
 Pair = tuple[int, int]
@@ -27,10 +28,12 @@ class ReductionArtifacts:
     ``dag`` vertex 0 is the source, vertex ``len(rotations) + 1`` the sink,
     and rotation r sits at vertex r + 1; without rotations the graph is the
     one edge from source to sink.  ``path_of_pair`` maps each stable
-    pair that varies across matchings to the edge indices of its path.
-    ``base_weight`` is the total weight of pairs present in every stable
-    matching and must be added to any cut weight.  The instance is
-    ``poset.inst``.
+    pair that varies across matchings to a one-edge path: the index of
+    the edge from its maker's vertex (or the source) to its breaker's
+    vertex (or the sink), which it shares with every pair of the same
+    two ends.  ``base_weight`` is the total weight of pairs present in
+    every stable matching and must be added to any cut weight.  The
+    instance is ``poset.inst``.
     """
 
     poset: RotationPoset
@@ -43,9 +46,11 @@ class ReductionArtifacts:
 def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifacts:
     """Build the weighted cut graph for a rotation poset's instance.
 
-    Raises ContractViolation unless the poset's rotations, replayed in id
-    order, lead from the instance's boy-optimal matching to its
-    girl-optimal one.
+    The poset's arcs come first, as edges in sorted order; each other
+    edge is appended when the replay first puts a pair on it.  Raises
+    ContractViolation unless the poset's rotations, replayed in id order,
+    lead from the instance's boy-optimal matching to its girl-optimal one
+    and every pair handed between two rotations has their arc.
     """
     inst = poset.inst
     if w.n != inst.n:
@@ -56,50 +61,19 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     source, sink = 0, k + 1
     vertex_of_rotation = tuple(rid + 1 for rid in range(k))
 
-    has_pred = {b for _, b in poset.edges}
-    has_succ = {a for a, _ in poset.edges}
-    # With no rotations the one stable matching is the one ideal cut {source}.
-    edge_list = [] if k else [Edge(source, sink, 0)]
-    for rid in range(k):
-        if rid not in has_pred:
-            edge_list.append(Edge(source, vertex_of_rotation[rid], 0))
-    arc_edge: dict[tuple[int, int], int] = {}
+    # Each edge is keyed by its (tail, head) and numbered in insertion
+    # order: the poset's arcs first, sorted, then each new pair of ends as
+    # the replay first needs it.  With no rotations the one stable
+    # matching is the one ideal cut {source}.
+    edge_of: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
     for a, b in sorted(poset.edges):
-        arc_edge[(a, b)] = len(edge_list)
-        edge_list.append(Edge(vertex_of_rotation[a], vertex_of_rotation[b], 0))
-    for rid in range(k):
-        if rid not in has_succ:
-            edge_list.append(Edge(vertex_of_rotation[rid], sink, 0))
-
-    out_edges = WeightedDag(k + 2, source, sink, tuple(edge_list)).out_edges
-    heads = [e.head for e in edge_list]
-    trees: dict[int, list[int]] = {}
-
-    def tree_path(start: int, goal: int) -> tuple[int, ...]:
-        """The edge path to goal in the breadth-first tree from start."""
-        if start not in trees:
-            trees[start] = _bfs_parents(out_edges, heads, start)
-        parent = trees[start]
-        if parent[goal] == -1:
-            raise ContractViolation("required path is missing from the cut graph")
-        path = []
-        v = goal
-        while v != start:
-            i = parent[v]
-            path.append(i)
-            v = edge_list[i].tail
-        path.reverse()
-        return tuple(path)
-
-    base_weight = 0
-    accumulated = [0] * len(edge_list)
+        edge_of[(vertex_of_rotation[a], vertex_of_rotation[b])] = len(edge_of)
     path_of_pair: dict[Pair, tuple[int, ...]] = {}
 
-    def add_pair(pair: Pair, path: tuple[int, ...]) -> None:
-        path_of_pair[pair] = path
-        weight = w.table[pair[0]][pair[1]]
-        for i in path:
-            accumulated[i] += weight
+    def add_pair(pair: Pair, tail: int, head: int) -> None:
+        """Put the pair on the edge from the vertex that makes it to the
+        vertex that breaks it."""
+        path_of_pair[pair] = (edge_of.setdefault((tail, head), len(edge_of)),)
 
     # Replay the rotations in id order, the elimination order, from the
     # boy-optimal matching.  Each pair a rotation breaks was made by the
@@ -108,33 +82,39 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     giver = [-1] * inst.n
     for rho in poset.rotations:
         r = len(rho.pairs)
+        taker = vertex_of_rotation[rho.id]
         for i, (b, g) in enumerate(rho.pairs):
             _check_partner(rho, b, g, partner)
             if giver[b] < 0:
-                add_pair((b, g), tree_path(source, vertex_of_rotation[rho.id]))
+                add_pair((b, g), source, taker)
             else:
                 # A pair handed on is exactly what makes the precedence
-                # arc (giver, rho), so its path is that arc's edge.
-                edge = arc_edge.get((giver[b], rho.id))
-                if edge is None:
-                    raise ContractViolation("required path is missing from the cut graph")
-                add_pair((b, g), (edge,))
+                # arc (giver, rho), so its edge is that arc's edge.
+                maker = vertex_of_rotation[giver[b]]
+                if (maker, taker) not in edge_of:
+                    raise ContractViolation(
+                        f"rotation {rho.id} takes boy {b + 1} from rotation"
+                        f" {giver[b]}, but the poset has no arc {giver[b]} -> {rho.id}"
+                    )
+                add_pair((b, g), maker, taker)
             partner[b] = rho.pairs[(i + 1) % r][1]
             giver[b] = rho.id
     if partner != list(mz.partner_of_boy):
         raise ContractViolation("rotations do not end at the girl-optimal matching")
     # A boy no rotation moves keeps one partner in every stable matching,
     # which only shifts the total by a constant.
+    base_weight = 0
     for b, g in enumerate(partner):
         if giver[b] < 0:
             base_weight += w.table[b][g]
         else:
-            add_pair((b, g), tree_path(vertex_of_rotation[giver[b]], sink))
+            add_pair((b, g), vertex_of_rotation[giver[b]], sink)
 
-    weighted = tuple(
-        Edge(e.tail, e.head, acc) for e, acc in zip(edge_list, accumulated)
-    )
-    dag = WeightedDag(k + 2, source, sink, weighted, w.scale)
+    weight = [0] * len(edge_of)
+    for (b, g), (i,) in path_of_pair.items():
+        weight[i] += w.table[b][g]
+    edges = tuple(Edge(tail, head, wt) for (tail, head), wt in zip(edge_of, weight))
+    dag = WeightedDag(k + 2, source, sink, edges, w.scale)
     validate_dag(dag)
     return ReductionArtifacts(
         poset=poset,

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import families
+import stablecut
 from conftest import IDENTITY_THREE_TEXT, TWO_BY_TWO_TEXT
 from stablecut import ContractViolation, ParseError
 from stablecut.cli import (
@@ -452,3 +459,27 @@ def test_usage_errors_exit_one_with_argparse_usage_text(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: stablecut solve")
+
+
+def test_closed_output_pipe_exits_one_without_a_traceback(tmp_path):
+    # Every one of the doubling family's stable matchings weighs zero, so
+    # the report runs far past one pipe buffer (64 KiB).
+    n = 16
+    inst, weights = tmp_path / "inst.txt", tmp_path / "w.txt"
+    families.write_instance(inst, *families.doubling_prefs(n))
+    families.write_weights(weights, families.zero_weights(n), 0)
+    env = dict(os.environ, PYTHONPATH=str(Path(stablecut.__file__).parents[1]))
+    argv = ["enumerate", str(inst), "--weights", str(weights), "--cap", "2000"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "stablecut.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert first == b"count 2000\n"
+    assert status == 1
+    assert err == b""

@@ -62,17 +62,34 @@ def test_reduction_branch_four():
         [[2, -1, 0, 3], [0, 1, 4, -2], [1, 0, 2, 5], [3, 2, -1, 0]]
     )
     art = build_reduction(build_poset(inst), w)
+    # The two arcs first, then source edges as the replay meets the
+    # boy-optimal pairs, then sink edges by boy.  The cuts {0}, {0,1},
+    # {0,1,2}, {0,1,3} and {0,1,2,3} weigh 10, 1, -1, 9 and 7, the
+    # weights of the five stable matchings.
     assert art.dag.edges == (
-        Edge(0, 1, 10),
-        Edge(1, 2, 3),
+        Edge(1, 2, 0),
         Edge(1, 3, -2),
+        Edge(0, 1, 7),
+        Edge(0, 2, 3),
+        Edge(0, 3, 0),
         Edge(2, 4, 1),
         Edge(3, 4, 6),
     )
     assert art.base_weight == 0
-    assert art.path_of_pair[(2, 1)] == (0, 2)
-    assert art.path_of_pair[(3, 0)] == (0, 1)
+    assert art.path_of_pair[(2, 1)] == (4,)
+    assert art.path_of_pair[(3, 0)] == (3,)
     validate_dag(art.dag)
+
+
+def test_build_reduction_names_a_missing_hand_off_arc():
+    # Rotation 0 hands boy 1 (0-based 0) to rotation 1 along arc (0, 1).
+    poset = build_poset(branch_four())
+    broken = dataclasses.replace(poset, edges=poset.edges - {(0, 1)})
+    with pytest.raises(
+        ContractViolation,
+        match="rotation 1 takes boy 1 from rotation 0, but the poset has no arc 0 -> 1",
+    ):
+        build_reduction(broken, WeightFunction.zero(4))
 
 
 def test_reduction_unique_matching_sentinel():
@@ -182,18 +199,33 @@ def test_solver_weight_matches_oracle(pair):
 def test_every_cut_transports_weight_and_membership(inst):
     """For every ideal cut of the reduction graph: the selected matching's
     weight equals cut weight plus base, and a varying pair is matched
-    exactly when its path has an edge leaving the cut.  A pair handed from
-    one rotation to another travels along their precedence arc."""
+    exactly when its path has an edge leaving the cut.  Every path is one
+    edge, from the rotation that makes the pair (or the source) to the
+    one that breaks it (or the sink); a pair handed from one rotation to
+    another travels along their precedence arc."""
     rng = random.Random(1234)
     w = random_weights(rng, inst.n)
     poset = build_poset(inst)
     art = build_reduction(poset, w)
     rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
-    for path in art.path_of_pair.values():
-        first, last = art.dag.edges[path[0]], art.dag.edges[path[-1]]
-        if first.tail in rotation_of_vertex and last.head in rotation_of_vertex:
-            assert len(path) == 1
-            a, b = rotation_of_vertex[first.tail], rotation_of_vertex[last.head]
+    maker: dict[tuple[int, int], int] = {}
+    breaker: dict[tuple[int, int], int] = {}
+    for rho in poset.rotations:
+        # rho moves each boy from his pair's girl to the next pair's girl.
+        for (b, g), (_, g_next) in zip(rho.pairs, rho.pairs[1:] + rho.pairs[:1]):
+            breaker[(b, g)] = rho.id
+            maker[(b, g_next)] = rho.id
+    for pair, path in art.path_of_pair.items():
+        assert len(path) == 1
+        edge = art.dag.edges[path[0]]
+        assert edge.tail == (
+            art.vertex_of_rotation[maker[pair]] if pair in maker else art.dag.source
+        )
+        assert edge.head == (
+            art.vertex_of_rotation[breaker[pair]] if pair in breaker else art.dag.sink
+        )
+        if edge.tail in rotation_of_vertex and edge.head in rotation_of_vertex:
+            a, b = rotation_of_vertex[edge.tail], rotation_of_vertex[edge.head]
             assert (a, b) in poset.edges
     for cut in iterate_ideal_cuts(art.dag):
         m = cut_to_matching(art, cut)

@@ -70,7 +70,8 @@ def test_meta_poset_branch_four_tie():
         frozenset(),
     )
     assert (p.s_element, p.t_element) == (0, 3)
-    assert sorted(p.edges) == [(0, 1), (1, 2), (1, 3), (2, 3)]
+    # (0, 2) follows from (0, 1) and (1, 2).
+    assert sorted(p.edges) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
 
 def test_closed_subset_to_max_matching_two_by_two():
