@@ -8,10 +8,12 @@ n <= 16 from ``bench/families.py``, each with wide, coarse, zero and
 ``enumerate`` (caps 1 and 50), ``bi-objective`` and ``poset``.  Each
 weight table's reduction DAG is written as a DAG file and run through
 ``cut-solve``, plus ``--oracle`` for DAGs of at most 20 vertices.  It prints
-the report count and one sha256 over (configuration, exit status,
-report), with file paths given relative to the temporary directory, so
-two checkouts print the same line exactly when every report is
-byte-identical.
+the report count and one sha256 over (configuration, DAG file text for
+``cut-solve`` runs, exit status, report), with file paths given relative
+to the temporary directory, so two checkouts print the same line exactly
+when every report and every written DAG is byte-identical; a change to a
+cut graph's edge order or weights shows even when its max cuts do not
+move.
 
 Usage:
     python scripts/report_digest.py --seed 1
@@ -128,8 +130,9 @@ def digest(seed: int, workdir: Path) -> tuple[int, str]:
                 key: str(workdir / value) if key.endswith("_path") else value
                 for key, value in config.items()
             }
+            dag_text = Path(paths["dag_path"]).read_text() if "dag_path" in paths else ""
             status, report = run(RunConfig(**paths))
-            h.update(repr((sorted(config.items()), status, report)).encode())
+            h.update(repr((sorted(config.items()), dag_text, status, report)).encode())
             count += 1
     return count, h.hexdigest()
 

@@ -52,8 +52,9 @@ def brute_max_weight_matching(
     partner array.  A precomputed stable set may be passed in."""
     if matchings is None:
         matchings = all_stable_matchings(inst)
-    best_weight = max(matching_weight(m, w) for m in matchings)
-    optima = [m for m in matchings if matching_weight(m, w) == best_weight]
+    weights = [matching_weight(m, w) for m in matchings]
+    best_weight = max(weights)
+    optima = [m for m, wt in zip(matchings, weights) if wt == best_weight]
     dominant = [
         m for m in optima if all(dominates(m, other, inst) for other in optima)
     ]
@@ -84,9 +85,9 @@ def all_ideal_cuts(g: WeightedDag) -> list[IdealCut]:
 
 def brute_max_weight_cut(g: WeightedDag) -> tuple[IdealCut, int]:
     """Heaviest ideal cut by exhaustion.  Ties go to the smallest source
-    side, then lexicographic."""
+    side, then lexicographic: the first heaviest in ``all_ideal_cuts``
+    order."""
     cuts = all_ideal_cuts(g)
-    best = max(cut_weight(g, c) for c in cuts)
-    heaviest = [c for c in cuts if cut_weight(g, c) == best]
-    heaviest.sort(key=lambda c: (len(c.source_side), tuple(sorted(c.source_side))))
-    return heaviest[0], best
+    weights = [cut_weight(g, c) for c in cuts]
+    best = max(weights)
+    return cuts[weights.index(best)], best

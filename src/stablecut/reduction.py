@@ -2,23 +2,21 @@
 
 The cut graph has one vertex per rotation between artificial source and
 sink.  Every stable pair that is matched in some but not all stable
-matchings puts its weight on one edge, from the rotation that makes the
-pair (or the source) to the rotation that breaks it (or the sink).  An
-ideal cut crosses that edge exactly when its matching holds the pair, so
-every ideal cut weighs exactly as much as the stable matching it
-selects, up to a constant for the pairs present everywhere.
+matchings adds its weight to the one edge from the rotation that makes
+the pair (or the source) to the rotation that breaks it (or the sink),
+shared by every pair with the same two ends.  An ideal cut crosses that
+edge exactly when its matching holds the pair, so every ideal cut weighs
+exactly as much as the stable matching it selects, up to a constant for
+the pairs present everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
 from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
-from .rotations import RotationPoset, _check_partner, build_poset, closed_set_to_matching
-
-Pair = tuple[int, int]
+from .rotations import RotationPoset, _replay, build_poset, closed_set_to_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,18 +25,16 @@ class ReductionArtifacts:
 
     ``dag`` vertex 0 is the source, vertex ``len(rotations) + 1`` the sink,
     and rotation r sits at vertex r + 1; without rotations the graph is the
-    one edge from source to sink.  ``path_of_pair`` maps each stable
-    pair that varies across matchings to a one-edge path: the index of
-    the edge from its maker's vertex (or the source) to its breaker's
-    vertex (or the sink), which it shares with every pair of the same
-    two ends.  ``base_weight`` is the total weight of pairs present in
-    every stable matching and must be added to any cut weight.  The
-    instance is ``poset.inst``.
+    one edge from source to sink.  Each edge's (tail, head) is unique, and
+    its weight is the total over the varying pairs made at its tail (or
+    boy-optimal, at the source) and broken at its head (or kept to the
+    girl-optimal matching, at the sink).  ``base_weight`` is the total
+    weight of pairs present in every stable matching and must be added to
+    any cut weight.  The instance is ``poset.inst``.
     """
 
     poset: RotationPoset
     dag: WeightedDag
-    path_of_pair: Mapping[Pair, tuple[int, ...]]
     base_weight: int
     vertex_of_rotation: tuple[int, ...]
 
@@ -46,11 +42,13 @@ class ReductionArtifacts:
 def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifacts:
     """Build the weighted cut graph for a rotation poset's instance.
 
-    The poset's arcs come first, as edges in sorted order; each other
-    edge is appended when the replay first puts a pair on it.  Raises
-    ContractViolation unless the poset's rotations, replayed in id order,
-    lead from the instance's boy-optimal matching to its girl-optimal one
-    and every pair handed between two rotations has their arc.
+    The poset's arcs come first, as zero-weight edges in sorted order;
+    each other edge is appended when the replay first puts a pair on it,
+    and every pair adds its weight to the edge between its maker and its
+    breaker.  Raises ContractViolation unless the poset's rotations,
+    replayed in id order, lead from the instance's boy-optimal matching to
+    its girl-optimal one and every pair handed between two rotations has
+    their arc.
     """
     inst = poset.inst
     if w.n != inst.n:
@@ -61,65 +59,40 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     source, sink = 0, k + 1
     vertex_of_rotation = tuple(rid + 1 for rid in range(k))
 
-    # Each edge is keyed by its (tail, head) and numbered in insertion
-    # order: the poset's arcs first, sorted, then each new pair of ends as
-    # the replay first needs it.  With no rotations the one stable
-    # matching is the one ideal cut {source}.
-    edge_of: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
+    # Edge (tail, head) -> weight; insertion order is the edge order.
+    # With no rotations the one stable matching is the one ideal cut
+    # {source}.
+    weight: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
     for a, b in sorted(poset.edges):
-        edge_of[(vertex_of_rotation[a], vertex_of_rotation[b])] = len(edge_of)
-    path_of_pair: dict[Pair, tuple[int, ...]] = {}
-
-    def add_pair(pair: Pair, tail: int, head: int) -> None:
-        """Put the pair on the edge from the vertex that makes it to the
-        vertex that breaks it."""
-        path_of_pair[pair] = (edge_of.setdefault((tail, head), len(edge_of)),)
-
-    # Replay the rotations in id order, the elimination order, from the
-    # boy-optimal matching.  Each pair a rotation breaks was made by the
-    # last rotation to move its boy, or is boy-optimal when none has.
-    partner = list(m0.partner_of_boy)
-    giver = [-1] * inst.n
-    for rho in poset.rotations:
-        r = len(rho.pairs)
-        taker = vertex_of_rotation[rho.id]
-        for i, (b, g) in enumerate(rho.pairs):
-            _check_partner(rho, b, g, partner)
-            if giver[b] < 0:
-                add_pair((b, g), source, taker)
-            else:
-                # A pair handed on is exactly what makes the precedence
-                # arc (giver, rho), so its edge is that arc's edge.
-                maker = vertex_of_rotation[giver[b]]
-                if (maker, taker) not in edge_of:
-                    raise ContractViolation(
-                        f"rotation {rho.id} takes boy {b + 1} from rotation"
-                        f" {giver[b]}, but the poset has no arc {giver[b]} -> {rho.id}"
-                    )
-                add_pair((b, g), maker, taker)
-            partner[b] = rho.pairs[(i + 1) % r][1]
-            giver[b] = rho.id
-    if partner != list(mz.partner_of_boy):
-        raise ContractViolation("rotations do not end at the girl-optimal matching")
-    # A boy no rotation moves keeps one partner in every stable matching,
-    # which only shifts the total by a constant.
+        weight[(vertex_of_rotation[a], vertex_of_rotation[b])] = 0
     base_weight = 0
-    for b, g in enumerate(partner):
-        if giver[b] < 0:
+    for b, g, maker, breaker in _replay(poset.rotations, m0):
+        if breaker < 0 and mz.partner_of_boy[b] != g:
+            raise ContractViolation("rotations do not end at the girl-optimal matching")
+        if maker < 0 and breaker < 0:
+            # A boy no rotation moves keeps one partner in every stable
+            # matching, which only shifts the total by a constant.
             base_weight += w.table[b][g]
-        else:
-            add_pair((b, g), vertex_of_rotation[giver[b]], sink)
+            continue
+        ends = (
+            source if maker < 0 else vertex_of_rotation[maker],
+            sink if breaker < 0 else vertex_of_rotation[breaker],
+        )
+        # A pair handed on is exactly what makes the precedence arc
+        # (maker, breaker), so its edge is that arc's edge.
+        if maker >= 0 and breaker >= 0 and ends not in weight:
+            raise ContractViolation(
+                f"rotation {breaker} takes boy {b + 1} from rotation"
+                f" {maker}, but the poset has no arc {maker} -> {breaker}"
+            )
+        weight[ends] = weight.get(ends, 0) + w.table[b][g]
 
-    weight = [0] * len(edge_of)
-    for (b, g), (i,) in path_of_pair.items():
-        weight[i] += w.table[b][g]
-    edges = tuple(Edge(tail, head, wt) for (tail, head), wt in zip(edge_of, weight))
+    edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
     dag = WeightedDag(k + 2, source, sink, edges, w.scale)
     validate_dag(dag)
     return ReductionArtifacts(
         poset=poset,
         dag=dag,
-        path_of_pair=path_of_pair,
         base_weight=base_weight,
         vertex_of_rotation=vertex_of_rotation,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
 from .ideals import _capped, _preds_from_edges, iter_ideals
@@ -194,47 +194,62 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
     return [Rotation(pairs, rid) for rid, pairs in enumerate(order)]
 
 
-def _check_partner(rho: Rotation, b: int, g: int, partner: list[int]) -> None:
-    """Raise unless boy b holds girl g when rho, replayed along the
-    elimination chain, moves him away from her."""
-    if partner[b] != g:
-        raise ContractViolation(
-            f"rotation {rho.id} moves boy {b + 1} from girl {g + 1},"
-            f" but his partner is girl {partner[b] + 1}"
-        )
+def _replay(
+    rotations: Iterable[Rotation], m0: Matching
+) -> Iterator[tuple[int, int, int, int]]:
+    """Replay the rotations in id order, the elimination order, from the
+    boy-optimal matching m0, and yield (b, g, maker, breaker) for every
+    pair a boy holds along the chain.
+
+    ``maker`` is the rotation that gave boy b girl g (-1 when the pair is
+    boy-optimal) and ``breaker`` the one that moves him on (-1 when he
+    keeps her to the end).  Each rotation's pairs come in id order, then
+    every boy's final pair by boy id.  Raises ContractViolation when a
+    rotation breaks a pair its boy does not hold.
+    """
+    partner = list(m0.partner_of_boy)
+    maker = [-1] * len(partner)
+    for rho in rotations:
+        r = len(rho.pairs)
+        for i, (b, g) in enumerate(rho.pairs):
+            if partner[b] != g:
+                raise ContractViolation(
+                    f"rotation {rho.id} moves boy {b + 1} from girl {g + 1},"
+                    f" but his partner is girl {partner[b] + 1}"
+                )
+            yield b, g, maker[b], rho.id
+            partner[b] = rho.pairs[(i + 1) % r][1]
+            maker[b] = rho.id
+    for b, g in enumerate(partner):
+        yield b, g, maker[b], -1
 
 
 def build_poset(inst: Instance) -> RotationPoset:
     """Enumerate rotations and connect them with precedence arcs.
 
     Two arc families suffice to generate the full precedence order.  If one
-    rotation hands a pair to another, the giver precedes the taker.  And if
-    a rotation drags boy b past a girl g he never stably holds, then g must
-    already rank her partner above b at that point, so the unique rotation
-    that lifted g across b precedes it.  Ids are the elimination order, so
-    replaying the rotations in id order from the boy-optimal matching
-    meets each boy's moves and each girl's rises in the order the chain
-    made them: the pair a rotation breaks was made by the last rotation to
-    move that boy, and each rotation's lookups see exactly the rises
-    before it.
+    rotation hands a pair to another, the maker precedes the breaker: these
+    arcs come straight from :func:`_replay`.  And if a rotation drags boy b
+    past a girl g he never stably holds, then g must already rank her
+    partner above b at that point, so the unique rotation that lifted g
+    across b precedes it.  Ids are the elimination order, so walking the
+    rotations in id order meets each girl's rises in the order the chain
+    made them, and each rotation's lookups see exactly the rises before it.
     """
     rotations = tuple(enumerate_rotations(inst))
     m0 = gale_shapley(inst, "boys")
     boy_rank, girl_rank = inst.boy_rank, inst.girl_rank
-    # Each boy's current partner along the chain and the last rotation
-    # that moved him, who hands his pair to the next rotation to move him.
-    partner = list(m0.partner_of_boy)
-    giver = [-1] * inst.n
+    edges = {
+        (maker, breaker)
+        for _, _, maker, breaker in _replay(rotations, m0)
+        if maker >= 0 and breaker >= 0
+    }
     # Per girl, her new partners' negated ranks (ascending) and their lifters.
     rises: list[list[int]] = [[] for _ in range(inst.n)]
     lifters: list[list[int]] = [[] for _ in range(inst.n)]
-    edges: set[tuple[int, int]] = set()
     for rho in rotations:
         r = len(rho.pairs)
         for i, (b, g_from) in enumerate(rho.pairs):
-            _check_partner(rho, b, g_from, partner)
-            if giver[b] >= 0:
-                edges.add((giver[b], rho.id))
             g_to = rho.pairs[(i + 1) % r][1]
             lo, hi = boy_rank[b][g_from], boy_rank[b][g_to]
             for g in inst.boy_prefs[b][lo + 1 : hi]:
@@ -247,8 +262,6 @@ def build_poset(inst: Instance) -> RotationPoset:
                         f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
                     )
                 edges.add((lifters[g][j], rho.id))
-            partner[b] = g_to
-            giver[b] = rho.id
         for i, (b, g) in enumerate(rho.pairs):
             rank = girl_rank[g][rho.pairs[(i - 1) % r][0]]
             if rank >= girl_rank[g][b]:

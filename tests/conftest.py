@@ -14,7 +14,15 @@ import pytest
 from hypothesis import strategies as st
 
 import families
-from stablecut import Edge, Instance, Rotation, WeightedDag, WeightFunction, rotations
+from stablecut import (
+    Edge,
+    Instance,
+    ReductionArtifacts,
+    Rotation,
+    WeightedDag,
+    WeightFunction,
+    rotations,
+)
 
 # Two couples where each boy's favourite girl ranks him last: two stable
 # matchings, one rotation apart.
@@ -89,6 +97,33 @@ def random_weights(
     rng: random.Random, n: int, lo: int = -9, hi: int = 9
 ) -> WeightFunction:
     return WeightFunction(tuple(map(tuple, families.random_weights(rng, n, lo, hi, 0))))
+
+
+def pair_edges(art: ReductionArtifacts) -> dict[tuple[int, int], Edge]:
+    """The cut-graph edge of every varying pair, found from the poset's
+    rotations alone: the one edge from the vertex of the rotation that
+    makes the pair (or the source) to the vertex of the rotation that
+    breaks it (or the sink).  Asserts that no two edges share their ends
+    and that every varying pair has its edge."""
+    g = art.dag
+    by_ends = {(e.tail, e.head): e for e in g.edges}
+    assert len(by_ends) == len(g.edges), "two cut-graph edges share (tail, head)"
+    maker: dict[tuple[int, int], int] = {}
+    breaker: dict[tuple[int, int], int] = {}
+    for rho in art.poset.rotations:
+        # rho moves each boy from his pair's girl to the next pair's girl.
+        for (b, g_from), (_, g_to) in zip(rho.pairs, rho.pairs[1:] + rho.pairs[:1]):
+            breaker[(b, g_from)] = rho.id
+            maker[(b, g_to)] = rho.id
+    edges = {}
+    for pair in maker.keys() | breaker.keys():
+        ends = (
+            art.vertex_of_rotation[maker[pair]] if pair in maker else g.source,
+            art.vertex_of_rotation[breaker[pair]] if pair in breaker else g.sink,
+        )
+        assert ends in by_ends, f"varying pair {pair} has no edge {ends}"
+        edges[pair] = by_ends[ends]
+    return edges
 
 
 @pytest.fixture

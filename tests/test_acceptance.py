@@ -45,7 +45,7 @@ from stablecut import (
     solve_max_weight,
 )
 
-from conftest import random_dag, random_instance, random_weights
+from conftest import pair_edges, random_dag, random_instance, random_weights
 
 ENUMERATION_CAP = 100_000
 
@@ -287,6 +287,7 @@ def test_criterion_08_cut_membership_matches_path_crossing(matching_corpus, pose
         if len(poset.rotations) > 20:
             continue
         art = build_reduction(poset, w)
+        pairs = pair_edges(art)
         for cut in iterate_ideal_cuts(art.dag):
             cuts_checked += 1
             m = cut_to_matching(art, cut)
@@ -294,11 +295,8 @@ def test_criterion_08_cut_membership_matches_path_crossing(matching_corpus, pose
                 bad += 1
                 continue
             side = cut.source_side
-            for (b, g), path in art.path_of_pair.items():
-                crosses = any(
-                    art.dag.edges[i].tail in side and art.dag.edges[i].head not in side
-                    for i in path
-                )
+            for (b, g), edge in pairs.items():
+                crosses = edge.tail in side and edge.head not in side
                 if crosses != (m.partner_of_boy[b] == g):
                     bad += 1
     _verdict(

@@ -59,6 +59,8 @@ def test_parse_skips_comments_and_blank_lines():
 def test_parse_rejects_duplicate_entry():
     with pytest.raises(ParseError, match="not a permutation"):
         parse_instance("2\n1 1\n2 1\n2 1\n1 2\n")
+    with pytest.raises(ParseError, match="line 2: malformed boy preference row"):
+        parse_instance("2\n1 x\n2 1\n2 1\n1 2\n")
 
 
 def test_parse_rejects_size_out_of_range():
@@ -76,6 +78,8 @@ def test_parse_rejects_non_integer_size():
 def test_parse_rejects_missing_rows():
     with pytest.raises(ParseError, match="expected 4 preference rows"):
         parse_instance("2\n1 2\n2 1\n2 1\n")
+    with pytest.raises(ParseError, match="line 1: missing instance size"):
+        parse_instance("# no instance here\n")
 
 
 def test_parse_rejects_extra_rows():
@@ -131,6 +135,8 @@ def test_parse_weights_rejects_garbage():
 def test_weight_entries_must_fit_64_bits():
     with pytest.raises(ValueError, match="64-bit"):
         WeightFunction(((2**63, 0), (0, 0)))
+    with pytest.raises(ParseError, match="line 1: weight exceeds the 64-bit range after scaling"):
+        parse_weights("9223372036854775807 0.1\n0 0\n", 2)
 
 
 def test_format_scaled():

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import families
+from conftest import pair_edges
 from stablecut import (
     Instance,
     WeightFunction,
@@ -76,6 +77,7 @@ def test_min_flow_matches_brute_force_cuts_on_adversarial_families(family, n):
     inst = _instance(family, n)
     for w in _weight_tables(n):
         art = build_reduction(build_poset(inst), w)
+        pair_edges(art)  # one edge per varying pair, none sharing its ends
         g = art.dag
         if g.num_vertices > MAX_ORACLE_VERTICES:
             continue

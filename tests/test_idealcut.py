@@ -237,6 +237,24 @@ def test_parse_dag_errors():
         parse_dag("2 1\n1 2\n")
     with pytest.raises(ParseError, match="line 1: 100000000 vertices need at least"):
         parse_dag("100000000 1\n1 2\n1 2 5\n")
+    with pytest.raises(ParseError, match="line 1: expected 'V E'"):
+        parse_dag("2 x\n1 2\n1 2 0\n")
+    with pytest.raises(ParseError, match="line 1: need at least two vertices"):
+        parse_dag("1 1\n1 2\n1 2 0\n")
+    with pytest.raises(ParseError, match="line 1: negative edge count"):
+        parse_dag("2 -1\n1 2\n")
+    with pytest.raises(ParseError, match="line 2: expected 's t'"):
+        parse_dag("2 1\n1\n1 2 0\n")
+    with pytest.raises(ParseError, match="line 2: expected 's t'"):
+        parse_dag("2 1\n1 t\n1 2 0\n")
+    with pytest.raises(ParseError, match="line 3: expected 'u v w'"):
+        parse_dag("2 1\n1 2\n1 2\n")
+    with pytest.raises(ParseError, match="line 3: malformed edge endpoints"):
+        parse_dag("2 1\n1 2\n1 b 0\n")
+    with pytest.raises(ParseError, match="line 3: vertex 3 out of range"):
+        parse_dag("2 1\n1 2\n1 3 0\n")
+    with pytest.raises(ParseError, match="line 3: '1e3' is not a decimal number"):
+        parse_dag("2 1\n1 2\n1 2 1e3\n")
 
 
 def test_duality_on_random_dags():

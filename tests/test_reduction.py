@@ -12,6 +12,7 @@ from conftest import (
     branch_four,
     identity_three,
     instances,
+    pair_edges,
     random_instance,
     random_weights,
     single_weights,
@@ -48,11 +49,11 @@ def test_reduction_two_by_two_tie():
     assert art.dag.edges == (Edge(0, 1, 4), Edge(1, 2, 4))
     assert art.base_weight == 0
     assert art.vertex_of_rotation == (1,)
-    assert art.path_of_pair == {
-        (0, 0): (0,),
-        (1, 1): (0,),
-        (0, 1): (1,),
-        (1, 0): (1,),
+    assert pair_edges(art) == {
+        (0, 0): Edge(0, 1, 4),
+        (1, 1): Edge(0, 1, 4),
+        (0, 1): Edge(1, 2, 4),
+        (1, 0): Edge(1, 2, 4),
     }
 
 
@@ -76,8 +77,9 @@ def test_reduction_branch_four():
         Edge(3, 4, 6),
     )
     assert art.base_weight == 0
-    assert art.path_of_pair[(2, 1)] == (4,)
-    assert art.path_of_pair[(3, 0)] == (3,)
+    pairs = pair_edges(art)
+    assert pairs[(2, 1)] == Edge(0, 3, 0)
+    assert pairs[(3, 0)] == Edge(0, 2, 3)
     validate_dag(art.dag)
 
 
@@ -99,7 +101,7 @@ def test_reduction_unique_matching_sentinel():
     assert (art.dag.num_vertices, art.dag.source, art.dag.sink) == (2, 0, 1)
     assert art.dag.edges == (Edge(0, 1, 0),)
     assert art.base_weight == -12
-    assert art.path_of_pair == {}
+    assert pair_edges(art) == {}
 
 
 def test_build_reduction_rejects_a_poset_from_another_instance():
@@ -199,43 +201,30 @@ def test_solver_weight_matches_oracle(pair):
 def test_every_cut_transports_weight_and_membership(inst):
     """For every ideal cut of the reduction graph: the selected matching's
     weight equals cut weight plus base, and a varying pair is matched
-    exactly when its path has an edge leaving the cut.  Every path is one
-    edge, from the rotation that makes the pair (or the source) to the
-    one that breaks it (or the sink); a pair handed from one rotation to
-    another travels along their precedence arc."""
+    exactly when its edge leaves the cut.  Each varying pair has the one
+    edge from the rotation that makes it (or the source) to the one that
+    breaks it (or the sink), which weighs the total of its pairs; a pair
+    handed from one rotation to another travels along their precedence
+    arc."""
     rng = random.Random(1234)
     w = random_weights(rng, inst.n)
     poset = build_poset(inst)
     art = build_reduction(poset, w)
     rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
-    maker: dict[tuple[int, int], int] = {}
-    breaker: dict[tuple[int, int], int] = {}
-    for rho in poset.rotations:
-        # rho moves each boy from his pair's girl to the next pair's girl.
-        for (b, g), (_, g_next) in zip(rho.pairs, rho.pairs[1:] + rho.pairs[:1]):
-            breaker[(b, g)] = rho.id
-            maker[(b, g_next)] = rho.id
-    for pair, path in art.path_of_pair.items():
-        assert len(path) == 1
-        edge = art.dag.edges[path[0]]
-        assert edge.tail == (
-            art.vertex_of_rotation[maker[pair]] if pair in maker else art.dag.source
-        )
-        assert edge.head == (
-            art.vertex_of_rotation[breaker[pair]] if pair in breaker else art.dag.sink
-        )
+    pairs = pair_edges(art)
+    carried = {(e.tail, e.head): 0 for e in art.dag.edges}
+    for (b, g), edge in pairs.items():
+        carried[(edge.tail, edge.head)] += w.table[b][g]
         if edge.tail in rotation_of_vertex and edge.head in rotation_of_vertex:
-            a, b = rotation_of_vertex[edge.tail], rotation_of_vertex[edge.head]
-            assert (a, b) in poset.edges
+            arc = (rotation_of_vertex[edge.tail], rotation_of_vertex[edge.head])
+            assert arc in poset.edges
+    assert carried == {(e.tail, e.head): e.weight for e in art.dag.edges}
     for cut in iterate_ideal_cuts(art.dag):
         m = cut_to_matching(art, cut)
         assert matching_weight(m, w) == cut_weight(art.dag, cut) + art.base_weight
         side = cut.source_side
-        for (b, g), path in art.path_of_pair.items():
-            crosses = any(
-                art.dag.edges[i].tail in side and art.dag.edges[i].head not in side
-                for i in path
-            )
+        for (b, g), edge in pairs.items():
+            crosses = edge.tail in side and edge.head not in side
             assert crosses == (m.partner_of_boy[b] == g)
 
 
