@@ -106,11 +106,13 @@ def dag_configs(workdir: Path, inst: str, weights: list[str]) -> list[dict]:
     return configs
 
 
-def digest(seed: int, workdir: Path) -> tuple[int, str]:
+def digest(seed: int, workdir: Path, instances: int = INSTANCES) -> tuple[int, str]:
+    """Report count and sha256 over the first ``instances`` instances of
+    the seed's corpus; a smaller count digests a prefix of the same draws."""
     rng = random.Random(seed)
     h = hashlib.sha256()
     count = 0
-    for i in range(INSTANCES):
+    for i in range(instances):
         boys, girls = draw_prefs(rng, FAMILIES[i % len(FAMILIES)], MAX_N)
         n = len(boys)
         inst = f"inst{i}.txt"

@@ -29,8 +29,8 @@ from .core import (
     preset_desirable_undesirable,
     preset_egalitarian,
 )
-from .idealcut import cut_weight, max_weight_ideal_cut, parse_dag, validate_dag
-from .oracle import all_ideal_cuts, all_stable_matchings, brute_max_weight_matching
+from .idealcut import max_weight_ideal_cut, parse_dag, validate_dag
+from .oracle import all_stable_matchings, brute_max_weight_matching, heaviest_ideal_cuts
 from .reduction import solve_max_weight
 from .rotations import build_poset
 from .sublattice import (
@@ -222,10 +222,9 @@ def _run_cut_solve(cfg: RunConfig) -> str:
     if cfg.oracle:
         validate_dag(g)
         # The largest source side among the heaviest cuts, as the flow
-        # path reports; all_ideal_cuts lists cuts by size.
-        weighed = [(cut_weight(g, c), c) for c in all_ideal_cuts(g)]
-        weight = max(wt for wt, _ in weighed)
-        cut = [c for wt, c in weighed if wt == weight][-1]
+        # path reports; they come listed by size.
+        cuts, weight = heaviest_ideal_cuts(g)
+        cut = cuts[-1]
     else:
         cut, weight = max_weight_ideal_cut(g)
     side = " ".join(str(v + 1) for v in sorted(cut.source_side))

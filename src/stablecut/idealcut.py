@@ -6,6 +6,14 @@ The maximum-weight cut equals the minimum value of a flow that must carry
 at least w(e) units on every edge e (weights may be negative), and the
 strongly connected components of the optimal flow's residual graph encode
 every maximum cut at once.
+
+The minimum flow is found by blocking flows from a feasible start.  In
+the residual graph every edge can take more flow forwards, and an edge
+carrying more than its weight can also give flow back.  Which minimum
+flow comes out is not part of the contract: the value, the set the sink
+reaches in the residual graph, and the residual components with the order
+between them are the same for every minimum flow, and they are all that
+callers read.
 """
 
 from __future__ import annotations
@@ -264,67 +272,134 @@ def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
             raise ContractViolation(f"flow conservation fails at vertex {v + 1}")
 
 
+def _sink_levels(
+    g: WeightedDag,
+    tails: Sequence[int],
+    heads: Sequence[int],
+    lower: Sequence[int],
+    composed: Sequence[int],
+) -> list[int]:
+    """Breadth-first residual distance from the sink, -1 where unlabelled.
+
+    The search follows every edge forwards and, where the edge carries
+    more than its lower bound, backwards; it stops as soon as the source
+    is labelled, so no vertex further out than the source gets a level.
+    """
+    source = g.source
+    out_edges, in_edges = g.out_edges, g.in_edges
+    level = [-1] * g.num_vertices
+    level[g.sink] = 0
+    queue = deque([g.sink])
+    while queue:
+        v = queue.popleft()
+        up = level[v] + 1
+        for i in out_edges[v]:
+            w = heads[i]
+            if level[w] == -1:
+                level[w] = up
+                if w == source:
+                    return level
+                queue.append(w)
+        for i in in_edges[v]:
+            u = tails[i]
+            if level[u] == -1 and composed[i] > lower[i]:
+                level[u] = up
+                if u == source:
+                    return level
+                queue.append(u)
+    return level
+
+
 def min_flow(g: WeightedDag) -> Flow:
     """Minimum-value flow subject to f(e) >= w(e) on every edge.
 
-    Starts from a feasible flow and pushes flow from sink back to source
-    along shortest breadth-first augmenting paths (Edmonds-Karp), updating
-    the edge flows.  The residual rule: any edge can take more flow
+    Starts from a feasible flow and pushes flow from the sink back to the
+    source by blocking flows (Dinic's phases in the minimum-flow form of
+    Ciurea and Ciupala).  The residual rule: any edge can take more flow
     forwards, since there is no upper bound, and an edge can give back (a
-    backward step) whatever it carries above w(e).  The sink has no
-    out-edges, so every sink-to-source path has a backward step, and the
-    bottleneck is the smallest slack among the path's backward steps.  The
-    result's value equals the maximum ideal cut weight.
+    backward step) whatever it carries above w(e).  Each phase labels
+    vertices by residual distance from the sink, then augments along
+    sink-to-source paths whose every step rises one level until none is
+    left.  The sink has no out-edges, so every sink-to-source path has a
+    backward step, and the bottleneck is the smallest slack among the
+    path's backward steps.  The result's value equals the maximum ideal
+    cut weight.
+
+    Per-edge flows are one minimum flow among many and are not part of
+    the contract.  What callers read is the value, the set the sink
+    reaches in the residual graph and the residual components with the
+    order between them, which are the same for every minimum flow.
     """
     base = feasible_flow(g)
     source, sink = g.source, g.sink
-    out_edges, in_edges = g.out_edges, g.in_edges
     tails = [e.tail for e in g.edges]
     heads = [e.head for e in g.edges]
     lower = [e.weight for e in g.edges]
     composed = list(base.edge_flow)
     pushed_total = 0
+    # arcs[v]: v's residual arcs, edge i forwards as i and backwards as ~i.
+    # Built once a phase first reaches the source, which a flow whose
+    # feasible start is already minimal never does.
+    arcs: list[list[int]] | None = None
     while True:
-        # parent[v]: the edge the search reached v by, forwards (v is its
-        # head) or backwards (v is its tail).
-        parent = [-1] * g.num_vertices
-        parent[sink] = -2
-        queue = deque([sink])
-        while queue:
-            v = queue.popleft()
-            if v == source:
-                break
-            for i in out_edges[v]:
-                w = heads[i]
-                if parent[w] == -1:
-                    parent[w] = i
-                    queue.append(w)
-            for i in in_edges[v]:
-                u = tails[i]
-                if parent[u] == -1 and composed[i] > lower[i]:
-                    parent[u] = i
-                    queue.append(u)
-        if parent[source] < 0:
+        level = _sink_levels(g, tails, heads, lower, composed)
+        if level[source] < 0:
             break
-        forward: list[int] = []
-        backward: list[int] = []
-        v = source
-        while v != sink:
-            i = parent[v]
-            if heads[i] == v:
-                forward.append(i)
-                v = tails[i]
+        if arcs is None:
+            arcs = [
+                list(out) + [~i for i in inn]
+                for out, inn in zip(g.out_edges, g.in_edges)
+            ]
+        # Blocking flow: an iterative depth-first search from the sink with
+        # one arc cursor per vertex; a dead end gets level -1.
+        cursor = [0] * g.num_vertices
+        path: list[int] = []
+        stack: list[int] = []
+        v = sink
+        while True:
+            if v == source:
+                bottleneck = min(composed[~a] - lower[~a] for a in path if a < 0)
+                cut_at = -1
+                for k, a in enumerate(path):
+                    if a >= 0:
+                        composed[a] += bottleneck
+                    else:
+                        i = ~a
+                        composed[i] -= bottleneck
+                        if composed[i] < lower[i]:
+                            raise ContractViolation("augmentation broke a lower bound")
+                        if cut_at < 0 and composed[i] == lower[i]:
+                            cut_at = k
+                pushed_total += bottleneck
+                # Resume the search where the first arc the push saturated starts.
+                v = stack[cut_at]
+                del path[cut_at:], stack[cut_at:]
+                continue
+            vertex_arcs = arcs[v]
+            c = cursor[v]
+            up = level[v] + 1
+            while c < len(vertex_arcs):
+                a = vertex_arcs[c]
+                if a >= 0:
+                    w = heads[a]
+                    if level[w] == up:
+                        break
+                else:
+                    w = tails[~a]
+                    if level[w] == up and composed[~a] > lower[~a]:
+                        break
+                c += 1
+            cursor[v] = c
+            if c < len(vertex_arcs):
+                path.append(a)
+                stack.append(v)
+                v = w
+            elif v == sink:
+                break
             else:
-                backward.append(i)
-                v = heads[i]
-        bottleneck = min(composed[i] - lower[i] for i in backward)
-        for i in forward:
-            composed[i] += bottleneck
-        for i in backward:
-            composed[i] -= bottleneck
-            if composed[i] < lower[i]:
-                raise ContractViolation("augmentation broke a lower bound")
-        pushed_total += bottleneck
+                level[v] = -1
+                path.pop()
+                v = stack.pop()
 
     _assert_conservation(g, composed)
     value = _net_outflow(g, composed, g.source)

@@ -79,15 +79,23 @@ def all_ideal_cuts(g: WeightedDag) -> list[IdealCut]:
             if any(e.head in side and e.tail not in side for e in g.edges):
                 continue
             cuts.append(IdealCut(side))
-    cuts.sort(key=lambda c: (len(c.source_side), tuple(sorted(c.source_side))))
+    # combinations() yields each size's subsets of the sorted middle in
+    # lexicographic order, and the source joins every side, so the list
+    # is already in (size, sorted side) order.
     return cuts
+
+
+def heaviest_ideal_cuts(g: WeightedDag) -> tuple[list[IdealCut], int]:
+    """Every maximum-weight ideal cut, in ``all_ideal_cuts`` order, plus
+    the maximum weight."""
+    weighed = [(cut_weight(g, c), c) for c in all_ideal_cuts(g)]
+    best = max(wt for wt, _ in weighed)
+    return [c for wt, c in weighed if wt == best], best
 
 
 def brute_max_weight_cut(g: WeightedDag) -> tuple[IdealCut, int]:
     """Heaviest ideal cut by exhaustion.  Ties go to the smallest source
     side, then lexicographic: the first heaviest in ``all_ideal_cuts``
     order."""
-    cuts = all_ideal_cuts(g)
-    weights = [cut_weight(g, c) for c in cuts]
-    best = max(weights)
-    return cuts[weights.index(best)], best
+    cuts, best = heaviest_ideal_cuts(g)
+    return cuts[0], best

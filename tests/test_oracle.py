@@ -121,8 +121,17 @@ def test_oracle_cuts_are_ideal():
     rng = random.Random(32)
     for _ in range(40):
         g = random_dag(rng, max_vertices=9)
-        for cut in all_ideal_cuts(g):
-            check_ideal_cut(g, cut.source_side)
+        # The same graph with its vertices renumbered, poles anywhere.
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        edges = tuple(Edge(perm[e.tail], perm[e.head], e.weight) for e in g.edges)
+        for h in (g, WeightedDag(g.num_vertices, perm[g.source], perm[g.sink], edges)):
+            cuts = all_ideal_cuts(h)
+            for cut in cuts:
+                check_ideal_cut(h, cut.source_side)
+            # Listed by source-side size, then lexicographically.
+            keys = [(len(c.source_side), sorted(c.source_side)) for c in cuts]
+            assert keys == sorted(keys)
 
 
 def test_brute_matching_weight_is_an_upper_bound():
