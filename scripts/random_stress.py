@@ -9,7 +9,10 @@ reported weight, it is the girl pole that the meta-rotation poset gives
 ``--pole girl`` path through the poset), the boy pole dominates it, and
 (small instances only) the weight agrees with the brute-force oracle.
 Instances small enough to enumerate also get their optimum set checked
-for meet/join closure.
+for meet/join closure.  A second table w2 is drawn each round for the
+bi-objective solver: its matching is stable, its w1 weight is the solve
+weight, its w2 weight is at least that of either w1 pole, and (small
+instances only) both weights equal the lexicographic brute force.
 
 Usage:
     python scripts/random_stress.py --rounds 500 --max-n 40 --seed 7
@@ -31,7 +34,6 @@ from stablecut import (  # noqa: E402
     Instance,
     WeightFunction,
     boy_optimal_max,
-    brute_max_weight_matching,
     dominates,
     enumerate_max_matchings,
     girl_optimal_max,
@@ -40,8 +42,10 @@ from stablecut import (  # noqa: E402
     matching_weight,
     meet,
     meta_rotation_poset,
+    solve_bi_objective,
     solve_max_weight,
 )
+from stablecut.oracle import heaviest_stable_matchings  # noqa: E402
 
 FAMILIES = ("random", "cyclic", "doubling")
 ORACLE_LIMIT = 7
@@ -54,9 +58,9 @@ def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
     inst = Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
     n = inst.n
     # alternate wide and narrow spreads so tied optima show up regularly
-    spread = rng.choice((9, 9, 1))
-    w = WeightFunction(
-        tuple(map(tuple, families.random_weights(rng, n, -spread, spread, 0)))
+    w, w2 = (
+        WeightFunction(tuple(map(tuple, families.random_weights(rng, n, -k, k, 0))))
+        for k in (rng.choice((9, 9, 1)), rng.choice((9, 1)))
     )
 
     m, weight = solve_max_weight(inst, w)
@@ -67,13 +71,25 @@ def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
     p = meta_rotation_poset(inst, w)
     if girl_optimal_max(p) != m:
         return f"n={n}: solver matching is not the poset's girl pole"
-    if not dominates(boy_optimal_max(p), m, inst):
+    top = boy_optimal_max(p)
+    if not dominates(top, m, inst):
         return f"n={n}: boy pole does not dominate the girl pole"
 
+    m2, v1, v2 = solve_bi_objective(inst, w, w2)
+    if not is_stable(inst, m2):
+        return f"n={n}: bi-objective returned an unstable matching"
+    if v1 != weight:
+        return f"n={n}: bi-objective weight1 {v1} != solve weight {weight}"
+    if v2 < max(matching_weight(top, w2), matching_weight(m, w2)):
+        return f"n={n}: bi-objective weight2 {v2} is below a w1 pole's"
+
     if n <= ORACLE_LIMIT:
-        _, best = brute_max_weight_matching(inst, w)
+        stable_optima, best = heaviest_stable_matchings(inst, w)
         if weight != best:
             return f"n={n}: solver weight {weight} != oracle weight {best}"
+        best2 = max(matching_weight(o, w2) for o in stable_optima)
+        if (v1, v2) != (best, best2):
+            return f"n={n}: bi-objective ({v1}, {v2}) != brute force ({best}, {best2})"
         optima, truncated = enumerate_max_matchings(p, ENUMERATION_CAP)
         if truncated:
             return f"n={n}: optimum enumeration truncated at {ENUMERATION_CAP}"

@@ -30,7 +30,7 @@ from .core import (
     preset_egalitarian,
 )
 from .idealcut import max_weight_ideal_cut, parse_dag, validate_dag
-from .oracle import all_stable_matchings, brute_max_weight_matching, heaviest_ideal_cuts
+from .oracle import brute_max_weight_matching, heaviest_ideal_cuts, heaviest_stable_matchings
 from .reduction import solve_max_weight
 from .rotations import build_poset
 from .sublattice import (
@@ -173,15 +173,12 @@ def _matching_lines(m: Matching) -> list[str]:
 def _run_solve(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
     w = _load_weights(inst, cfg.weights_path, cfg.preset, cfg.pairs_path)
-    if cfg.oracle:
-        stable = all_stable_matchings(inst)
-        matching, weight = brute_max_weight_matching(inst, w, stable)
-        if cfg.pole != "boy":
-            optima = [m for m in stable if matching_weight(m, w) == weight]
-            bottom = [
-                m for m in optima if all(dominates(other, m, inst) for other in optima)
-            ]
-            matching = min(bottom or optima, key=lambda m: m.partner_of_boy)
+    if cfg.oracle and cfg.pole == "boy":
+        matching, weight = brute_max_weight_matching(inst, w)
+    elif cfg.oracle:
+        optima, weight = heaviest_stable_matchings(inst, w)
+        bottom = [m for m in optima if all(dominates(other, m, inst) for other in optima)]
+        matching = min(bottom or optima, key=lambda m: m.partner_of_boy)
     elif cfg.pole == "boy":
         matching = boy_optimal_max(meta_rotation_poset(inst, w))
         weight = matching_weight(matching, w)

@@ -293,12 +293,12 @@ def _sink_levels(
     while queue:
         v = queue.popleft()
         up = level[v] + 1
+        # No edge of a validated DAG enters the source, so only a backward
+        # step can label it.
         for i in out_edges[v]:
             w = heads[i]
             if level[w] == -1:
                 level[w] = up
-                if w == source:
-                    return level
                 queue.append(w)
         for i in in_edges[v]:
             u = tails[i]

@@ -44,17 +44,25 @@ def all_stable_matchings(inst: Instance) -> list[Matching]:
     return found
 
 
+def heaviest_stable_matchings(
+    inst: Instance, w: WeightFunction, matchings: list[Matching] | None = None
+) -> tuple[list[Matching], int]:
+    """Every maximum-weight stable matching, in ``all_stable_matchings``
+    order, plus the maximum weight; ``matchings`` may hold that list."""
+    if matchings is None:
+        matchings = all_stable_matchings(inst)
+    weighed = [(matching_weight(m, w), m) for m in matchings]
+    best = max(wt for wt, _ in weighed)
+    return [m for wt, m in weighed if wt == best], best
+
+
 def brute_max_weight_matching(
     inst: Instance, w: WeightFunction, matchings: list[Matching] | None = None
 ) -> tuple[Matching, int]:
     """Heaviest stable matching by exhaustion.  Ties go to the matching
     dominating all other optima, then to the lexicographically smallest
     partner array.  A precomputed stable set may be passed in."""
-    if matchings is None:
-        matchings = all_stable_matchings(inst)
-    weights = [matching_weight(m, w) for m in matchings]
-    best_weight = max(weights)
-    optima = [m for m, wt in zip(matchings, weights) if wt == best_weight]
+    optima, best_weight = heaviest_stable_matchings(inst, w, matchings)
     dominant = [
         m for m in optima if all(dominates(m, other, inst) for other in optima)
     ]

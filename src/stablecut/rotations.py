@@ -161,7 +161,9 @@ def eliminate(inst: Instance, m: Matching, rho: Rotation) -> Matching:
 
 
 def rotation_count_limit(n: int) -> int:
-    return n * (n - 1) // 2 + n
+    """n(n-1)/2: a pair lies in at most one rotation, the n girl-optimal
+    pairs lie in none, and every rotation has at least two pairs."""
+    return n * (n - 1) // 2
 
 
 def enumerate_rotations(inst: Instance) -> list[Rotation]:
@@ -190,7 +192,7 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
     if walk.matching() != gale_shapley(inst, "girls"):
         raise ContractViolation("elimination chain did not end girl-optimal")
     if len(order) > rotation_count_limit(inst.n):
-        raise ContractViolation("rotation count exceeds the n(n-1)/2 + n bound")
+        raise ContractViolation("rotation count exceeds the n(n-1)/2 bound")
     return [Rotation(pairs, rid) for rid, pairs in enumerate(order)]
 
 

@@ -4,9 +4,11 @@ Condensing the optimal flow's residual graph groups rotations into
 meta-rotations.  Closed subsets of the meta-rotation poset that contain
 the source element and avoid the sink element generate exactly the
 maximum-weight stable matchings, so the optima inherit meet, join, and
-two extreme poles from the full lattice.  Contracting the meta-rotations
-inside a second weight's cut graph optimises that weight over the optima
-of the first.
+two extreme poles from the full lattice.  A second weight w2 is
+optimised over the optima of w1 by one cut on edge weights
+spread·w1(e) + w2(e), spread = Σ|w2(e)| + 1: two cuts' w2 weights differ
+by less than spread and unequal w1 weights by at least 1, so this orders
+cuts by w1 first and w2 second.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
 from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow
 from .ideals import _capped, _preds_from_edges, _proper_ideals
-from .reduction import build_reduction
+from .reduction import build_reduction, cut_to_matching
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
 
@@ -127,31 +129,21 @@ def solve_bi_objective(
 ) -> tuple[Matching, int, int]:
     """Maximise w2 over the maximum-w1 stable matchings.
 
-    Builds the meta-rotation poset for w1, rebuilds the cut graph with w2
-    weights over the same rotation poset, contracts each meta-rotation to
-    one vertex (dropping internal edges, keeping parallel edges between
-    elements), and solves one more maximum-weight ideal cut.  Returns the
-    matching with both scaled weights.
+    One maximum-weight ideal cut with edge weights spread·w1(e) + w2(e),
+    spread = Σ|w2(e)| + 1: two cuts' w2 weights differ by less than spread
+    and unequal w1 weights by at least 1.  Of the optima it takes the
+    largest source side, the girl-most one.  Returns both scaled weights.
     """
-    p = meta_rotation_poset(inst, w1)
-    art2 = build_reduction(p.poset, w2)
-
-    element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
-    for i, group in enumerate(p.rotation_sets):
-        for rid in group:
-            element_of_vertex[art2.vertex_of_rotation[rid]] = i
-    contracted = []
-    for e in art2.dag.edges:
-        a, b = element_of_vertex[e.tail], element_of_vertex[e.head]
-        if a != b:
-            contracted.append(Edge(a, b, e.weight))
-    merged = WeightedDag(
-        num_vertices=len(p.rotation_sets),
-        source=p.s_element,
-        sink=p.t_element,
-        edges=tuple(contracted),
-        scale=w2.scale,
-    )
-    cut, _ = max_weight_ideal_cut(merged)
-    m = closed_subset_to_max_matching(p, cut.source_side)
-    return m, matching_weight(m, w1), matching_weight(m, w2)
+    poset = build_poset(inst)
+    art1, art2 = build_reduction(poset, w1), build_reduction(poset, w2)
+    g, e2 = art1.dag, art2.dag.edges
+    if [e[:2] for e in g.edges] != [e[:2] for e in e2]:
+        raise ContractViolation("the two weights' cut graphs list different edges")
+    spread = sum(abs(e.weight) for e in e2) + 1
+    edges = tuple(Edge(a.tail, a.head, spread * a.weight + b.weight) for a, b in zip(g.edges, e2))
+    cut, weight = max_weight_ideal_cut(WeightedDag(g.num_vertices, g.source, g.sink, edges))
+    m = cut_to_matching(art1, cut)
+    v1, v2 = matching_weight(m, w1), matching_weight(m, w2)
+    if weight != spread * (v1 - art1.base_weight) + (v2 - art2.base_weight):
+        raise ContractViolation("lexicographic cut weight does not transport to the matching")
+    return m, v1, v2

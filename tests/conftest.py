@@ -99,6 +99,14 @@ def random_weights(
     return WeightFunction(tuple(map(tuple, families.random_weights(rng, n, lo, hi, 0))))
 
 
+def family_instance(family: str, n: int) -> Instance:
+    """A cyclic-shift or doubling-family instance, relabelled by a
+    permutation seeded with n."""
+    prefs = families.cyclic_prefs(n) if family == "cyclic" else families.doubling_prefs(n)
+    boys, girls = families.relabel(random.Random(n), *prefs)
+    return Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
+
+
 def pair_edges(art: ReductionArtifacts) -> dict[tuple[int, int], Edge]:
     """The cut-graph edge of every varying pair, found from the poset's
     rotations alone: the one edge from the vertex of the rotation that

@@ -12,9 +12,8 @@ import random
 import pytest
 
 import families
-from conftest import pair_edges
+from conftest import family_instance, pair_edges
 from stablecut import (
-    Instance,
     WeightFunction,
     all_ideal_cuts,
     all_stable_matchings,
@@ -38,12 +37,6 @@ CASES = [("cyclic", n) for n in range(3, 9)] + [("doubling", n) for n in (2, 4, 
 CAP = 100_000
 
 
-def _instance(family: str, n: int) -> Instance:
-    prefs = families.cyclic_prefs(n) if family == "cyclic" else families.doubling_prefs(n)
-    boys, girls = families.relabel(random.Random(n), *prefs)
-    return Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
-
-
 def _weight_tables(n: int) -> list[WeightFunction]:
     """A wide table, a coarse one where optima tie, and all zeros, where
     every stable matching is optimal."""
@@ -55,7 +48,7 @@ def _weight_tables(n: int) -> list[WeightFunction]:
 
 @pytest.mark.parametrize("family,n", CASES)
 def test_solver_matches_the_oracle_on_adversarial_families(family, n):
-    inst = _instance(family, n)
+    inst = family_instance(family, n)
     assert all(a < b for a, b in build_poset(inst).edges)
     stable = all_stable_matchings(inst)
     for w in _weight_tables(n):
@@ -74,7 +67,7 @@ def test_solver_matches_the_oracle_on_adversarial_families(family, n):
 
 @pytest.mark.parametrize("family,n", CASES)
 def test_min_flow_matches_brute_force_cuts_on_adversarial_families(family, n):
-    inst = _instance(family, n)
+    inst = family_instance(family, n)
     for w in _weight_tables(n):
         art = build_reduction(build_poset(inst), w)
         pair_edges(art)  # one edge per varying pair, none sharing its ends

@@ -14,6 +14,7 @@ from conftest import (
     random_instance,
     random_weights,
     single_weights,
+    tie_weights,
     two_by_two,
 )
 from stablecut import (
@@ -28,6 +29,7 @@ from stablecut import (
     is_stable,
     matching_weight,
 )
+from stablecut.oracle import heaviest_stable_matchings
 
 
 def test_all_stable_matchings_two_by_two():
@@ -55,6 +57,13 @@ def test_brute_matching_unique_optimum():
 def test_brute_matching_tie_prefers_the_dominant_optimum():
     m, weight = brute_max_weight_matching(two_by_two(), WeightFunction.zero(2))
     assert (m.partner_of_boy, weight) == ((0, 1), 0)
+
+
+def test_heaviest_stable_matchings_lists_the_tie_in_oracle_order():
+    optima, weight = heaviest_stable_matchings(two_by_two(), tie_weights())
+    assert ([m.partner_of_boy for m in optima], weight) == ([(0, 1), (1, 0)], 4)
+    stable = all_stable_matchings(two_by_two())
+    assert heaviest_stable_matchings(two_by_two(), single_weights(), stable) == ([stable[0]], 1)
 
 
 def test_brute_matching_accepts_precomputed_stable_set():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import branch_four, identity_three, instances, two_by_two
+from conftest import branch_four, family_instance, identity_three, instances, two_by_two
 from stablecut import (
     ContractViolation,
     Matching,
@@ -68,8 +68,14 @@ def test_enumerate_rotations_identity_three():
 
 
 def test_rotation_count_limit_values():
-    assert rotation_count_limit(1) == 1
-    assert rotation_count_limit(4) == 10
+    assert rotation_count_limit(1) == 0
+    assert rotation_count_limit(4) == 6
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_relabelled_doubling_meets_the_rotation_bound(n):
+    inst = family_instance("doubling", n)
+    assert len(enumerate_rotations(inst)) == rotation_count_limit(n)
 
 
 def test_branch_four_rotations_and_edges():

@@ -1,7 +1,15 @@
-"""The optimal sublattice: meta-rotations, poles, enumeration, bi-objective."""
+"""The optimal sublattice: meta-rotations, poles, enumeration, bi-objective.
+
+The bi-objective solver runs one cut on lexicographic edge weights.  The
+referee below is the route it replaced: w2's cut graph with each of w1's
+meta-rotations contracted to one vertex, solved by one more cut.  Both
+must return the largest source side among the w2-best cuts inside the
+w1 optima, so they agree on the matching and both weights.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +17,7 @@ from hypothesis import given, settings
 
 from conftest import (
     branch_four,
+    family_instance,
     identity_three,
     random_instance,
     random_weights,
@@ -19,18 +28,23 @@ from conftest import (
 )
 from stablecut import (
     ContractViolation,
+    Edge,
+    WeightedDag,
     WeightFunction,
     all_stable_matchings,
     boy_optimal_max,
+    build_reduction,
     closed_subset_to_max_matching,
     dominates,
     enumerate_max_matchings,
     girl_optimal_max,
     matching_weight,
+    max_weight_ideal_cut,
     meet,
     join,
     meta_rotation_poset,
     solve_bi_objective,
+    solve_max_weight,
 )
 
 # On branch_four this table gives three optima at weight 5 spanning a
@@ -255,3 +269,66 @@ def test_bi_objective_matches_lexicographic_brute_force():
         assert (v1, v2) == (best1, best2)
         assert matching_weight(m, w1) == best1
         assert matching_weight(m, w2) == best2
+
+
+def contracted_bi_objective(inst, w1, w2):
+    """Maximise w2 over the w1 optima on w2's cut graph with every
+    meta-rotation of w1 contracted to one vertex."""
+    p = meta_rotation_poset(inst, w1)
+    art2 = build_reduction(p.poset, w2)
+    element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
+    for i, group in enumerate(p.rotation_sets):
+        for rid in group:
+            element_of_vertex[art2.vertex_of_rotation[rid]] = i
+    ends = [(element_of_vertex[e.tail], element_of_vertex[e.head]) for e in art2.dag.edges]
+    edges = tuple(
+        Edge(a, b, e.weight) for (a, b), e in zip(ends, art2.dag.edges) if a != b
+    )
+    g = WeightedDag(len(p.rotation_sets), p.s_element, p.t_element, edges)
+    cut, _ = max_weight_ideal_cut(g)
+    m = closed_subset_to_max_matching(p, cut.source_side)
+    return m, matching_weight(m, w1), matching_weight(m, w2)
+
+
+FAMILY_CASES = [("doubling", n) for n in (8, 16, 32)] + [("cyclic", n) for n in (9, 25)]
+
+
+@pytest.mark.parametrize("family,n", FAMILY_CASES)
+def test_bi_objective_matches_the_contraction_referee(family, n):
+    inst = family_instance(family, n)
+    rng = random.Random(2000 + n)
+    w2 = random_weights(rng, n)
+    zero = WeightFunction.zero(n)
+    # Wide and coarse w1 tables leave small and large optimal sublattices;
+    # the zero table makes every stable matching optimal.
+    for w1 in (random_weights(rng, n), random_weights(rng, n, -1, 1), zero):
+        assert solve_bi_objective(inst, w1, w2) == contracted_bi_objective(inst, w1, w2)
+    for w in (w2, random_weights(rng, n, -1, 1)):
+        m, weight = solve_max_weight(inst, w)
+        assert solve_bi_objective(inst, zero, w) == (m, 0, weight)
+        assert solve_bi_objective(inst, w, zero) == (m, weight, 0)
+
+
+def test_bi_objective_rejects_cut_graphs_that_differ(monkeypatch):
+    w2 = WeightFunction(BRANCH_TIE_TABLE)
+    real = build_reduction
+
+    def reverse_w2_edges(poset, w):
+        art = real(poset, w)
+        if w is not w2:
+            return art
+        g = art.dag
+        dag = WeightedDag(g.num_vertices, g.source, g.sink, g.edges[::-1], g.scale)
+        return dataclasses.replace(art, dag=dag)
+
+    monkeypatch.setattr("stablecut.sublattice.build_reduction", reverse_w2_edges)
+    with pytest.raises(ContractViolation, match="list different edges"):
+        solve_bi_objective(branch_four(), WeightFunction.zero(4), w2)
+
+
+def test_bi_objective_rejects_a_weight_that_does_not_transport(monkeypatch):
+    monkeypatch.setattr(
+        "stablecut.sublattice.matching_weight", lambda m, w: matching_weight(m, w) + 1
+    )
+    with pytest.raises(ContractViolation, match="does not transport"):
+        solve_bi_objective(branch_four(), WeightFunction(BRANCH_TIE_TABLE), WeightFunction.zero(4))
