@@ -21,7 +21,6 @@ from .core import (
     ParseError,
     WeightFunction,
     _content_lines,
-    dominates,
     format_scaled,
     matching_weight,
     parse_instance,
@@ -30,7 +29,7 @@ from .core import (
     preset_egalitarian,
 )
 from .idealcut import max_weight_ideal_cut, parse_dag, validate_dag
-from .oracle import brute_max_weight_matching, heaviest_ideal_cuts, heaviest_stable_matchings
+from .oracle import _optimal_pole, brute_max_weight_matching, heaviest_ideal_cuts, heaviest_stable_matchings
 from .reduction import solve_max_weight
 from .rotations import build_poset
 from .sublattice import (
@@ -177,8 +176,7 @@ def _run_solve(cfg: RunConfig) -> str:
         matching, weight = brute_max_weight_matching(inst, w)
     elif cfg.oracle:
         optima, weight = heaviest_stable_matchings(inst, w)
-        bottom = [m for m in optima if all(dominates(other, m, inst) for other in optima)]
-        matching = min(bottom or optima, key=lambda m: m.partner_of_boy)
+        matching = _optimal_pole(optima, inst, "girls")
     elif cfg.pole == "boy":
         matching = boy_optimal_max(meta_rotation_poset(inst, w))
         weight = matching_weight(matching, w)

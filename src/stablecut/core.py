@@ -207,15 +207,12 @@ def _parse_decimal(token: str) -> tuple[int, int]:
     """Return (unscaled integer, number of fraction digits)."""
     if not _DECIMAL_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not a decimal number")
-    sign = -1 if token.startswith("-") else 1
-    token = token.lstrip("+-")
-    whole, _, frac = token.partition(".")
+    frac = token.partition(".")[2]
     if len(frac) > MAX_FRACTION_DIGITS:
         raise ValueError(
-            f"{token!r} has more than {MAX_FRACTION_DIGITS} fraction digits"
+            f"{token.lstrip('+-')!r} has more than {MAX_FRACTION_DIGITS} fraction digits"
         )
-    magnitude = int((whole or "0") + frac) if (whole or frac) else 0
-    return sign * magnitude, len(frac)
+    return int(token.replace(".", "", 1)), len(frac)
 
 
 def _scale_rows(

@@ -526,8 +526,11 @@ def enumerate_max_cuts(d: CondensedDag, cap: int) -> tuple[list[IdealCut], bool]
 
 
 def iterate_ideal_cuts(g: WeightedDag) -> Iterator[IdealCut]:
-    """Generate every ideal cut of a validated DAG, smallest source side
-    first.  The count can be exponential; callers bound consumption."""
+    """Generate every ideal cut of a validated DAG, by source-side size
+    then lexicographic.  Every edge must run from a lower vertex id to a
+    higher one, as in :func:`~stablecut.reduction.build_reduction`'s
+    graphs; raises ValueError otherwise.  The count can be exponential;
+    callers bound consumption."""
     preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
     for ideal in _proper_ideals(g.num_vertices, preds):
         yield IdealCut(ideal)

@@ -14,18 +14,31 @@ def iter_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[frozens
     size.  ``preds[i]`` are the direct predecessors of element i; the walk
     closes them transitively on its own.
 
-    Memory is proportional to the widest size level, so callers that only
-    need a bounded prefix should stop consuming early.
+    Every predecessor must have a smaller id than its element; raises
+    ValueError otherwise.  Then removing an ideal's largest element leaves
+    an ideal, its one parent, so each ideal is built exactly once: from its
+    parent J, by adding an element above max J whose predecessors all lie
+    in J.  Walking the previous level in order, and the added element
+    upwards within each J, gives lexicographic order, and each ideal is
+    yielded as soon as it is built.  Memory is the last size level plus
+    the one being built, so callers that only need a bounded prefix
+    should stop consuming early.
     """
-    level: set[frozenset[int]] = {frozenset()}
+    for element in range(count):
+        for p in preds[element]:
+            if not 0 <= p < element:
+                raise ValueError(f"element {element} has predecessor {p}, which is not smaller")
+    yield frozenset()
+    # Each ideal with its largest element, -1 for the empty one.
+    level: list[tuple[frozenset[int], int]] = [(frozenset(), -1)]
     while level:
-        for ideal in sorted(level, key=lambda c: tuple(sorted(c))):
-            yield ideal
-        grown: set[frozenset[int]] = set()
-        for ideal in level:
-            for element in range(count):
-                if element not in ideal and preds[element] <= ideal:
-                    grown.add(ideal | {element})
+        grown: list[tuple[frozenset[int], int]] = []
+        for ideal, top in level:
+            for element in range(top + 1, count):
+                if preds[element] <= ideal:
+                    child = ideal | {element}
+                    yield child
+                    grown.append((child, element))
         level = grown
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .core import Instance, Matching, WeightFunction, dominates, matching_weight
+from .core import ContractViolation, Instance, Matching, WeightFunction, dominates, matching_weight
 from .idealcut import IdealCut, WeightedDag, cut_weight
 
 MAX_ORACLE_N = 8
@@ -59,15 +59,25 @@ def heaviest_stable_matchings(
 def brute_max_weight_matching(
     inst: Instance, w: WeightFunction, matchings: list[Matching] | None = None
 ) -> tuple[Matching, int]:
-    """Heaviest stable matching by exhaustion.  Ties go to the matching
-    dominating all other optima, then to the lexicographically smallest
-    partner array.  A precomputed stable set may be passed in."""
+    """Heaviest stable matching by exhaustion: the boy pole, the one
+    optimum dominating all others.  A precomputed stable set may be passed
+    in; raises ContractViolation unless its optima have exactly one boy
+    pole."""
     optima, best_weight = heaviest_stable_matchings(inst, w, matchings)
-    dominant = [
-        m for m in optima if all(dominates(m, other, inst) for other in optima)
-    ]
-    pick = min(dominant or optima, key=lambda m: m.partner_of_boy)
-    return pick, best_weight
+    return _optimal_pole(optima, inst, "boys"), best_weight
+
+
+def _optimal_pole(optima: list[Matching], inst: Instance, side: str) -> Matching:
+    """The one optimum that dominates all others (``"boys"``) or that all
+    others dominate (``"girls"``).  The optima form a lattice, so each
+    pole exists and is unique; anything else raises ContractViolation."""
+    if side == "boys":
+        poles = [m for m in optima if all(dominates(m, other, inst) for other in optima)]
+    else:
+        poles = [m for m in optima if all(dominates(other, m, inst) for other in optima)]
+    if len(poles) != 1:
+        raise ContractViolation(f"expected one {side[:-1]}-optimal optimum, found {len(poles)}")
+    return poles[0]
 
 
 def all_ideal_cuts(g: WeightedDag) -> list[IdealCut]:

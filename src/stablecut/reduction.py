@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
-from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, cut_weight, max_weight_ideal_cut, validate_dag
+from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, cut_weight, max_weight_ideal_cut
 from .rotations import RotationPoset, _replay, build_poset, closed_set_to_matching
 
 
@@ -48,7 +48,8 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     breaker.  Raises ContractViolation unless the poset's rotations,
     replayed in id order, lead from the instance's boy-optimal matching to
     its girl-optimal one and every pair handed between two rotations has
-    their arc.
+    their arc.  The graph's acyclicity and reachability are checked once,
+    by the flow that reads it (``feasible_flow`` inside ``min_flow``).
     """
     inst = poset.inst
     if w.n != inst.n:
@@ -88,11 +89,9 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
         weight[ends] = weight.get(ends, 0) + w.table[b][g]
 
     edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
-    dag = WeightedDag(k + 2, source, sink, edges, w.scale)
-    validate_dag(dag)
     return ReductionArtifacts(
         poset=poset,
-        dag=dag,
+        dag=WeightedDag(k + 2, source, sink, edges, w.scale),
         base_weight=base_weight,
         vertex_of_rotation=vertex_of_rotation,
     )

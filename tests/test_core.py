@@ -36,6 +36,7 @@ from stablecut import (
     preset_desirable_undesirable,
     preset_egalitarian,
 )
+from stablecut.core import _parse_decimal
 
 
 def test_parse_two_by_two():
@@ -92,6 +93,16 @@ def test_instance_rejects_mismatched_sides():
         Instance(((0, 1), (1, 0)), ((0, 1),))
 
 
+def test_instance_rejects_no_boys():
+    with pytest.raises(ValueError, match="at least one boy"):
+        Instance((), ())
+
+
+def test_instance_rejects_a_row_that_is_not_a_permutation():
+    with pytest.raises(ValueError, match=r"girl 2: preference row is not a permutation of 1\.\.2"):
+        Instance(((0, 1), (1, 0)), ((0, 1), (1, 1)))
+
+
 def test_matching_rejects_non_bijection():
     with pytest.raises(ValueError, match="bijection"):
         Matching((0, 0))
@@ -130,6 +141,30 @@ def test_parse_weights_rejects_wrong_shape():
 def test_parse_weights_rejects_garbage():
     with pytest.raises(ParseError, match="not a decimal"):
         parse_weights("1 x\n2 3\n", 2)
+
+
+def test_weight_function_rejects_a_scale_below_one():
+    with pytest.raises(ValueError, match="scale must be a positive integer"):
+        WeightFunction(((1,),), 0)
+
+
+def test_weight_function_rejects_a_non_square_table():
+    with pytest.raises(ValueError, match="weight table must be square"):
+        WeightFunction(((1, 2), (3,)))
+
+
+def test_parse_decimal_values_and_fraction_digits():
+    assert _parse_decimal("+.5") == (5, 1)
+    assert _parse_decimal("-0") == (0, 0)
+    assert _parse_decimal("007.0100") == (70100, 4)
+    assert _parse_decimal("5.") == (5, 0)
+    assert _parse_decimal("-.25") == (-25, 2)
+
+
+def test_parse_decimal_names_a_long_fraction_without_its_sign():
+    with pytest.raises(ValueError) as err:
+        _parse_decimal("-1.0123456789")
+    assert str(err.value) == "'1.0123456789' has more than 9 fraction digits"
 
 
 def test_weight_entries_must_fit_64_bits():

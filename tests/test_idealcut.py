@@ -15,6 +15,7 @@ from stablecut import (
     WeightedDag,
     all_ideal_cuts,
     brute_max_weight_cut,
+    check_ideal_cut,
     condense,
     cut_weight,
     enumerate_max_cuts,
@@ -40,6 +41,10 @@ def test_dag_constructor_guards():
         WeightedDag(2, 0, 0, ())
     with pytest.raises(ValueError, match="self-loop"):
         WeightedDag(2, 0, 1, (Edge(1, 1, 3),))
+    with pytest.raises(ValueError, match="vertex 6 out of range"):
+        WeightedDag(2, 0, 5, ())
+    with pytest.raises(ValueError, match="edge endpoint out of range"):
+        WeightedDag(2, 0, 1, (Edge(0, 2, 1),))
 
 
 def test_validate_accepts_the_fixtures():
@@ -87,6 +92,8 @@ def test_cut_weight_rejects_invalid_cuts():
     g2 = WeightedDag(4, 0, 3, (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1)))
     with pytest.raises(ValueError, match="enters the cut"):
         cut_weight(g2, IdealCut(frozenset({0, 2})))
+    with pytest.raises(ValueError, match="vertex 8 out of range"):
+        check_ideal_cut(g, frozenset({0, 7}))
 
 
 def test_feasible_flow_path_dag():

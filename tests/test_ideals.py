@@ -1,10 +1,79 @@
-"""Direct checks for the order-ideal enumerator."""
+"""Direct checks for the order-ideal enumerator.
 
+The referee below is the level-by-level enumerator ``iter_ideals`` used
+before it built each ideal once from its parent: it grows every ideal of
+a size level by every addable element, dedups the results in a set and
+sorts the whole level before yielding it.  It is kept here only to
+cross-check the sequence ``iter_ideals`` yields and the enumerators built
+on it.
+"""
+
+from __future__ import annotations
+
+import random
+from collections.abc import Sequence
 from itertools import islice
 
+import pytest
 from hypothesis import given, strategies as st
 
-from stablecut.ideals import iter_ideals
+from conftest import family_instance
+from stablecut import (
+    Edge,
+    WeightedDag,
+    WeightFunction,
+    all_closed_sets,
+    build_poset,
+    build_reduction,
+    closed_subset_to_max_matching,
+    condense,
+    enumerate_max_cuts,
+    enumerate_max_matchings,
+    iterate_ideal_cuts,
+    meta_rotation_poset,
+    min_flow,
+)
+from stablecut.ideals import _preds_from_edges, iter_ideals
+
+CAP = 2000
+FAMILIES = [("doubling", 8), ("doubling", 16), ("cyclic", 9), ("cyclic", 25)]
+
+
+def referee_ideals(count, preds):
+    """Every ideal by size then lexicographic, one whole level at a time."""
+    level = {frozenset()}
+    while level:
+        for ideal in sorted(level, key=lambda c: tuple(sorted(c))):
+            yield ideal
+        grown = set()
+        for ideal in level:
+            for element in range(count):
+                if element not in ideal and preds[element] <= ideal:
+                    grown.add(ideal | {element})
+        level = grown
+
+
+def referee_proper(count, preds, cap):
+    """The referee's first ``cap + 1`` ideals other than the empty and the
+    full set: one more than a capped enumerator lists."""
+    full = frozenset(range(count))
+    proper = (c for c in referee_ideals(count, preds) if c and c != full)
+    return list(islice(proper, cap + 1))
+
+
+class CountingPreds(Sequence):
+    """Predecessor sets that count how often they are looked up."""
+
+    def __init__(self, preds):
+        self.preds = preds
+        self.lookups = 0
+
+    def __len__(self):
+        return len(self.preds)
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return self.preds[i]
 
 
 def test_empty_poset_yields_only_the_empty_set():
@@ -47,9 +116,35 @@ def test_prefix_consumption_stops_early():
     assert all(len(c) <= 2 for c in first)
 
 
+def test_first_size_two_ideal_streams_out_of_a_wide_antichain():
+    # The referee builds all ~2 million size-2 subsets (about 4 million
+    # lookups) before yielding the first; building each ideal from its
+    # parent and yielding it at once needs one pass per level.
+    preds = CountingPreds([frozenset()] * 2000)
+    first = next(c for c in iter_ideals(2000, preds) if len(c) == 2)
+    assert first == frozenset({0, 1})
+    assert preds.lookups < 10_000
+
+
+@pytest.mark.parametrize(
+    "preds",
+    [[frozenset({0})], [frozenset({1}), frozenset()], [frozenset(), frozenset({-1})]],
+)
+def test_rejects_a_predecessor_without_a_smaller_id(preds):
+    with pytest.raises(ValueError, match="is not smaller"):
+        list(iter_ideals(len(preds), preds))
+
+
+def test_iterate_ideal_cuts_rejects_an_edge_to_a_lower_id():
+    # A valid DAG (0 -> 2 -> 1 -> 3) whose edge 2 -> 1 runs downwards.
+    g = WeightedDag(4, 0, 3, (Edge(0, 2, 1), Edge(2, 1, 1), Edge(1, 3, 1)))
+    with pytest.raises(ValueError, match="element 1 has predecessor 2"):
+        list(iterate_ideal_cuts(g))
+
+
 @st.composite
 def random_posets(draw):
-    count = draw(st.integers(0, 6))
+    count = draw(st.integers(0, 7))
     preds = []
     for i in range(count):
         below = draw(st.frozensets(st.integers(0, i - 1))) if i else frozenset()
@@ -73,5 +168,58 @@ def test_yields_exactly_the_closed_subsets(poset):
     }
     assert set(ideals) == expected
     assert len(ideals) == len(expected)
-    sizes = [len(c) for c in ideals]
-    assert sizes == sorted(sizes)
+    keys = [(len(c), sorted(c)) for c in ideals]
+    assert keys == sorted(keys)
+    assert ideals == list(referee_ideals(count, preds))
+
+
+def test_matches_the_referee_on_seeded_random_posets():
+    rng = random.Random(13)
+    for _ in range(2500):
+        count = rng.randint(0, 9)
+        density = rng.random()
+        preds = [
+            frozenset(j for j in range(i) if rng.random() < density) for i in range(count)
+        ]
+        assert list(iter_ideals(count, preds)) == list(referee_ideals(count, preds))
+
+
+@pytest.mark.parametrize("family,n", FAMILIES)
+def test_all_closed_sets_match_the_referee(family, n):
+    poset = build_poset(family_instance(family, n))
+    sets, truncated = all_closed_sets(poset, CAP)
+    expected = list(islice(referee_ideals(len(poset.rotations), poset.preds), CAP + 1))
+    assert sets == expected[:CAP]
+    assert truncated == (len(expected) > CAP)
+
+
+@pytest.mark.parametrize("family,n", FAMILIES)
+def test_zero_weight_max_matchings_match_the_referee(family, n):
+    p = meta_rotation_poset(family_instance(family, n), WeightFunction.zero(n))
+    matchings, truncated = enumerate_max_matchings(p, CAP)
+    expected = referee_proper(len(p.rotation_sets), p.preds(), CAP)
+    assert [m.partner_of_boy for m in matchings] == [
+        closed_subset_to_max_matching(p, c).partner_of_boy for c in expected[:CAP]
+    ]
+    assert truncated == (len(expected) > CAP)
+
+
+@pytest.mark.parametrize("family,n", FAMILIES)
+def test_max_cuts_and_ideal_cuts_match_the_referee(family, n):
+    inst = family_instance(family, n)
+    rng = random.Random(n)
+    table = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for w in (WeightFunction.zero(n), WeightFunction.from_rows(table)):
+        g = build_reduction(build_poset(inst), w).dag
+        d = condense(g, min_flow(g))
+        cuts, truncated = enumerate_max_cuts(d, CAP)
+        count = len(d.components)
+        expected = referee_proper(count, _preds_from_edges(count, d.edges), CAP)
+        assert [c.source_side for c in cuts] == [
+            frozenset(v for ci in ideal for v in d.components[ci]) for ideal in expected[:CAP]
+        ]
+        assert truncated == (len(expected) > CAP)
+
+    preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
+    sides = [c.source_side for c in islice(iterate_ideal_cuts(g), CAP + 1)]
+    assert sides == referee_proper(g.num_vertices, preds, CAP)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import (
+    branch_four,
     diamond_dag,
     identity_three,
     path_dag,
@@ -18,6 +19,7 @@ from conftest import (
     two_by_two,
 )
 from stablecut import (
+    ContractViolation,
     Edge,
     WeightedDag,
     WeightFunction,
@@ -25,11 +27,14 @@ from stablecut import (
     all_stable_matchings,
     brute_max_weight_cut,
     brute_max_weight_matching,
+    build_poset,
     check_ideal_cut,
+    closed_set_to_matching,
+    dominates,
     is_stable,
     matching_weight,
 )
-from stablecut.oracle import heaviest_stable_matchings
+from stablecut.oracle import _optimal_pole, heaviest_stable_matchings
 
 
 def test_all_stable_matchings_two_by_two():
@@ -64,6 +69,21 @@ def test_heaviest_stable_matchings_lists_the_tie_in_oracle_order():
     assert ([m.partner_of_boy for m in optima], weight) == ([(0, 1), (1, 0)], 4)
     stable = all_stable_matchings(two_by_two())
     assert heaviest_stable_matchings(two_by_two(), single_weights(), stable) == ([stable[0]], 1)
+
+
+def test_oracle_poles_refuse_incomparable_optima():
+    # Closed sets {0, 1} and {0, 2} of branch_four's poset: two stable
+    # matchings neither of which dominates the other.  Real optima form a
+    # lattice with one pole on each side, so this can only be a broken
+    # referee input and must not fall back to either matching.
+    inst = branch_four()
+    poset = build_poset(inst)
+    pair = [closed_set_to_matching(poset, frozenset(c)) for c in ({0, 1}, {0, 2})]
+    assert not dominates(*pair, inst) and not dominates(*reversed(pair), inst)
+    with pytest.raises(ContractViolation, match="expected one boy-optimal optimum, found 0"):
+        brute_max_weight_matching(inst, WeightFunction.zero(4), pair)
+    with pytest.raises(ContractViolation, match="expected one girl-optimal optimum, found 0"):
+        _optimal_pole(pair, inst, "girls")
 
 
 def test_brute_matching_accepts_precomputed_stable_set():
