@@ -29,7 +29,7 @@ from .core import (
     preset_egalitarian,
 )
 from .idealcut import max_weight_ideal_cut, parse_dag, validate_dag
-from .oracle import _optimal_pole, brute_max_weight_matching, heaviest_ideal_cuts, heaviest_stable_matchings
+from .oracle import _optimal_pole, heaviest_ideal_cuts, heaviest_stable_matchings
 from .reduction import solve_max_weight
 from .rotations import build_poset
 from .sublattice import (
@@ -172,11 +172,9 @@ def _matching_lines(m: Matching) -> list[str]:
 def _run_solve(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
     w = _load_weights(inst, cfg.weights_path, cfg.preset, cfg.pairs_path)
-    if cfg.oracle and cfg.pole == "boy":
-        matching, weight = brute_max_weight_matching(inst, w)
-    elif cfg.oracle:
+    if cfg.oracle:
         optima, weight = heaviest_stable_matchings(inst, w)
-        matching = _optimal_pole(optima, inst, "girls")
+        matching = _optimal_pole(optima, inst, "boys" if cfg.pole == "boy" else "girls")
     elif cfg.pole == "boy":
         matching = boy_optimal_max(meta_rotation_poset(inst, w))
         weight = matching_weight(matching, w)

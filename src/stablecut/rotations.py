@@ -73,6 +73,7 @@ class _ChainWalk:
         self.cursor = [
             inst.boy_rank[b][self.boy_partner[b]] + 1 for b in range(inst.n)
         ]
+        self.reported = [False] * inst.n
 
     def successor_girl(self, b: int) -> int | None:
         """First girl below b's partner who strictly prefers b to her own."""
@@ -89,17 +90,22 @@ class _ChainWalk:
         return prefs[i] if i < n else None
 
     def exposed_cycles(self) -> list[tuple[Pair, ...]]:
-        """All maximal cycles of the successor relation, scan order by boy id.
+        """The cycles of the successor relation not reported before, in
+        order of the smallest boy whose walk reaches them.
 
-        Each cycle is rotated so its smallest boy comes first.
+        Each cycle is rotated so its smallest boy comes first.  A reported
+        rotation stays exposed until :meth:`apply_cycle` eliminates it, so
+        its boys are neither probed nor walked till then: a walk reaching
+        one ends in that rotation.  A fresh walk lists every exposed one.
         """
         n = self.inst.n
+        color = [2 if r else 0 for r in self.reported]  # 0 unseen, 1 on current walk, 2 settled
         succ = [-1] * n
         for b in range(n):
-            g = self.successor_girl(b)
-            if g is not None:
-                succ[b] = self.girl_partner[g]
-        color = [0] * n  # 0 unseen, 1 on current walk, 2 settled
+            if not color[b]:
+                g = self.successor_girl(b)
+                if g is not None:
+                    succ[b] = self.girl_partner[g]
         cycles = []
         for start in range(n):
             if color[start]:
@@ -115,6 +121,8 @@ class _ChainWalk:
                 pivot = cycle.index(min(cycle))
                 cycle = cycle[pivot:] + cycle[:pivot]
                 cycles.append(tuple((x, self.boy_partner[x]) for x in cycle))
+                for x in cycle:
+                    self.reported[x] = True
             for x in path:
                 color[x] = 2
         return cycles
@@ -139,6 +147,7 @@ class _ChainWalk:
             g_next = pairs[(i + 1) % r][1]
             self.boy_partner[b] = g_next
             self.girl_partner[g_next] = b
+            self.reported[b] = False
 
     def matching(self) -> Matching:
         return Matching(tuple(self.boy_partner))
@@ -170,25 +179,17 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
     """Discover every rotation of the instance.
 
     Walks a single elimination chain from the boy-optimal matching down to
-    the girl-optimal one, re-detecting exposed cycles after each step;
-    every rotation appears exactly once along any such chain.  Rotations
-    are eliminated first-in first-out in first-sighting order, which works
+    the girl-optimal one; every rotation appears exactly once along any
+    such chain, and the walk reports it once, when it is first exposed.
+    Rotations are eliminated first-in first-out in that order, which works
     because an exposed rotation stays exposed until it is eliminated; so
     ids are the elimination order and a topological order of the poset.
     """
     walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
-    order: list[tuple[Pair, ...]] = []
-    seen: set[tuple[Pair, ...]] = set()
-    eliminated = 0
-    while True:
-        for pairs in walk.exposed_cycles():
-            if pairs not in seen:
-                seen.add(pairs)
-                order.append(pairs)
-        if eliminated == len(order):
-            break
-        walk.apply_cycle(order[eliminated])
-        eliminated += 1
+    order = walk.exposed_cycles()
+    for pairs in order:  # grows as each elimination exposes new rotations
+        walk.apply_cycle(pairs)
+        order.extend(walk.exposed_cycles())
     if walk.matching() != gale_shapley(inst, "girls"):
         raise ContractViolation("elimination chain did not end girl-optimal")
     if len(order) > rotation_count_limit(inst.n):

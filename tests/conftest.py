@@ -99,11 +99,11 @@ def random_weights(
     return WeightFunction(tuple(map(tuple, families.random_weights(rng, n, lo, hi, 0))))
 
 
-def family_instance(family: str, n: int) -> Instance:
+def family_instance(family: str, n: int, seed: int | None = None) -> Instance:
     """A cyclic-shift or doubling-family instance, relabelled by a
-    permutation seeded with n."""
+    permutation seeded with ``seed``, or with n when it is None."""
     prefs = families.cyclic_prefs(n) if family == "cyclic" else families.doubling_prefs(n)
-    boys, girls = families.relabel(random.Random(n), *prefs)
+    boys, girls = families.relabel(random.Random(n if seed is None else seed), *prefs)
     return Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
 
 

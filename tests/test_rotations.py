@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import branch_four, family_instance, identity_three, instances, two_by_two
+from conftest import (
+    branch_four,
+    family_instance,
+    identity_three,
+    instances,
+    random_instance,
+    two_by_two,
+)
 from stablecut import (
     ContractViolation,
     Matching,
@@ -25,6 +34,8 @@ from stablecut import (
 )
 
 SWAP = Rotation(((0, 0), (1, 1)))  # the single rotation of two_by_two
+Cycle = tuple[tuple[int, int], ...]
+BRANCH_FOUR_ROTATIONS = [((0, 3), (1, 2)), ((0, 2), (3, 0)), ((1, 3), (2, 1))]
 
 
 def test_exposed_in_boy_optimal():
@@ -78,13 +89,107 @@ def test_relabelled_doubling_meets_the_rotation_bound(n):
     assert len(enumerate_rotations(inst)) == rotation_count_limit(n)
 
 
+def rescan_rotations(inst) -> list[tuple[Cycle, int]]:
+    """The (pairs, id) list of a referee built from the public API alone:
+    after every elimination it lists every exposed rotation again, keeps
+    the ones not seen before, and eliminates first-in first-out."""
+    current = gale_shapley(inst, "boys")
+    order: list[Cycle] = []
+    seen: set[Cycle] = set()
+    eliminated = 0
+    while True:
+        for rho in exposed_rotations(inst, current):
+            if rho.pairs not in seen:
+                seen.add(rho.pairs)
+                order.append(rho.pairs)
+        if eliminated == len(order):
+            return [(pairs, rid) for rid, pairs in enumerate(order)]
+        current = eliminate(inst, current, Rotation(order[eliminated]))
+        eliminated += 1
+
+
+def found_rotations(inst) -> list[tuple[Cycle, int]]:
+    return [(r.pairs, r.id) for r in enumerate_rotations(inst)]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_doubling_rotations_match_the_rescan_referee(n):
+    for seed in (None, 1, 2):
+        inst = family_instance("doubling", n, seed)
+        assert found_rotations(inst) == rescan_rotations(inst)
+
+
+def test_cyclic_rotations_match_the_rescan_referee():
+    for n in range(3, 65):
+        inst = family_instance("cyclic", n)
+        assert found_rotations(inst) == rescan_rotations(inst)
+
+
+def test_random_rotations_match_the_rescan_referee():
+    rng = random.Random(14)
+    for max_n in [12] * 2000 + [60] * 40:
+        inst = random_instance(rng, rng.randint(1, max_n))
+        assert found_rotations(inst) == rescan_rotations(inst)
+
+
+@pytest.fixture
+def successor_probes(monkeypatch):
+    """Count the successor probes of one enumerate_rotations call."""
+    counts: list[int] = []
+    real = rotations._ChainWalk.successor_girl
+
+    def counted(self, b):
+        counts[-1] += 1
+        return real(self, b)
+
+    def run(inst) -> int:
+        counts.append(0)
+        enumerate_rotations(inst)
+        return counts[-1]
+
+    monkeypatch.setattr(rotations._ChainWalk, "successor_girl", counted)
+    return run
+
+
+# Measured when the walk began skipping the boys of reported rotations;
+# the rescan before it probed 288, 2176, 16896 and 133120 times on
+# doubling n = 8..64.  A change here is a finding about the walk, not a
+# pin to move.
+SEEDED_PROBES = {
+    ("doubling", 8): 168,
+    ("doubling", 16): 764,
+    ("doubling", 32): 3392,
+    ("doubling", 64): 15236,
+    ("cyclic", 25): 1225,
+    ("cyclic", 64): 8128,
+}
+
+
+def test_successor_probes_on_seeded_families(successor_probes):
+    found = {key: successor_probes(family_instance(*key)) for key in SEEDED_PROBES}
+    assert found == SEEDED_PROBES
+    # A gate measured on these families, not a proved O(n^2) bound:
+    # doubling n=128 probes 65996 times, just over 4 n^2.
+    for (_, n), probes in found.items():
+        assert probes <= 4 * n * n
+
+
+def test_walk_reports_each_rotation_once():
+    inst = branch_four()
+    first, second, third = BRANCH_FOUR_ROTATIONS
+    walk = rotations._ChainWalk(inst, gale_shapley(inst, "boys"))
+    assert walk.exposed_cycles() == [first]
+    assert walk.exposed_cycles() == []
+    walk.apply_cycle(first)
+    assert walk.exposed_cycles() == [second, third]
+    assert walk.exposed_cycles() == []
+    listed = exposed_rotations(inst, walk.matching())
+    assert [r.pairs for r in listed] == [second, third]
+
+
 def test_branch_four_rotations_and_edges():
     poset = build_poset(branch_four())
-    assert [r.pairs for r in poset.rotations] == [
-        ((0, 3), (1, 2)),
-        ((0, 2), (3, 0)),
-        ((1, 3), (2, 1)),
-    ]
+    assert [r.pairs for r in poset.rotations] == BRANCH_FOUR_ROTATIONS
     assert sorted(poset.edges) == [(0, 1), (0, 2)]
     assert poset.preds == (frozenset(), frozenset({0}), frozenset({0}))
 
