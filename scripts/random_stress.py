@@ -6,8 +6,9 @@ instances.  Each round draws one instance and a weight table, solves it,
 and checks the result: the matching is stable, its weight matches the
 reported weight, it is the girl pole that the meta-rotation poset gives
 (the solver reaches that pole through the maximum-weight ideal cut, the
-``--pole girl`` path through the poset), the boy pole dominates it, and
-(small instances only) the weight agrees with the brute-force oracle.
+``--pole girl`` path through the poset), the boy pole weighs the same and
+dominates it, and (small instances only) the weight agrees with the
+brute-force oracle and the boy pole is the oracle's.
 Instances small enough to enumerate also get their optimum set checked
 for meet/join closure.  A second table w2 is drawn each round for the
 bi-objective solver: its matching is stable, its w1 weight is the solve
@@ -45,7 +46,7 @@ from stablecut import (  # noqa: E402
     solve_bi_objective,
     solve_max_weight,
 )
-from stablecut.oracle import heaviest_stable_matchings  # noqa: E402
+from stablecut.oracle import _optimal_pole, heaviest_stable_matchings  # noqa: E402
 
 FAMILIES = ("random", "cyclic", "doubling")
 ORACLE_LIMIT = 7
@@ -72,6 +73,8 @@ def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
     if girl_optimal_max(p) != m:
         return f"n={n}: solver matching is not the poset's girl pole"
     top = boy_optimal_max(p)
+    if matching_weight(top, w) != weight:
+        return f"n={n}: boy pole weight {matching_weight(top, w)} != solve weight {weight}"
     if not dominates(top, m, inst):
         return f"n={n}: boy pole does not dominate the girl pole"
 
@@ -90,6 +93,8 @@ def check_round(rng: random.Random, family: str, max_n: int) -> str | None:
         best2 = max(matching_weight(o, w2) for o in stable_optima)
         if (v1, v2) != (best, best2):
             return f"n={n}: bi-objective ({v1}, {v2}) != brute force ({best}, {best2})"
+        if _optimal_pole(stable_optima, inst, "boys") != top:
+            return f"n={n}: boy pole is not the oracle's boy-optimal optimum"
         optima, truncated = enumerate_max_matchings(p, ENUMERATION_CAP)
         if truncated:
             return f"n={n}: optimum enumeration truncated at {ENUMERATION_CAP}"

@@ -22,7 +22,6 @@ from .core import (
     WeightFunction,
     _content_lines,
     format_scaled,
-    matching_weight,
     parse_instance,
     parse_weights,
     preset_desirable_undesirable,
@@ -176,8 +175,8 @@ def _run_solve(cfg: RunConfig) -> str:
         optima, weight = heaviest_stable_matchings(inst, w)
         matching = _optimal_pole(optima, inst, "boys" if cfg.pole == "boy" else "girls")
     elif cfg.pole == "boy":
-        matching = boy_optimal_max(meta_rotation_poset(inst, w))
-        weight = matching_weight(matching, w)
+        p = meta_rotation_poset(inst, w)
+        matching, weight = boy_optimal_max(p), p.weight
     else:
         matching, weight = solve_max_weight(inst, w)
     lines = [f"weight {format_scaled(weight, w.scale)}"]

@@ -111,6 +111,14 @@ class BlockingPair(NamedTuple):
     girl: int
 
 
+def _check_scale(scale: int) -> None:
+    """Raise ValueError unless scale is a power of ten."""
+    if scale < 1:
+        raise ValueError("scale must be a positive integer")
+    if scale != 10 ** (len(str(scale)) - 1):
+        raise ValueError(f"scale {scale} is not a power of ten")
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """Pair weights as scaled integers: true weight of (b, g) is
@@ -120,8 +128,7 @@ class WeightFunction:
     scale: int = 1
 
     def __post_init__(self) -> None:
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
+        _check_scale(self.scale)
         n = len(self.table)
         for row in self.table:
             if len(row) != n:
@@ -261,6 +268,7 @@ def parse_weights(text: str, n: int) -> WeightFunction:
 
 def format_scaled(value: int, scale: int) -> str:
     """Render a scaled integer as an exact decimal string (never a float)."""
+    _check_scale(scale)
     if scale == 1:
         return str(value)
     sign = "-" if value < 0 else ""

@@ -9,11 +9,13 @@ every maximum cut at once.
 
 The minimum flow is found by blocking flows from a feasible start.  In
 the residual graph every edge can take more flow forwards, and an edge
-carrying more than its weight can also give flow back.  Which minimum
-flow comes out is not part of the contract: the value, the set the sink
-reaches in the residual graph, and the residual components with the order
-between them are the same for every minimum flow, and they are all that
-callers read.
+carrying more than its weight can also give flow back.  Each phase's
+level search and blocking search walk one arc list, and :func:`condense`
+certifies optimality from its own components.  Which minimum flow comes
+out is not part of the contract: the value, the set the sink reaches in
+the residual graph, and the residual components with the order between
+them are the same for every minimum flow, and they are all that callers
+read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import ContractViolation, ParseError, _content_lines, _parse_decimal, _scale_rows
+from .core import ContractViolation, ParseError, _check_scale, _content_lines, _parse_decimal
+from .core import _scale_rows
 from .ideals import _capped, _preds_from_edges, _proper_ideals
 
 
@@ -52,6 +55,7 @@ class WeightedDag:
             raise ValueError("graph needs at least a source and a sink")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
+        _check_scale(self.scale)
         for v in (self.source, self.sink):
             if not 0 <= v < self.num_vertices:
                 raise ValueError(f"vertex {v + 1} out of range")
@@ -64,22 +68,23 @@ class WeightedDag:
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices leaving each vertex, ordered by head id then index."""
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for i, e in enumerate(self.edges):
-            adj[e.tail].append(i)
-        for lst in adj:
-            lst.sort(key=lambda i: (self.edges[i].head, i))
-        return tuple(tuple(lst) for lst in adj)
+        edges = self.edges
+        return _incidence(self.num_vertices, [e.tail for e in edges], [e.head for e in edges])
 
     @cached_property
     def in_edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge indices entering each vertex, ordered by tail id then index."""
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for i, e in enumerate(self.edges):
-            adj[e.head].append(i)
-        for lst in adj:
-            lst.sort(key=lambda i: (self.edges[i].tail, i))
-        return tuple(tuple(lst) for lst in adj)
+        edges = self.edges
+        return _incidence(self.num_vertices, [e.head for e in edges], [e.tail for e in edges])
+
+
+def _incidence(n: int, near: Sequence[int], far: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Entry v lists the ids i with ``near[i] == v``, ordered by ``far[i]``
+    then by i (the sort is stable)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(len(far)), key=far.__getitem__):
+        adj[near[i]].append(i)
+    return tuple(map(tuple, adj))
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,7 @@ def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
 
 def _sink_levels(
     g: WeightedDag,
+    arcs: Sequence[Sequence[int]],
     tails: Sequence[int],
     heads: Sequence[int],
     lower: Sequence[int],
@@ -281,32 +287,30 @@ def _sink_levels(
 ) -> list[int]:
     """Breadth-first residual distance from the sink, -1 where unlabelled.
 
-    The search follows every edge forwards and, where the edge carries
-    more than its lower bound, backwards; it stops as soon as the source
-    is labelled, so no vertex further out than the source gets a level.
+    The search walks the blocking search's ``arcs`` (see :func:`min_flow`):
+    every edge forwards and, where the edge carries more than its lower
+    bound, backwards.  It stops as soon as the source is labelled, so no
+    vertex further out than the source gets a level.
     """
     source = g.source
-    out_edges, in_edges = g.out_edges, g.in_edges
     level = [-1] * g.num_vertices
     level[g.sink] = 0
     queue = deque([g.sink])
     while queue:
         v = queue.popleft()
         up = level[v] + 1
-        # No edge of a validated DAG enters the source, so only a backward
-        # step can label it.
-        for i in out_edges[v]:
-            w = heads[i]
+        for a in arcs[v]:
+            if a >= 0:
+                w = heads[a]
+            elif composed[~a] > lower[~a]:
+                w = tails[~a]
+            else:
+                continue
             if level[w] == -1:
                 level[w] = up
-                queue.append(w)
-        for i in in_edges[v]:
-            u = tails[i]
-            if level[u] == -1 and composed[i] > lower[i]:
-                level[u] = up
-                if u == source:
+                if w == source:
                     return level
-                queue.append(u)
+                queue.append(w)
     return level
 
 
@@ -337,19 +341,13 @@ def min_flow(g: WeightedDag) -> Flow:
     lower = [e.weight for e in g.edges]
     composed = list(base.edge_flow)
     pushed_total = 0
-    # arcs[v]: v's residual arcs, edge i forwards as i and backwards as ~i.
-    # Built once a phase first reaches the source, which a flow whose
-    # feasible start is already minimal never does.
-    arcs: list[list[int]] | None = None
+    # arcs[v]: v's candidate residual arcs, edge i forwards as i and
+    # backwards as ~i, out-edges first; the level search walks them too.
+    arcs = [list(out) + [~i for i in inn] for out, inn in zip(g.out_edges, g.in_edges)]
     while True:
-        level = _sink_levels(g, tails, heads, lower, composed)
+        level = _sink_levels(g, arcs, tails, heads, lower, composed)
         if level[source] < 0:
             break
-        if arcs is None:
-            arcs = [
-                list(out) + [~i for i in inn]
-                for out, inn in zip(g.out_edges, g.in_edges)
-            ]
         # Blocking flow: an iterative depth-first search from the sink with
         # one arc cursor per vertex; a dead end gets level -1.
         cursor = [0] * g.num_vertices
@@ -479,17 +477,20 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
     """Shrink the residual graph of an optimal flow to its component DAG.
 
     The ideal cuts of the result, pulled back to vertex sets, are exactly
-    the maximum-weight ideal cuts of g.  Requires f optimal; raises
-    ContractViolation otherwise.
+    the maximum-weight ideal cuts of g.  Requires g validated (see
+    :func:`validate_dag`) and f optimal: forward arcs then carry the
+    source to the sink, so the two share a component exactly when the
+    sink reaches the source, which only a non-optimal f allows; that
+    raises ContractViolation.
     """
     res = residual(g, f)
-    if g.source in _reachable(res, g.sink):
-        raise ContractViolation("flow is not optimal: sink reaches source")
     comps = list(reversed(_tarjan_components(res)))
     comp_of = [0] * g.num_vertices
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
+    if comp_of[g.source] == comp_of[g.sink]:
+        raise ContractViolation("flow is not optimal: sink reaches source")
     edges = {
         (comp_of[v], comp_of[u])
         for v, heads in enumerate(res)

@@ -29,7 +29,8 @@ class MetaRotationPoset:
     ``rotation_sets[i]`` holds the rotation ids of element i; the source
     marker lives in ``s_element`` and the sink marker in ``t_element``
     (both elements may also hold rotations).  Every rotation belongs to
-    exactly one element.  The instance is ``poset.inst``.
+    exactly one element.  The instance is ``poset.inst``; ``weight`` is
+    the scaled weight under ``w`` that every optimum has.
     """
 
     poset: RotationPoset
@@ -37,6 +38,8 @@ class MetaRotationPoset:
     edges: frozenset[tuple[int, int]]
     s_element: int
     t_element: int
+    w: WeightFunction
+    weight: int
 
     def preds(self) -> list[frozenset[int]]:
         return _preds_from_edges(len(self.rotation_sets), self.edges)
@@ -48,8 +51,6 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     art = build_reduction(poset, w)
     flow = min_flow(art.dag)
     d = condense(art.dag, flow)
-    if d.source_component == d.sink_component:
-        raise ContractViolation("source and sink fell into one component")
     rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
     rotation_sets = tuple(
         frozenset(rotation_of_vertex[v] for v in comp if v in rotation_of_vertex)
@@ -68,6 +69,8 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
         edges=d.edges,
         s_element=d.source_component,
         t_element=d.sink_component,
+        w=w,
+        weight=flow.value + art.base_weight,
     )
 
 
@@ -82,7 +85,8 @@ def closed_subset_to_max_matching(
     p: MetaRotationPoset, subset: frozenset[int]
 ) -> Matching:
     """The maximum-weight matching generated by a closed subset of
-    meta-rotations containing the source element and not the sink."""
+    meta-rotations containing the source element and not the sink.
+    Raises ContractViolation unless it weighs ``p.weight``."""
     subset = frozenset(subset)
     for i in subset:
         if not 0 <= i < len(p.rotation_sets):
@@ -94,7 +98,10 @@ def closed_subset_to_max_matching(
     preds = p.preds()
     if not all(preds[i] <= subset for i in subset):
         raise ContractViolation("subset is not predecessor-closed")
-    return _elements_to_matching(p, subset)
+    m = _elements_to_matching(p, subset)
+    if matching_weight(m, p.w) != p.weight:
+        raise ContractViolation("meta-rotation matching does not weigh the optimum")
+    return m
 
 
 def boy_optimal_max(p: MetaRotationPoset) -> Matching:

@@ -148,6 +148,19 @@ def test_weight_function_rejects_a_scale_below_one():
         WeightFunction(((1,),), 0)
 
 
+@pytest.mark.parametrize("scale", [2, 3, 20, 99, 1001])
+def test_scales_must_be_powers_of_ten(scale):
+    with pytest.raises(ValueError, match=f"scale {scale} is not a power of ten"):
+        WeightFunction(((1,),), scale)
+    with pytest.raises(ValueError, match=f"scale {scale} is not a power of ten"):
+        format_scaled(5, scale)
+
+
+def test_format_scaled_rejects_a_scale_below_one():
+    with pytest.raises(ValueError, match="scale must be a positive integer"):
+        format_scaled(5, 0)
+
+
 def test_weight_function_rejects_a_non_square_table():
     with pytest.raises(ValueError, match="weight table must be square"):
         WeightFunction(((1, 2), (3,)))

@@ -45,6 +45,11 @@ def test_dag_constructor_guards():
         WeightedDag(2, 0, 5, ())
     with pytest.raises(ValueError, match="edge endpoint out of range"):
         WeightedDag(2, 0, 1, (Edge(0, 2, 1),))
+    with pytest.raises(ValueError, match="scale must be a positive integer"):
+        WeightedDag(2, 0, 1, (Edge(0, 1, 1),), scale=0)
+    with pytest.raises(ValueError, match="scale 3 is not a power of ten"):
+        WeightedDag(2, 0, 1, (Edge(0, 1, 1),), scale=3)
+    assert WeightedDag(2, 0, 1, (Edge(0, 1, 1),), scale=1000).scale == 1000
 
 
 def test_validate_accepts_the_fixtures():

@@ -19,6 +19,7 @@ import pytest
 import families
 from conftest import random_dag
 from stablecut import (
+    ContractViolation,
     Flow,
     Instance,
     WeightedDag,
@@ -165,3 +166,58 @@ SEEDED_PHASES = {
 def test_phase_counts_on_seeded_doubling(phase_counts):
     found = {key: phase_counts(reduction_dag(*key)) for key in SEEDED_PHASES}
     assert found == SEEDED_PHASES
+
+
+def test_condense_raises_exactly_when_the_sink_reaches_the_source():
+    raised = 0
+    for g in corpus():
+        for f in (feasible_flow(g), min_flow(g)):
+            sink_reaches_source = g.source in _reachable(residual(g, f), g.sink)
+            try:
+                condense(g, f)
+            except ContractViolation as exc:
+                assert str(exc) == "flow is not optimal: sink reaches source"
+                assert sink_reaches_source
+                raised += 1
+            else:
+                assert not sink_reaches_source
+    # The feasible start is not yet minimal on most of the corpus.
+    assert raised > len(corpus()) // 2
+
+
+def residual_distances(heads: tuple[tuple[int, ...], ...], start: int) -> list[int]:
+    """Breadth-first distance from start in a head adjacency, -1 where
+    unreached."""
+    dist = [-1] * len(heads)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in heads[v]:
+            if dist[w] == -1:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+class FirstLevels(Exception):
+    """Carries the first level search's result out of ``min_flow``."""
+
+
+def test_first_level_search_gives_residual_distances(monkeypatch):
+    real = idealcut._sink_levels
+
+    def stop_after_one(*args):
+        raise FirstLevels(real(*args))
+
+    monkeypatch.setattr(idealcut, "_sink_levels", stop_after_one)
+    for g in corpus():
+        with pytest.raises(FirstLevels) as caught:
+            min_flow(g)
+        (level,) = caught.value.args
+        dist = residual_distances(residual(g, feasible_flow(g)), g.sink)
+        labelled = [v for v in range(g.num_vertices) if level[v] >= 0]
+        assert all(level[v] == dist[v] for v in labelled)
+        if level[g.source] < 0:
+            # No early stop: the search labelled everything the sink reaches.
+            assert labelled == [v for v in range(g.num_vertices) if dist[v] >= 0]

@@ -45,6 +45,7 @@ from stablecut import (
     meta_rotation_poset,
     solve_bi_objective,
     solve_max_weight,
+    sublattice,
 )
 
 # On branch_four this table gives three optima at weight 5 spanning a
@@ -106,6 +107,31 @@ def test_closed_subset_guards():
         closed_subset_to_max_matching(p, frozenset({0, 2}))
     with pytest.raises(ValueError, match="out of range"):
         closed_subset_to_max_matching(p, frozenset({0, 9}))
+
+
+def test_meta_poset_carries_the_optimum_weight():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        inst, w = random_instance(rng, n), random_weights(rng, n)
+        p = meta_rotation_poset(inst, w)
+        assert p.w is w
+        assert p.weight == solve_max_weight(inst, w)[1]
+        assert matching_weight(boy_optimal_max(p), w) == p.weight
+
+
+def test_closed_subset_refuses_a_matching_off_the_optimum(monkeypatch):
+    # The one rotation sits in the sink element: eliminating it as well
+    # gives the stable matching that misses the optimum.
+    p = meta_rotation_poset(two_by_two(), single_weights())
+    real = sublattice._elements_to_matching
+
+    def with_sink(q, subset):
+        return real(q, subset | {q.t_element})
+
+    monkeypatch.setattr(sublattice, "_elements_to_matching", with_sink)
+    with pytest.raises(ContractViolation, match="does not weigh the optimum"):
+        boy_optimal_max(p)
 
 
 def test_poles_two_by_two():
