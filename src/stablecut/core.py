@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_N = 5000
@@ -19,6 +19,10 @@ MAX_FRACTION_DIGITS = 9
 # Scaled weight entries must fit a signed 64-bit word so that sums over a
 # matching (at most MAX_N terms) stay well inside exact integer territory.
 _ENTRY_LIMIT = 2**63 - 1
+
+
+def _fits_entry_range(row: tuple[int, ...]) -> bool:
+    return -_ENTRY_LIMIT <= min(row) and max(row) <= _ENTRY_LIMIT
 
 
 class ParseError(ValueError):
@@ -57,10 +61,10 @@ class Instance:
             raise ValueError("instance needs at least one boy")
         if len(self.girl_prefs) != n:
             raise ValueError("boy and girl sides must have the same size")
-        expected = list(range(n))
+        expected = set(range(n))
         for side, rows in (("boy", self.boy_prefs), ("girl", self.girl_prefs)):
             for i, row in enumerate(rows):
-                if sorted(row) != expected:
+                if len(row) != n or set(row) != expected:
                     raise ValueError(
                         f"{side} {i + 1}: preference row is not a permutation of 1..{n}"
                     )
@@ -133,9 +137,8 @@ class WeightFunction:
         for row in self.table:
             if len(row) != n:
                 raise ValueError("weight table must be square")
-            for value in row:
-                if abs(value) > _ENTRY_LIMIT:
-                    raise ValueError("scaled weight exceeds the 64-bit entry range")
+            if not _fits_entry_range(row):
+                raise ValueError("scaled weight exceeds the 64-bit entry range")
 
     @property
     def n(self) -> int:
@@ -198,6 +201,19 @@ def parse_instance(text: str) -> Instance:
     if len(rows) > 2 * n:
         extra_lineno = rows[2 * n][0]
         raise ParseError(f"line {extra_lineno}: unexpected content after the girl rows")
+    # Identifiers written the plain way are looked up, and Instance checks
+    # every row as a permutation.  Any other spelling int() reads (such as
+    # "01" or "+1"), and any bad row, takes the row-by-row parse, which
+    # raises at the first bad row's line.
+    zero_based = {str(i + 1): i for i in range(n)}.__getitem__
+    try:
+        boys, girls = (
+            tuple(tuple(map(zero_based, line.split())) for _, line in side)
+            for side in (rows[:n], rows[n:])
+        )
+        return Instance(boys, girls)
+    except (KeyError, ValueError):
+        pass
     boys = tuple(
         _parse_pref_row(lineno, line, n, "boy", i) for i, (lineno, line) in enumerate(rows[:n])
     )
@@ -208,6 +224,17 @@ def parse_instance(text: str) -> Instance:
 
 
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)")
+
+
+@cache
+def _row_re(digits: int) -> re.Pattern[str]:
+    """A whole row of ``_DECIMAL_RE`` tokens that all have exactly
+    ``digits`` fraction digits.  Compiled on first use, not at import."""
+    # _DECIMAL_RE with the fraction length fixed: with no fraction digits a
+    # token is digits and an optional point; with some, the digits before
+    # the point may be absent.
+    token = r"[+-]?\d+\.?" if digits == 0 else rf"[+-]?\d*\.\d{{{digits}}}"
+    return re.compile(rf"{token}(?:\s+{token})*")
 
 
 def _parse_decimal(token: str) -> tuple[int, int]:
@@ -223,22 +250,50 @@ def _parse_decimal(token: str) -> tuple[int, int]:
 
 
 def _scale_rows(
-    rows: list[tuple[int, list[tuple[int, int]]]],
+    rows: list[tuple[int, int, tuple[int, ...]]],
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Bring rows of :func:`_parse_decimal` results, each tagged with its
-    line number, to one power-of-ten scale chosen from the longest
+    """Bring rows of unscaled integers, each tagged with its line number
+    and fraction length, to one power-of-ten scale chosen from the longest
     fraction.  Returns the scaled rows and the scale."""
-    digits = max((d for _, row in rows for _, d in row), default=0)
+    digits = max((d for _, d, _ in rows), default=0)
     scaled_rows = []
-    for lineno, row in rows:
-        scaled_row = []
-        for value, d in row:
-            scaled = value * 10 ** (digits - d)
-            if abs(scaled) > _ENTRY_LIMIT:
-                raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
-            scaled_row.append(scaled)
-        scaled_rows.append(tuple(scaled_row))
+    for lineno, d, row in rows:
+        if d < digits:
+            factor = 10 ** (digits - d)
+            row = tuple([value * factor for value in row])
+        if not _fits_entry_range(row):
+            raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
+        scaled_rows.append(row)
     return scaled_rows, 10**digits
+
+
+def _uniform_weight_row(line: str, n: int) -> tuple[int, tuple[int, ...]] | None:
+    """Fraction length and unscaled integers of a row of n decimals that
+    all have its first token's fraction length; None for any other row."""
+    digits = len(line.split(None, 1)[0].partition(".")[2])
+    if digits > MAX_FRACTION_DIGITS or not _row_re(digits).fullmatch(line):
+        return None
+    try:
+        values = tuple(map(int, line.replace(".", "").split()))
+    except ValueError:  # more digits than int() converts
+        return None
+    return (digits, values) if len(values) == n else None
+
+
+def _weight_row(lineno: int, line: str, n: int) -> tuple[int, tuple[int, ...]]:
+    """:func:`_uniform_weight_row` token by token, for any row: raises the
+    ParseError that names the row's first fault."""
+    tokens = line.split()
+    if len(tokens) != n:
+        raise ParseError(f"line {lineno}: expected {n} weights, found {len(tokens)}")
+    parsed = []
+    for token in tokens:
+        try:
+            parsed.append(_parse_decimal(token))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    digits = max(d for _, d in parsed)
+    return digits, tuple([value * 10 ** (digits - d) for value, d in parsed])
 
 
 def parse_weights(text: str, n: int) -> WeightFunction:
@@ -250,19 +305,11 @@ def parse_weights(text: str, n: int) -> WeightFunction:
     lines = _content_lines(text)
     if len(lines) != n:
         raise ParseError(f"expected {n} weight rows, found {len(lines)}")
-    raw: list[tuple[int, list[tuple[int, int]]]] = []
+    rows = []
     for lineno, line in lines:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ParseError(f"line {lineno}: expected {n} weights, found {len(tokens)}")
-        row = []
-        for token in tokens:
-            try:
-                row.append(_parse_decimal(token))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        raw.append((lineno, row))
-    table, scale = _scale_rows(raw)
+        digits, values = _uniform_weight_row(line, n) or _weight_row(lineno, line, n)
+        rows.append((lineno, digits, values))
+    table, scale = _scale_rows(rows)
     return WeightFunction(tuple(table), scale)
 
 

@@ -413,11 +413,15 @@ def min_flow(g: WeightedDag) -> Flow:
 
 def max_weight_ideal_cut(g: WeightedDag) -> tuple[IdealCut, int]:
     """The maximum-weight ideal cut with the largest source side, plus its
-    weight.  The weight always equals the minimum flow value."""
+    weight.  The weight always equals the minimum flow value; a cut that
+    is not ideal or weighs otherwise raises ContractViolation."""
     f = min_flow(g)
     sink_side = _reachable(residual(g, f), g.sink)
     cut = IdealCut(frozenset(range(g.num_vertices)) - sink_side)
-    weight = cut_weight(g, cut)
+    try:
+        weight = cut_weight(g, cut)
+    except ValueError as exc:
+        raise ContractViolation(str(exc)) from None
     if weight != f.value:
         raise ContractViolation("cut weight does not match the flow value")
     return cut, weight
@@ -481,7 +485,8 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
     :func:`validate_dag`) and f optimal: forward arcs then carry the
     source to the sink, so the two share a component exactly when the
     sink reaches the source, which only a non-optimal f allows; that
-    raises ContractViolation.
+    raises ContractViolation, as does a component listed after one it
+    precedes.
     """
     res = residual(g, f)
     comps = list(reversed(_tarjan_components(res)))
@@ -497,6 +502,8 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
         for u in heads
         if comp_of[v] != comp_of[u]
     }
+    if any(a > b for a, b in edges):
+        raise ContractViolation("residual components are not listed in topological order")
     return CondensedDag(
         components=tuple(frozenset(c) for c in comps),
         edges=frozenset(edges),
@@ -596,9 +603,10 @@ def parse_dag(text: str) -> WeightedDag:
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
         try:
-            weights.append((lineno, [_parse_decimal(parts[2])]))
+            value, digits = _parse_decimal(parts[2])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        weights.append((lineno, digits, (value,)))
         ends.append((u - 1, v - 1))
     scaled, scale = _scale_rows(weights)
     edges = tuple(Edge(u, v, w) for (u, v), (w,) in zip(ends, scaled))

@@ -99,8 +99,12 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
 
 def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:
     """Translate an ideal cut of the reduction graph into the stable
-    matching generated by the rotations on the cut's source side."""
-    check_ideal_cut(art.dag, cut.source_side)
+    matching generated by the rotations on the cut's source side.  Raises
+    ContractViolation unless the cut is an ideal cut of ``art.dag``."""
+    try:
+        check_ideal_cut(art.dag, cut.source_side)
+    except ValueError as exc:
+        raise ContractViolation(str(exc)) from None
     closed = frozenset(
         rid for rid, v in enumerate(art.vertex_of_rotation) if v in cut.source_side
     )

@@ -374,6 +374,36 @@ def test_contract_violations_exit_two(files, monkeypatch):
     assert "forced" in report
 
 
+def test_components_out_of_topological_order_exit_two(files, monkeypatch):
+    listed = stablecut.idealcut._tarjan_components
+    monkeypatch.setattr(
+        "stablecut.idealcut._tarjan_components", lambda res: list(reversed(listed(res)))
+    )
+    status, report = run(
+        RunConfig(
+            "enumerate",
+            instance_path=files("inst.txt", BRANCH_FOUR_TEXT),
+            weights_path=files("w.txt", "0 0 0 0\n" * 4),
+        )
+    )
+    assert (status, report) == (2, "error: residual components are not listed in topological order")
+
+
+def test_a_sink_side_missing_a_vertex_exits_two(files, monkeypatch):
+    reach = stablecut.idealcut._reachable
+    monkeypatch.setattr(
+        "stablecut.idealcut._reachable", lambda heads, start: reach(heads, start) - {start}
+    )
+    status, report = run(
+        RunConfig(
+            "solve",
+            instance_path=files("inst.txt", BRANCH_FOUR_TEXT),
+            weights_path=files("w.txt", "1 2 3 4\n" * 4),
+        )
+    )
+    assert (status, report) == (2, "error: cut must exclude the sink")
+
+
 def test_poset_with_arcs_against_rotation_ids_exits_two(files, reversed_rotation_ids):
     status, report = run(
         RunConfig("poset", instance_path=files("inst.txt", BRANCH_FOUR_TEXT))

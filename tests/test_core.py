@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import families
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,7 @@ from stablecut import (
     preset_desirable_undesirable,
     preset_egalitarian,
 )
-from stablecut.core import _parse_decimal
+from stablecut.core import MAX_N, _content_lines, _parse_decimal, _parse_pref_row
 
 
 def test_parse_two_by_two():
@@ -185,6 +187,189 @@ def test_weight_entries_must_fit_64_bits():
         WeightFunction(((2**63, 0), (0, 0)))
     with pytest.raises(ParseError, match="line 1: weight exceeds the 64-bit range after scaling"):
         parse_weights("9223372036854775807 0.1\n0 0\n", 2)
+
+
+# Test-only referees: the parsers that read a file token by token and
+# checked each preference row twice.  On every input below, the row
+# parsers must return an equal Instance or WeightFunction, or raise a
+# ParseError with the identical message.
+
+
+def referee_parse_instance(text: str) -> Instance:
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError("line 1: missing instance size")
+    lineno, head = lines[0]
+    try:
+        n = int(head)
+    except ValueError:
+        raise ParseError(f"line {lineno}: instance size must be an integer") from None
+    if not 1 <= n <= MAX_N:
+        raise ParseError(f"line {lineno}: instance size {n} out of range [1, {MAX_N}]")
+    rows = lines[1:]
+    if len(rows) < 2 * n:
+        raise ParseError(f"expected {2 * n} preference rows, found {len(rows)}")
+    if len(rows) > 2 * n:
+        raise ParseError(f"line {rows[2 * n][0]}: unexpected content after the girl rows")
+    boys = tuple(
+        _parse_pref_row(lineno, line, n, "boy", i) for i, (lineno, line) in enumerate(rows[:n])
+    )
+    girls = tuple(
+        _parse_pref_row(lineno, line, n, "girl", i) for i, (lineno, line) in enumerate(rows[n:])
+    )
+    return Instance(boys, girls)
+
+
+def referee_parse_weights(text: str, n: int) -> WeightFunction:
+    lines = _content_lines(text)
+    if len(lines) != n:
+        raise ParseError(f"expected {n} weight rows, found {len(lines)}")
+    raw = []
+    for lineno, line in lines:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ParseError(f"line {lineno}: expected {n} weights, found {len(tokens)}")
+        row = []
+        for token in tokens:
+            try:
+                row.append(_parse_decimal(token))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        raw.append((lineno, row))
+    digits = max((d for _, row in raw for _, d in row), default=0)
+    table = []
+    for lineno, row in raw:
+        scaled_row = []
+        for value, d in row:
+            scaled = value * 10 ** (digits - d)
+            if abs(scaled) > 2**63 - 1:
+                raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
+            scaled_row.append(scaled)
+        table.append(tuple(scaled_row))
+    return WeightFunction(tuple(table), 10**digits)
+
+
+def _outcome(parse, *args):
+    try:
+        return "parsed", parse(*args)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+# Tokens at the edges of the decimal grammar and of int(): "٣" is a \d
+# digit that int() reads, "1_0" is refused although int() alone takes it.
+EDGE_WEIGHT_TOKENS = (
+    "5.", ".5", "+.5", "-0", "007.0100", "-.25", "٣", "1_0", ".", "-", "1.2.3", "1e3",
+    "0.0123456789", "0.123456789", "9223372036854775807", "-9223372036854775808",
+    "922337203685477580.7", "1" * 4301,
+)
+EDGE_PREF_TOKENS = ("x", "٣", "1_0", "01", "+1", "0", "1.0", "-1", "9" * 4301)
+
+EDGE_WEIGHT_FILES = [
+    ("1 0.5\n-0.25 2\n", 2),
+    ("5. .5\n+.5 -0\n", 2),
+    ("007.0100 1\n2 3\n", 2),
+    ("٣ 1\n2 ٣.5\n", 2),
+    ("1_0 1\n2 3\n", 2),
+    ("1\t2.5\n3\t\t4.5\n", 2),
+    ("1.5\t2.5\n3.5 \t 4.5\n", 2),
+    ("1.5\u00a02.5\n3.5\u30004.5\n", 2),
+    ("0.0123456789 0\n0 0\n", 2),
+    # Fine as written, over 2**63 - 1 once line 2's one digit scales it.
+    ("922337203685477581 0\n0 0.1\n", 2),
+    ("0 0.1\n0 922337203685477581\n", 2),
+    ("9223372036854775808 0\n0 0\n", 2),
+    ("1 2 3\n4 5\n", 2),
+    ("1 2\n4 5 6\n", 2),
+    ("1.0 2.0 3.0\n4 5\n", 2),
+    ("1 2\n", 2),
+    ("# c\n\n1 2\n# d\n3 4\n", 2),
+]
+
+EDGE_INSTANCE_FILES = [
+    # Boy row 2 (line 3) is no permutation and girl row 2 (line 6) is
+    # malformed: the error in file order wins.
+    "3\n1 2 3\n1 1 3\n1 2 3\n1 2 3\n1 x 3\n1 2 3\n",
+    "3\n1 2 3\n1 x 3\n1 2 3\n1 2 3\n1 1 3\n1 2 3\n",
+    "2\n01 +2\n2 1\n2 ٢\n1 2\n",
+    "2\n1_0 1\n2 1\n2 1\n1 2\n",
+    "2\n1\t2\n2 1\n2 1\n1 2\n",
+    "2\n1 2 1\n2 1\n2 1\n1 2\n",
+    "2\n1\n2 1\n2 1\n1 2\n",
+    "2\n1 2\n2 1\n2 1\n1 3\n",
+]
+
+
+def _random_weight_file(rng: random.Random) -> tuple[str, int]:
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(n):
+        digits = rng.randint(0, 3)
+        tokens = []
+        for _ in range(n):
+            if rng.random() < 0.15:
+                tokens.append(rng.choice(EDGE_WEIGHT_TOKENS))
+                continue
+            d = digits if rng.random() < 0.8 else rng.randint(0, 3)
+            tokens.append(families.format_fixed(rng.randint(-10**5, 10**5), d))
+        if rng.random() < 0.05:
+            tokens.pop()
+        elif rng.random() < 0.05:
+            tokens.append("7")
+        rows.append(rng.choice((" ", "\t", "  ")).join(tokens))
+    if rng.random() < 0.05:
+        rows.pop()
+    return "\n".join(rows) + "\n", n
+
+
+def _random_instance_file(rng: random.Random) -> str:
+    n = rng.randint(1, 5)
+    rows = [[str(x) for x in rng.sample(range(1, n + 1), n)] for _ in range(2 * n)]
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(rows)
+        if not row:
+            continue
+        i = rng.randrange(len(row))
+        op = rng.randrange(4)
+        if op == 0:
+            row[i] = rng.choice(EDGE_PREF_TOKENS)
+        elif op == 1:
+            row[i] = row[rng.randrange(len(row))]
+        elif op == 2:
+            row.pop(i)
+        else:
+            row.insert(i, str(rng.randint(1, n)))
+    return f"{n}\n" + "\n".join(rng.choice((" ", "\t")).join(row) for row in rows) + "\n"
+
+
+def test_row_parsers_agree_with_the_token_referees():
+    rng = random.Random(16)
+    weight_files = EDGE_WEIGHT_FILES + [_random_weight_file(rng) for _ in range(3000)]
+    instance_files = EDGE_INSTANCE_FILES + [_random_instance_file(rng) for _ in range(3000)]
+    for text, n in weight_files:
+        assert _outcome(parse_weights, text, n) == _outcome(referee_parse_weights, text, n), text
+    for text in instance_files:
+        assert _outcome(parse_instance, text) == _outcome(referee_parse_instance, text), text
+    # The corpus reaches both answers of both parsers.
+    outcomes = [_outcome(parse_weights, *f)[0] for f in weight_files]
+    outcomes += [_outcome(parse_instance, text)[0] for text in instance_files]
+    assert outcomes.count("parsed") > 1000 and outcomes.count("error") > 1000
+
+
+def test_row_parsers_keep_the_token_parsers_messages():
+    assert _outcome(parse_weights, "922337203685477581 0\n0 0.1\n", 2) == (
+        "error",
+        "line 1: weight exceeds the 64-bit range after scaling",
+    )
+    assert _outcome(parse_weights, "1_0 1\n2 3\n", 2) == (
+        "error",
+        "line 1: '1_0' is not a decimal number",
+    )
+    assert parse_weights("٣ 1\n2 ٣.5\n", 2) == WeightFunction(((30, 10), (20, 35)), 10)
+    assert _outcome(parse_instance, EDGE_INSTANCE_FILES[0]) == (
+        "error",
+        "line 3: boy 2 preference row is not a permutation of 1..3",
+    )
 
 
 def test_format_scaled():

@@ -10,6 +10,7 @@ from conftest import diamond_dag, path_dag, random_dag
 from stablecut import (
     ContractViolation,
     Edge,
+    Flow,
     IdealCut,
     ParseError,
     WeightedDag,
@@ -171,9 +172,18 @@ def test_condense_path_dag():
 
 
 def test_condense_rejects_non_optimal_flow():
+    # 4 units on every edge of the diamond: every lower bound met and every
+    # inner vertex balanced, but 8 leaves the source where 7 is the minimum.
     g = diamond_dag()
+    f = Flow((4, 4, 4, 4), 8)
+    assert all(x >= e.weight for x, e in zip(f.edge_flow, g.edges))
+    for v in (1, 2):
+        inflow = sum(x for x, e in zip(f.edge_flow, g.edges) if e.head == v)
+        assert inflow == sum(x for x, e in zip(f.edge_flow, g.edges) if e.tail == v)
+    assert f.value == sum(x for x, e in zip(f.edge_flow, g.edges) if e.tail == g.source)
+    assert f.value > min_flow(g).value == 7
     with pytest.raises(ContractViolation, match="not optimal"):
-        condense(g, feasible_flow(g))
+        condense(g, f)
 
 
 def test_enumerate_max_cuts_unique_optimum():

@@ -143,6 +143,12 @@ def test_cut_to_matching_two_by_two():
     assert bottom.partner_of_boy == (1, 0)
 
 
+def test_cut_to_matching_refuses_a_cut_that_is_not_ideal():
+    art = build_reduction(build_poset(two_by_two()), tie_weights())
+    with pytest.raises(ContractViolation, match="cut must exclude the sink"):
+        cut_to_matching(art, IdealCut(frozenset({0, 1, 2})))
+
+
 def test_matching_weight_from_cut_two_by_two():
     inst = two_by_two()
     art = build_reduction(build_poset(inst), tie_weights())
