@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from operator import getitem
 from pathlib import Path
 
 from .core import (
@@ -164,8 +165,27 @@ def _load_weights(
     return preset_desirable_undesirable(inst, desirable, undesirable)
 
 
-def _matching_lines(m: Matching) -> list[str]:
-    return [f"{b + 1} {g + 1}" for b, g in m.pairs()]
+class _PairLabels(dict):
+    """The report lines "b g" (1-based) of one boy's pairs, keyed by girl;
+    each is built on first lookup."""
+
+    def __init__(self, boy: int) -> None:
+        self.prefix = f"{boy + 1} "
+
+    def __missing__(self, girl: int) -> str:
+        label = self[girl] = f"{self.prefix}{girl + 1}"
+        return label
+
+
+def _pair_labels(n: int) -> list[_PairLabels]:
+    """One report's table of pair lines, ``labels[b][g]``.  Optima share
+    most of their pairs, so a report that lists many builds each line once."""
+    return [_PairLabels(b) for b in range(n)]
+
+
+def _matching_block(m: Matching, labels: list[_PairLabels]) -> str:
+    """The matching's report lines, one pair per line, as one string."""
+    return "\n".join(map(getitem, labels, m.partner_of_boy))
 
 
 def _run_solve(cfg: RunConfig) -> str:
@@ -179,20 +199,23 @@ def _run_solve(cfg: RunConfig) -> str:
         matching, weight = boy_optimal_max(p), p.weight
     else:
         matching, weight = solve_max_weight(inst, w)
-    lines = [f"weight {format_scaled(weight, w.scale)}"]
-    lines.extend(_matching_lines(matching))
-    return "\n".join(lines)
+    block = _matching_block(matching, _pair_labels(inst.n))
+    return f"weight {format_scaled(weight, w.scale)}\n{block}"
 
 
 def _run_enumerate(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
     w = _load_weights(inst, cfg.weights_path, cfg.preset, cfg.pairs_path)
-    p = meta_rotation_poset(inst, w)
-    matchings, truncated = enumerate_max_matchings(p, cfg.cap)
+    matchings, truncated = enumerate_max_matchings(meta_rotation_poset(inst, w), cfg.cap)
+    return _enumerate_report(matchings, truncated, inst.n)
+
+
+def _enumerate_report(matchings: list[Matching], truncated: bool, n: int) -> str:
+    labels = _pair_labels(n)
     lines = [f"count {len(matchings)}"]
     for i, m in enumerate(matchings, start=1):
         lines.append(f"matching {i}")
-        lines.extend(_matching_lines(m))
+        lines.append(_matching_block(m, labels))
     lines.append(f"truncated: {'yes' if truncated else 'no'}")
     return "\n".join(lines)
 
@@ -228,12 +251,11 @@ def _run_bi_objective(cfg: RunConfig) -> str:
     w1 = _load_weights(inst, cfg.weights1_path, cfg.preset1, None, slot="1")
     w2 = _load_weights(inst, cfg.weights2_path, cfg.preset2, None, slot="2")
     m, v1, v2 = solve_bi_objective(inst, w1, w2)
-    lines = [
+    return "\n".join([
         f"weight1 {format_scaled(v1, w1.scale)}",
         f"weight2 {format_scaled(v2, w2.scale)}",
-    ]
-    lines.extend(_matching_lines(m))
-    return "\n".join(lines)
+        _matching_block(m, _pair_labels(inst.n)),
+    ])
 
 
 _DISPATCH = {

@@ -19,6 +19,8 @@ MAX_FRACTION_DIGITS = 9
 # Scaled weight entries must fit a signed 64-bit word so that sums over a
 # matching (at most MAX_N terms) stay well inside exact integer territory.
 _ENTRY_LIMIT = 2**63 - 1
+# A weight with more significant digits than the limit lies outside it.
+_ENTRY_DIGITS = len(str(_ENTRY_LIMIT))
 
 
 def _fits_entry_range(row: tuple[int, ...]) -> bool:
@@ -232,13 +234,21 @@ def _row_re(digits: int) -> re.Pattern[str]:
     ``digits`` fraction digits.  Compiled on first use, not at import."""
     # _DECIMAL_RE with the fraction length fixed: with no fraction digits a
     # token is digits and an optional point; with some, the digits before
-    # the point may be absent.
-    token = r"[+-]?\d+\.?" if digits == 0 else rf"[+-]?\d*\.\d{{{digits}}}"
+    # the point may be absent.  No token has more than _ENTRY_DIGITS
+    # digits, so int() reads each one; a longer token, even one padded
+    # with zeros, takes the token-by-token parse.
+    whole = _ENTRY_DIGITS - digits
+    if digits == 0:
+        token = rf"[+-]?\d{{1,{whole}}}\.?"
+    else:
+        token = rf"[+-]?\d{{0,{whole}}}\.\d{{{digits}}}"
     return re.compile(rf"{token}(?:\s+{token})*")
 
 
 def _parse_decimal(token: str) -> tuple[int, int]:
-    """Return (unscaled integer, number of fraction digits)."""
+    """Return (unscaled integer, number of fraction digits).  Raises
+    ValueError for a token that is no decimal, has too many fraction
+    digits, or has more significant digits than a 64-bit weight."""
     if not _DECIMAL_RE.fullmatch(token):
         raise ValueError(f"{token!r} is not a decimal number")
     frac = token.partition(".")[2]
@@ -246,7 +256,14 @@ def _parse_decimal(token: str) -> tuple[int, int]:
         raise ValueError(
             f"{token.lstrip('+-')!r} has more than {MAX_FRACTION_DIGITS} fraction digits"
         )
-    return int(token.replace(".", "", 1)), len(frac)
+    digits = token.lstrip("+-").replace(".", "", 1)
+    # Leading zeros, in any script's digits, are not significant.
+    lead = next((i for i, c in enumerate(digits) if int(c)), len(digits))
+    significant = digits[lead:] or "0"
+    if len(significant) > _ENTRY_DIGITS:
+        raise ValueError(f"a weight of {len(significant)} digits exceeds the 64-bit range")
+    value = int(significant)
+    return (-value if token.startswith("-") else value), len(frac)
 
 
 def _scale_rows(
@@ -273,10 +290,7 @@ def _uniform_weight_row(line: str, n: int) -> tuple[int, tuple[int, ...]] | None
     digits = len(line.split(None, 1)[0].partition(".")[2])
     if digits > MAX_FRACTION_DIGITS or not _row_re(digits).fullmatch(line):
         return None
-    try:
-        values = tuple(map(int, line.replace(".", "").split()))
-    except ValueError:  # more digits than int() converts
-        return None
+    values = tuple(map(int, line.replace(".", "").split()))
     return (digits, values) if len(values) == n else None
 
 

@@ -17,28 +17,43 @@ def iter_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[frozens
     Every predecessor must have a smaller id than its element; raises
     ValueError otherwise.  Then removing an ideal's largest element leaves
     an ideal, its one parent, so each ideal is built exactly once: from its
-    parent J, by adding an element above max J whose predecessors all lie
-    in J.  Walking the previous level in order, and the added element
-    upwards within each J, gives lexicographic order, and each ideal is
-    yielded as soon as it is built.  Memory is the last size level plus
-    the one being built, so callers that only need a bounded prefix
-    should stop consuming early.
+    parent J, by adding one of J's candidates, the elements above max J
+    whose predecessors all lie in J.  Each ideal carries its candidates in
+    increasing id (Squire 1995).  A child J + e keeps J's candidates above
+    e and gains those successors of e whose predecessors all lie in J + e,
+    so only e's successors are ever checked; a child that gains none
+    shares J's list, read from the entry after e.  Walking the previous
+    level in order, and each J's candidates upwards, gives lexicographic
+    order, and each ideal is yielded as soon as it is built.  Memory is the
+    last size level plus the one being built, each ideal with its
+    candidate list, so callers that only need a bounded prefix should stop
+    consuming early.
     """
+    succs: list[list[int]] = [[] for _ in range(count)]
+    minimal = []
     for element in range(count):
-        for p in preds[element]:
+        below = preds[element]
+        for p in below:
             if not 0 <= p < element:
                 raise ValueError(f"element {element} has predecessor {p}, which is not smaller")
+            succs[p].append(element)
+        if not below:
+            minimal.append(element)
     yield frozenset()
-    # Each ideal with its largest element, -1 for the empty one.
-    level: list[tuple[frozenset[int], int]] = [(frozenset(), -1)]
+    # Each ideal with a list whose entries from ``start`` on are its candidates.
+    level: list[tuple[frozenset[int], list[int], int]] = [(frozenset(), minimal, 0)]
     while level:
-        grown: list[tuple[frozenset[int], int]] = []
-        for ideal, top in level:
-            for element in range(top + 1, count):
-                if preds[element] <= ideal:
-                    child = ideal | {element}
-                    yield child
-                    grown.append((child, element))
+        grown: list[tuple[frozenset[int], list[int], int]] = []
+        for ideal, candidates, start in level:
+            for i in range(start, len(candidates)):
+                element = candidates[i]
+                child = ideal | {element}
+                yield child
+                gained = [s for s in succs[element] if preds[s] <= child]
+                if gained:
+                    grown.append((child, sorted(candidates[i + 1 :] + gained), 0))
+                else:
+                    grown.append((child, candidates, i + 1))
         level = grown
 
 

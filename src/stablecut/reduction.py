@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
-from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, cut_weight, max_weight_ideal_cut
+from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, max_weight_ideal_cut
 from .rotations import RotationPoset, _replay, build_poset, closed_set_to_matching
 
 
@@ -109,12 +109,6 @@ def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:
         rid for rid, v in enumerate(art.vertex_of_rotation) if v in cut.source_side
     )
     return closed_set_to_matching(art.poset, closed)
-
-
-def matching_weight_from_cut(art: ReductionArtifacts, cut: IdealCut) -> int:
-    """Weight of the matching selected by the cut, computed on the cut side
-    of the correspondence: cut weight plus the always-present base."""
-    return cut_weight(art.dag, cut) + art.base_weight
 
 
 def solve_max_weight(inst: Instance, w: WeightFunction) -> tuple[Matching, int]:

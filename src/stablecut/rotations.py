@@ -23,8 +23,8 @@ class Rotation:
     """An ordered cycle ((b0, g0), ..., (br-1, gr-1)) of matched pairs.
 
     ``id`` is the dense discovery index within an instance, which is also
-    its elimination order; detection helpers that are not tied to an
-    enumeration return rotations with id -1.
+    its elimination order; a rotation built outside an enumeration has
+    id -1.
     """
 
     pairs: tuple[Pair, ...]
@@ -67,12 +67,11 @@ class _ChainWalk:
         self.inst = inst
         self.boy_partner = list(matching.partner_of_boy)
         self.girl_partner = list(matching.partner_of_girl)
-        # Next position worth probing in each boy's list.  In a stable
-        # matching no girl above the current partner prefers the boy, so
-        # the probe starts just below the partner.
-        self.cursor = [
-            inst.boy_rank[b][self.boy_partner[b]] + 1 for b in range(inst.n)
-        ]
+        # Next position worth probing in each boy's list, -1 until his
+        # first probe.  In a stable matching no girl above the current
+        # partner prefers the boy, so that probe starts just below the
+        # partner; every boy is probed before he moves.
+        self.cursor = [-1] * inst.n
         self.reported = [False] * inst.n
 
     def successor_girl(self, b: int) -> int | None:
@@ -80,6 +79,8 @@ class _ChainWalk:
         prefs = self.inst.boy_prefs[b]
         girl_rank = self.inst.girl_rank
         i = self.cursor[b]
+        if i < 0:
+            i = self.inst.boy_rank[b][self.boy_partner[b]] + 1
         n = len(prefs)
         while i < n:
             g = prefs[i]
@@ -151,22 +152,6 @@ class _ChainWalk:
 
     def matching(self) -> Matching:
         return Matching(tuple(self.boy_partner))
-
-
-def exposed_rotations(inst: Instance, m: Matching) -> list[Rotation]:
-    """Rotations exposed in the stable matching m.  Empty exactly when m is
-    the girl-optimal matching."""
-    walk = _ChainWalk(inst, m)
-    return [Rotation(pairs) for pairs in walk.exposed_cycles()]
-
-
-def eliminate(inst: Instance, m: Matching, rho: Rotation) -> Matching:
-    """Apply one exposed rotation.  Boys in the cycle move down their lists,
-    the affected girls move up; raises ContractViolation when rho is not
-    exposed in m."""
-    walk = _ChainWalk(inst, m)
-    walk.apply_cycle(rho.pairs)
-    return walk.matching()
 
 
 def rotation_count_limit(n: int) -> int:

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 import families
 from stablecut import (
     Edge,
+    IdealCut,
     Instance,
     ReductionArtifacts,
     Rotation,
     WeightedDag,
     WeightFunction,
+    cut_weight,
     rotations,
 )
 
@@ -132,6 +134,12 @@ def pair_edges(art: ReductionArtifacts) -> dict[tuple[int, int], Edge]:
         assert ends in by_ends, f"varying pair {pair} has no edge {ends}"
         edges[pair] = by_ends[ends]
     return edges
+
+
+def matching_weight_from_cut(art: ReductionArtifacts, cut: IdealCut) -> int:
+    """Weight of the matching selected by the cut, computed on the cut side
+    of the correspondence: cut weight plus the always-present base."""
+    return cut_weight(art.dag, cut) + art.base_weight
 
 
 @pytest.fixture

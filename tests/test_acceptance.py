@@ -35,7 +35,6 @@ from stablecut import (
     is_stable,
     iterate_ideal_cuts,
     matching_weight,
-    matching_weight_from_cut,
     meet,
     join,
     meta_rotation_poset,
@@ -45,7 +44,13 @@ from stablecut import (
     solve_max_weight,
 )
 
-from conftest import pair_edges, random_dag, random_instance, random_weights
+from conftest import (
+    matching_weight_from_cut,
+    pair_edges,
+    random_dag,
+    random_instance,
+    random_weights,
+)
 
 ENUMERATION_CAP = 100_000
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,20 @@ def test_malformed_instance_reports_the_line(files):
     assert "line 2" in report
 
 
+def test_a_weight_beyond_64_bits_names_its_line(files, capsys):
+    huge = "1" * 4301
+    inst = files("inst.txt", TWO_BY_TWO_TEXT)
+    weights = files("w.txt", f"1 0\n0 {huge}\n")
+    dag = files("dag.txt", f"3 2\n1 3\n1 2 5\n2 3 -{huge[1:]}.5\n")
+    for argv, line in ((["solve", inst, "--weights", weights], 2), (["cut-solve", dag], 4)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line {line}: a weight of 4301 digits exceeds the 64-bit range\n"
+
+
 def test_contract_violations_exit_two(files, monkeypatch):
     def boom(_):
         raise ContractViolation("forced for the test")
@@ -513,3 +528,64 @@ def test_closed_output_pipe_exits_one_without_a_traceback(tmp_path):
     assert first == b"count 2000\n"
     assert status == 1
     assert err == b""
+
+
+def _plain_pairs(m) -> list[str]:
+    return [f"{b + 1} {g + 1}" for b, g in enumerate(m.partner_of_boy)]
+
+
+def test_reports_render_the_library_results(tmp_path, capsys):
+    """Each report, byte for byte, against the library's own answer
+    written out line by line."""
+    n = 16
+    inst_path, zero = tmp_path / "inst.txt", tmp_path / "zero.txt"
+    w1_path, w2_path = tmp_path / "w1.txt", tmp_path / "w2.txt"
+    rng = random.Random(16)
+    boys, girls = families.relabel(rng, *families.doubling_prefs(n))
+    families.write_instance(inst_path, boys, girls)
+    families.write_weights(zero, families.zero_weights(n), 0)
+    for path in (w1_path, w2_path):
+        families.write_weights(path, families.random_weights(rng, n, -9, 9, 2), 2)
+    inst = stablecut.parse_instance(inst_path.read_text())
+    w1 = stablecut.parse_weights(w1_path.read_text(), n)
+    w2 = stablecut.parse_weights(w2_path.read_text(), n)
+
+    m, weight = stablecut.solve_max_weight(inst, w1)
+    solve = [f"weight {stablecut.format_scaled(weight, w1.scale)}", *_plain_pairs(m)]
+
+    p = stablecut.meta_rotation_poset(inst, stablecut.WeightFunction.zero(n))
+    optima, truncated = stablecut.enumerate_max_matchings(p, 30)
+    assert len(optima) == 30 and truncated
+    enumerate_ = ["count 30"]
+    for i, m in enumerate(optima, start=1):
+        enumerate_ += [f"matching {i}", *_plain_pairs(m)]
+    enumerate_.append("truncated: yes")
+
+    m, v1, v2 = stablecut.solve_bi_objective(inst, w1, w2)
+    bi = [
+        f"weight1 {stablecut.format_scaled(v1, w1.scale)}",
+        f"weight2 {stablecut.format_scaled(v2, w2.scale)}",
+        *_plain_pairs(m),
+    ]
+
+    cyclic_path = tmp_path / "cyclic.txt"
+    families.write_instance(cyclic_path, *families.relabel(rng, *families.cyclic_prefs(12)))
+    poset = stablecut.build_poset(stablecut.parse_instance(cyclic_path.read_text()))
+    assert len(poset.rotations) == 11  # so ids reach two digits
+    dump = [
+        f"rotation {rho.id}: " + " ".join(f"({b + 1},{g + 1})" for b, g in rho.pairs)
+        for rho in poset.rotations
+    ]
+    dump += [f"edge {a} {b}" for a, b in sorted(poset.edges)]
+
+    cases = [
+        (["solve", str(inst_path), "--weights", str(w1_path)], solve),
+        (["enumerate", str(inst_path), "--weights", str(zero), "--cap", "30"], enumerate_),
+        (["bi-objective", str(inst_path), "--weights1", str(w1_path), "--weights2", str(w2_path)], bi),
+        (["poset", str(cyclic_path)], dump),
+    ]
+    for argv, lines in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n", argv[0]

@@ -182,6 +182,19 @@ def test_parse_decimal_names_a_long_fraction_without_its_sign():
     assert str(err.value) == "'1.0123456789' has more than 9 fraction digits"
 
 
+def test_parse_decimal_refuses_more_digits_than_a_64_bit_weight():
+    with pytest.raises(ValueError) as err:
+        _parse_decimal("-" + "1" * 4300 + ".5")
+    assert str(err.value) == "a weight of 4301 digits exceeds the 64-bit range"
+    with pytest.raises(ValueError, match="a weight of 20 digits exceeds"):
+        _parse_decimal("1" * 20)
+    # Leading zeros are not significant, however many there are.
+    assert _parse_decimal("0" * 4300 + "7") == (7, 0)
+    assert _parse_decimal("٠" * 30 + "٣") == (3, 0)
+    assert _parse_decimal("-" + "0" * 30 + "12.50") == (-1250, 2)
+    assert _parse_decimal("9" * 19) == (10**19 - 1, 0)
+
+
 def test_weight_entries_must_fit_64_bits():
     with pytest.raises(ValueError, match="64-bit"):
         WeightFunction(((2**63, 0), (0, 0)))
@@ -192,7 +205,10 @@ def test_weight_entries_must_fit_64_bits():
 # Test-only referees: the parsers that read a file token by token and
 # checked each preference row twice.  On every input below, the row
 # parsers must return an equal Instance or WeightFunction, or raise a
-# ParseError with the identical message.
+# ParseError with the identical message.  The weight referee reads every
+# token with _parse_decimal, so a token with more significant digits than
+# a 64-bit weight fails at that token, in line order, before any row is
+# scaled; the row parser must give up its fast path on such a row.
 
 
 def referee_parse_instance(text: str) -> Instance:
@@ -261,7 +277,7 @@ def _outcome(parse, *args):
 EDGE_WEIGHT_TOKENS = (
     "5.", ".5", "+.5", "-0", "007.0100", "-.25", "٣", "1_0", ".", "-", "1.2.3", "1e3",
     "0.0123456789", "0.123456789", "9223372036854775807", "-9223372036854775808",
-    "922337203685477580.7", "1" * 4301,
+    "922337203685477580.7", "1" * 4301, "1" * 20, "0" * 19 + "5", "0" * 4300 + "7",
 )
 EDGE_PREF_TOKENS = ("x", "٣", "1_0", "01", "+1", "0", "1.0", "-1", "9" * 4301)
 
@@ -366,6 +382,17 @@ def test_row_parsers_keep_the_token_parsers_messages():
         "line 1: '1_0' is not a decimal number",
     )
     assert parse_weights("٣ 1\n2 ٣.5\n", 2) == WeightFunction(((30, 10), (20, 35)), 10)
+    # A 20-digit weight on line 1 fails there, before line 2's bad token.
+    for parse in (parse_weights, referee_parse_weights):
+        assert _outcome(parse, f"{'1' * 20} 0\n0 x\n", 2) == (
+            "error",
+            "line 1: a weight of 20 digits exceeds the 64-bit range",
+        )
+        assert _outcome(parse, f"{'1' * 4301} 0\n0 0\n", 2) == (
+            "error",
+            "line 1: a weight of 4301 digits exceeds the 64-bit range",
+        )
+        assert parse(f"{'0' * 4300}7 0\n0 0\n", 2) == WeightFunction(((7, 0), (0, 0)))
     assert _outcome(parse_instance, EDGE_INSTANCE_FILES[0]) == (
         "error",
         "line 3: boy 2 preference row is not a permutation of 1..3",

@@ -11,6 +11,7 @@ on it.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections.abc import Sequence
 from itertools import islice
 
@@ -126,6 +127,19 @@ def test_first_size_two_ideal_streams_out_of_a_wide_antichain():
     assert preds.lookups < 10_000
 
 
+def test_a_wide_antichain_shares_its_candidate_lists():
+    # A child that gains no candidates shares its parent's list.  Copying
+    # the rest of the list for every child instead peaked at 238 MB over
+    # these 30 000 ideals, where sharing peaks at 9 MB.
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in islice(iter_ideals(2000, [frozenset()] * 2000), 30_000)) == 30_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 @pytest.mark.parametrize(
     "preds",
     [[frozenset({0})], [frozenset({1}), frozenset()], [frozenset(), frozenset({-1})]],
@@ -223,3 +237,59 @@ def test_max_cuts_and_ideal_cuts_match_the_referee(family, n):
     preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
     sides = [c.source_side for c in islice(iterate_ideal_cuts(g), CAP + 1)]
     assert sides == referee_proper(g.num_vertices, preds, CAP)
+
+
+def counted_preds(preds):
+    """Copies of ``preds`` whose subset checks (``<=``) are tallied in the
+    returned one-item list."""
+    tally = [0]
+
+    class Counted(frozenset):
+        def __le__(self, other):
+            tally[0] += 1
+            return frozenset.__le__(self, other)
+
+    return [Counted(p) for p in preds], tally
+
+
+def succ_lists(preds):
+    succs = [[] for _ in preds]
+    for element, below in enumerate(preds):
+        for p in below:
+            succs[p].append(element)
+    return succs
+
+
+def random_preds(seed, count, density):
+    rng = random.Random(seed)
+    return [frozenset(j for j in range(i) if rng.random() < density) for i in range(count)]
+
+
+# Subset checks for the first 5002 ideals, pinned when each ideal began
+# carrying its candidates.  Scanning every element above max J checked
+# 764 876, 35 798 and 23 128 times on these posets.  A change here is a
+# finding about the walk, not a pin to move.
+SEEDED_CHECKS = {"doubling-64-meta": 10030, "random-2-200": 12703, "random-4-300": 10186}
+
+
+def test_subset_checks_on_seeded_posets():
+    n = 64
+    meta = meta_rotation_poset(family_instance("doubling", n), WeightFunction.zero(n)).preds()
+    posets = {
+        "doubling-64-meta": meta,
+        "random-2-200": random_preds(2, 200, 0.02),
+        "random-4-300": random_preds(4, 300, 0.01),
+    }
+    found = {}
+    for key, preds in posets.items():
+        counted, tally = counted_preds(preds)
+        yields = sum(1 for _ in islice(iter_ideals(len(counted), counted), 5002))
+        assert yields == 5002
+        found[key] = tally[0]
+        # Each ideal checks only the successors of the element it added.
+        assert tally[0] <= yields * max(map(len, succ_lists(preds)))
+        # Measured on these sparse posets, not proved: the checks per
+        # ideal grow with the out-degrees, and a random poset of density
+        # 0.1 on 120 elements checks 8.5 times per ideal.
+        assert tally[0] <= 3 * yields
+    assert found == SEEDED_CHECKS

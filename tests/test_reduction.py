@@ -12,6 +12,7 @@ from conftest import (
     branch_four,
     identity_three,
     instances,
+    matching_weight_from_cut,
     pair_edges,
     random_instance,
     random_weights,
@@ -33,7 +34,6 @@ from stablecut import (
     cut_weight,
     iterate_ideal_cuts,
     matching_weight,
-    matching_weight_from_cut,
     max_weight_ideal_cut,
     preset_egalitarian,
     solve_max_weight,

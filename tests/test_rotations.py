@@ -17,6 +17,7 @@ from conftest import (
 )
 from stablecut import (
     ContractViolation,
+    Instance,
     Matching,
     Rotation,
     all_closed_sets,
@@ -24,9 +25,7 @@ from stablecut import (
     build_poset,
     closed_set_to_matching,
     dominates,
-    eliminate,
     enumerate_rotations,
-    exposed_rotations,
     gale_shapley,
     is_stable,
     rotation_count_limit,
@@ -89,10 +88,26 @@ def test_relabelled_doubling_meets_the_rotation_bound(n):
     assert len(enumerate_rotations(inst)) == rotation_count_limit(n)
 
 
+def exposed_rotations(inst: Instance, m: Matching) -> list[Rotation]:
+    """Rotations exposed in the stable matching m, from a fresh walk.
+    Empty exactly when m is the girl-optimal matching."""
+    walk = rotations._ChainWalk(inst, m)
+    return [Rotation(pairs) for pairs in walk.exposed_cycles()]
+
+
+def eliminate(inst: Instance, m: Matching, rho: Rotation) -> Matching:
+    """Apply one exposed rotation.  Boys in the cycle move down their lists,
+    the affected girls move up; raises ContractViolation when rho is not
+    exposed in m."""
+    walk = rotations._ChainWalk(inst, m)
+    walk.apply_cycle(rho.pairs)
+    return walk.matching()
+
+
 def rescan_rotations(inst) -> list[tuple[Cycle, int]]:
-    """The (pairs, id) list of a referee built from the public API alone:
-    after every elimination it lists every exposed rotation again, keeps
-    the ones not seen before, and eliminates first-in first-out."""
+    """The (pairs, id) list of a referee that starts a fresh walk for each
+    step: after every elimination it lists every exposed rotation again,
+    keeps the ones not seen before, and eliminates first-in first-out."""
     current = gale_shapley(inst, "boys")
     order: list[Cycle] = []
     seen: set[Cycle] = set()
