@@ -1,0 +1,113 @@
+"""Stage times of one weighted solve up the doubling and cyclic ladders.
+
+For each family and n, one child process imports stablecut, draws a
+relabelled instance of the family (``bench/families.py``) with -9..9
+integer weights, seeded by (family, n, seed), and runs ``build_poset``,
+``build_reduction`` and ``max_weight_ideal_cut`` once each.  Inside the
+cut it times ``min_flow`` and the ``feasible_flow`` that ``min_flow``
+starts from, and counts the flow's phases (its level searches).  One
+JSON line per n gives the cut graph's V and E, each stage's time in ms
+(``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
+``min_flow_ms``), the phases, the feasible start's value, the minimum
+flow's value, and the child's peak RSS.  Linux only: the peak is read
+from ``/proc/self/status``.  Random instances are parse-bound and have
+few rotations; ``parse_scale.py`` covers them.
+
+Usage:
+    python scripts/flow_ladder.py --doubling 32 64 128 256 --cyclic 100 200 400 800
+"""
+
+import argparse
+import json
+import random
+import subprocess
+import sys
+from time import perf_counter
+
+from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
+
+
+def _timed(fn, into: dict, key: str):
+    """``fn`` with its time in ms added to ``into[key]`` on every call."""
+
+    def run(*args):
+        start = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            into[key] = into.get(key, 0.0) + (perf_counter() - start) * 1e3
+
+    return run
+
+
+def measure(family: str, n: int, seed: int) -> dict:
+    """Solve one seeded weighted instance in this process; times in ms."""
+    import families
+    from stablecut import Instance, WeightFunction, build_poset, build_reduction, idealcut
+
+    rng = random.Random(f"{family}-{n}-{seed}")
+    prefs = families.doubling_prefs(n) if family == "doubling" else families.cyclic_prefs(n)
+    boys, girls = families.relabel(rng, *prefs)
+    inst = Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
+    w = WeightFunction(tuple(map(tuple, families.random_weights(rng, n, -9, 9, 0))))
+    del prefs, boys, girls
+
+    ms: dict[str, float] = {}
+    flows: dict[str, int] = {}
+    phases = [0]
+    feasible, minimum, levels = idealcut.feasible_flow, idealcut.min_flow, idealcut._sink_levels
+
+    def feasible_counted(g):
+        f = feasible(g)
+        flows["feasible_value"] = f.value
+        return f
+
+    def levels_counted(*args):
+        phases[0] += 1
+        return levels(*args)
+
+    idealcut.feasible_flow = _timed(feasible_counted, ms, "feasible_flow_ms")
+    idealcut.min_flow = _timed(minimum, ms, "min_flow_ms")
+    idealcut._sink_levels = levels_counted
+
+    poset = _timed(build_poset, ms, "build_poset_ms")(inst)
+    art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
+    _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag)
+    return {
+        "family": family,
+        "n": n,
+        "vertices": art.dag.num_vertices,
+        "edges": len(art.dag.edges),
+        **{key: round(ms[key], 1) for key in (
+            "build_poset_ms", "build_reduction_ms", "feasible_flow_ms", "min_flow_ms", "cut_ms"
+        )},
+        # The last level search finds the source out of reach.
+        "phases": phases[0],
+        "feasible_value": flows["feasible_value"],
+        "min_value": weight,
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+    }
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--doubling", type=int, nargs="*", default=[32, 64, 128, 256])
+    parser.add_argument("--cyclic", type=int, nargs="*", default=[100, 200, 400, 800])
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    for family, sizes in (("doubling", args.doubling), ("cyclic", args.cyclic)):
+        for n in sizes:
+            child = subprocess.run(
+                [sys.executable, __file__, "--child", family, str(n), str(args.seed)],
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            print(child.stdout.strip(), flush=True)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(measure(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))))
+    else:
+        main()

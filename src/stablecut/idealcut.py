@@ -7,15 +7,19 @@ at least w(e) units on every edge e (weights may be negative), and the
 strongly connected components of the optimal flow's residual graph encode
 every maximum cut at once.
 
-The minimum flow is found by blocking flows from a feasible start.  In
-the residual graph every edge can take more flow forwards, and an edge
-carrying more than its weight can also give flow back.  Each phase's
-level search and blocking search walk one arc list, and :func:`condense`
-certifies optimality from its own components.  Which minimum flow comes
+The minimum flow is found by blocking flows from a feasible start built
+in two linear passes over a topological order.  In the residual graph
+every edge can take more flow forwards, and an edge carrying more than
+its weight can also give that slack back; the engine keeps the flow as
+one slack array, flow minus weight.  Each phase's level search and
+blocking search walk one arc list, and :func:`condense` certifies
+optimality from its own components.  Which minimum flow comes
 out is not part of the contract: the value, the set the sink reaches in
 the residual graph, and the residual components with the order between
-them are the same for every minimum flow, and they are all that callers
-read.
+them are the same for every minimum flow.  The sequence :func:`condense`
+lists the components in is one topological order among several, found
+by a search over the flow's residual arcs, so it can differ between
+minimum flows, and the order of ``enumerate``'s listing follows it.
 """
 
 from __future__ import annotations
@@ -149,24 +153,26 @@ def validate_dag(g: WeightedDag) -> None:
     _validated_trees(g)
 
 
-def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int]]:
-    """The checks of :func:`validate_dag`, returning the two searches they
-    ran: the ``_bfs_parents`` trees from the source and to the sink."""
+def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int], list[int]]:
+    """The checks of :func:`validate_dag`, returning what they computed:
+    the topological order of Kahn's algorithm, and the ``_bfs_parents``
+    trees from the source and to the sink."""
     n = g.num_vertices
     indegree = [0] * n
     for e in g.edges:
         indegree[e.head] += 1
-    queue = deque(v for v in range(n) if indegree[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
+    order = [v for v in range(n) if indegree[v] == 0]
+    # order doubles as Kahn's queue: entries past ``done`` are waiting.
+    done = 0
+    while done < len(order):
+        v = order[done]
+        done += 1
         for i in g.out_edges[v]:
             head = g.edges[i].head
             indegree[head] -= 1
             if indegree[head] == 0:
-                queue.append(head)
-    if seen != n:
+                order.append(head)
+    if done != n:
         # Every vertex still holding in-degree has an unprocessed
         # predecessor in the same set, so walking backwards must loop.
         remaining = {v for v in range(n) if indegree[v] > 0}
@@ -197,7 +203,7 @@ def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int]]:
     for v in range(n):
         if backward[v] == -1:
             raise ValueError(f"vertex {v + 1} cannot reach the sink")
-    return forward, backward
+    return order, forward, backward
 
 
 def check_ideal_cut(g: WeightedDag, source_side: frozenset[int]) -> None:
@@ -223,32 +229,44 @@ def cut_weight(g: WeightedDag, cut: IdealCut) -> int:
 
 
 def feasible_flow(g: WeightedDag) -> Flow:
-    """A flow meeting every lower bound: for each edge demanding w > 0 units,
-    push w along a source-to-sink path through it.  Flow only ever forwards,
-    so every edge stays satisfied once handled."""
-    # Shortest paths from the source and to the sink; edges are scanned in
-    # ascending far-end order, so paths break ties toward low vertex ids.
-    from_source, to_sink = _validated_trees(g)
-    flow = [0] * len(g.edges)
-    for idx, e in enumerate(g.edges):
-        if e.weight > 0 and flow[idx] < e.weight:
-            path = [idx]
-            v = e.tail
-            while v != g.source:
-                back = from_source[v]
-                path.append(back)
-                v = g.edges[back].tail
-            v = e.head
-            while v != g.sink:
-                fwd = to_sink[v]
-                path.append(fwd)
-                v = g.edges[fwd].head
-            for p in path:
-                flow[p] += e.weight
-    for idx, e in enumerate(g.edges):
-        if flow[idx] < e.weight:
+    """A flow meeting every lower bound, in O(V + E).
+
+    Every edge starts at max(w, 0).  Then, in reverse topological order,
+    each vertex that sends more than it receives pulls the shortfall from
+    the source over its source-tree edge, which only adds to the outflow
+    of that edge's tail, a vertex earlier in the order.  Last, in
+    topological order, each vertex that receives more than it sends
+    pushes the surplus on over its sink-tree edge, which only adds to the
+    inflow of a later vertex.  Flow only ever rises, so every edge stays
+    at or above its weight.
+    """
+    # Shortest-path trees from the source and to the sink; edges are
+    # scanned in ascending far-end order, so ties go to low vertex ids.
+    order, from_source, to_sink = _validated_trees(g)
+    edges = g.edges
+    flow = [max(e.weight, 0) for e in edges]
+    surplus = [0] * g.num_vertices  # inflow minus outflow
+    for e, f in zip(edges, flow):
+        surplus[e.head] += f
+        surplus[e.tail] -= f
+    source, sink = g.source, g.sink
+    for v in reversed(order):
+        short = surplus[v]
+        if short < 0 and v != source:
+            i = from_source[v]
+            flow[i] -= short
+            surplus[v] = 0
+            surplus[edges[i].tail] += short
+    for v in order:
+        extra = surplus[v]
+        if extra > 0 and v != sink:
+            i = to_sink[v]
+            flow[i] += extra
+            surplus[edges[i].head] += extra
+    for f, e in zip(flow, edges):
+        if f < e.weight:
             raise ContractViolation("constructed flow misses a lower bound")
-    return Flow(tuple(flow), _net_outflow(g, flow, g.source))
+    return Flow(tuple(flow), _net_outflow(g, flow, source))
 
 
 def residual(g: WeightedDag, f: Flow) -> tuple[tuple[int, ...], ...]:
@@ -282,13 +300,12 @@ def _sink_levels(
     arcs: Sequence[Sequence[int]],
     tails: Sequence[int],
     heads: Sequence[int],
-    lower: Sequence[int],
-    composed: Sequence[int],
+    slack: Sequence[int],
 ) -> list[int]:
     """Breadth-first residual distance from the sink, -1 where unlabelled.
 
     The search walks the blocking search's ``arcs`` (see :func:`min_flow`):
-    every edge forwards and, where the edge carries more than its lower
+    every edge forwards and, where the edge has slack above its lower
     bound, backwards.  It stops as soon as the source is labelled, so no
     vertex further out than the source gets a level.
     """
@@ -302,7 +319,7 @@ def _sink_levels(
         for a in arcs[v]:
             if a >= 0:
                 w = heads[a]
-            elif composed[~a] > lower[~a]:
+            elif slack[~a] > 0:
                 w = tails[~a]
             else:
                 continue
@@ -317,17 +334,18 @@ def _sink_levels(
 def min_flow(g: WeightedDag) -> Flow:
     """Minimum-value flow subject to f(e) >= w(e) on every edge.
 
-    Starts from a feasible flow and pushes flow from the sink back to the
-    source by blocking flows (Dinic's phases in the minimum-flow form of
-    Ciurea and Ciupala).  The residual rule: any edge can take more flow
-    forwards, since there is no upper bound, and an edge can give back (a
-    backward step) whatever it carries above w(e).  Each phase labels
-    vertices by residual distance from the sink, then augments along
-    sink-to-source paths whose every step rises one level until none is
-    left.  The sink has no out-edges, so every sink-to-source path has a
-    backward step, and the bottleneck is the smallest slack among the
-    path's backward steps.  The result's value equals the maximum ideal
-    cut weight.
+    Starts from :func:`feasible_flow` and pushes flow from the sink back
+    to the source by blocking flows (Dinic's phases in the minimum-flow
+    form of Ciurea and Ciupala).  The flow is kept as one slack array,
+    f(e) - w(e), and comes out as w(e) plus the final slack.  The residual
+    rule: any edge can take more flow forwards, since there is no upper
+    bound, and an edge can give back (a backward step) its slack.  Each
+    phase labels vertices by residual distance from the sink, then
+    augments along sink-to-source paths whose every step rises one level
+    until none is left.  The sink has no out-edges, so every
+    sink-to-source path has a backward step, and the bottleneck is the
+    smallest slack among the path's backward steps.  The result's value
+    equals the maximum ideal cut weight.
 
     Per-edge flows are one minimum flow among many and are not part of
     the contract.  What callers read is the value, the set the sink
@@ -338,14 +356,13 @@ def min_flow(g: WeightedDag) -> Flow:
     source, sink = g.source, g.sink
     tails = [e.tail for e in g.edges]
     heads = [e.head for e in g.edges]
-    lower = [e.weight for e in g.edges]
-    composed = list(base.edge_flow)
+    slack = [f - e.weight for f, e in zip(base.edge_flow, g.edges)]
     pushed_total = 0
     # arcs[v]: v's candidate residual arcs, edge i forwards as i and
     # backwards as ~i, out-edges first; the level search walks them too.
     arcs = [list(out) + [~i for i in inn] for out, inn in zip(g.out_edges, g.in_edges)]
     while True:
-        level = _sink_levels(g, arcs, tails, heads, lower, composed)
+        level = _sink_levels(g, arcs, tails, heads, slack)
         if level[source] < 0:
             break
         # Blocking flow: an iterative depth-first search from the sink with
@@ -356,17 +373,18 @@ def min_flow(g: WeightedDag) -> Flow:
         v = sink
         while True:
             if v == source:
-                bottleneck = min(composed[~a] - lower[~a] for a in path if a < 0)
+                bottleneck = min(slack[~a] for a in path if a < 0)
                 cut_at = -1
                 for k, a in enumerate(path):
                     if a >= 0:
-                        composed[a] += bottleneck
+                        slack[a] += bottleneck
                     else:
                         i = ~a
-                        composed[i] -= bottleneck
-                        if composed[i] < lower[i]:
+                        left = slack[i] - bottleneck
+                        slack[i] = left
+                        if left < 0:
                             raise ContractViolation("augmentation broke a lower bound")
-                        if cut_at < 0 and composed[i] == lower[i]:
+                        if cut_at < 0 and left == 0:
                             cut_at = k
                 pushed_total += bottleneck
                 # Resume the search where the first arc the push saturated starts.
@@ -374,9 +392,10 @@ def min_flow(g: WeightedDag) -> Flow:
                 del path[cut_at:], stack[cut_at:]
                 continue
             vertex_arcs = arcs[v]
+            end = len(vertex_arcs)
             c = cursor[v]
             up = level[v] + 1
-            while c < len(vertex_arcs):
+            while c < end:
                 a = vertex_arcs[c]
                 if a >= 0:
                     w = heads[a]
@@ -384,11 +403,11 @@ def min_flow(g: WeightedDag) -> Flow:
                         break
                 else:
                     w = tails[~a]
-                    if level[w] == up and composed[~a] > lower[~a]:
+                    if level[w] == up and slack[~a] > 0:
                         break
                 c += 1
             cursor[v] = c
-            if c < len(vertex_arcs):
+            if c < end:
                 path.append(a)
                 stack.append(v)
                 v = w
@@ -399,11 +418,12 @@ def min_flow(g: WeightedDag) -> Flow:
                 path.pop()
                 v = stack.pop()
 
-    _assert_conservation(g, composed)
-    value = _net_outflow(g, composed, g.source)
+    flow = [s + e.weight for s, e in zip(slack, g.edges)]
+    _assert_conservation(g, flow)
+    value = _net_outflow(g, flow, g.source)
     if value != base.value - pushed_total:
         raise ContractViolation("composed flow value is inconsistent")
-    result = Flow(tuple(composed), value)
+    result = Flow(tuple(flow), value)
     # Optimality certificate: with the flow minimal, the sink can no longer
     # reach the source through the residual graph.
     if g.source in _reachable(residual(g, result), g.sink):

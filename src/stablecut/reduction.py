@@ -47,9 +47,11 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     and every pair adds its weight to the edge between its maker and its
     breaker.  Raises ContractViolation unless the poset's rotations,
     replayed in id order, lead from the instance's boy-optimal matching to
-    its girl-optimal one and every pair handed between two rotations has
-    their arc.  The graph's acyclicity and reachability are checked once,
-    by the flow that reads it (``feasible_flow`` inside ``min_flow``).
+    its girl-optimal one, every pair handed between two rotations has
+    their arc, and every prefix of the id order transports its weight
+    (see :func:`_check_prefix_weights`).  The graph's acyclicity and
+    reachability are checked once, by the flow that reads it
+    (``feasible_flow`` inside ``min_flow``).
     """
     inst = poset.inst
     if w.n != inst.n:
@@ -89,12 +91,49 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
         weight[ends] = weight.get(ends, 0) + w.table[b][g]
 
     edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
-    return ReductionArtifacts(
+    art = ReductionArtifacts(
         poset=poset,
         dag=WeightedDag(k + 2, source, sink, edges, w.scale),
         base_weight=base_weight,
         vertex_of_rotation=vertex_of_rotation,
     )
+    _check_prefix_weights(art, m0, w)
+    return art
+
+
+def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFunction) -> None:
+    """Check that the cut graph weighs every prefix of the rotation ids.
+
+    Edges run from lower ids to higher ones, so the source plus rotations
+    0..j-1 is an ideal cut, and its matching is the chain's after j
+    eliminations.  The cut {source} must weigh m0 less the base, and
+    adding rotation j's vertex changes the cut by its out-weight less its
+    in-weight, which must equal what eliminating the rotation changes the
+    matching's weight by.  Every edge leaves the source or a rotation, so
+    a wrong edge weight fails one of these checks.  Raises
+    ContractViolation naming the first rotation whose prefix does not
+    transport.
+    """
+    dag, table = art.dag, w.table
+    net = [0] * dag.num_vertices  # out-weight less in-weight
+    for tail, head, weight in dag.edges:
+        net[tail] += weight
+        net[head] -= weight
+    if net[dag.source] + art.base_weight != matching_weight(m0, w):
+        raise ContractViolation("the cut {source} does not weigh the boy-optimal matching")
+    for rho, v in zip(art.poset.rotations, art.vertex_of_rotation):
+        # Eliminating the rotation hands each of its girls to the boy
+        # before her partner in the cycle.
+        gain = 0
+        before = rho.pairs[-1][0]
+        for b, g in rho.pairs:
+            gain += table[before][g] - table[b][g]
+            before = b
+        if net[v] != gain:
+            raise ContractViolation(
+                f"the cut graph weighs rotation {rho.id} at {net[v]}, but eliminating"
+                f" it changes the matching's weight by {gain}"
+            )
 
 
 def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:

@@ -23,6 +23,7 @@ from stablecut import (
     WeightedDag,
     WeightFunction,
     cut_weight,
+    reduction,
     rotations,
 )
 
@@ -152,6 +153,23 @@ def reversed_rotation_ids(monkeypatch):
         return [Rotation(r.pairs, len(found) - 1 - r.id) for r in reversed(found)]
 
     monkeypatch.setattr(rotations, "enumerate_rotations", reverse)
+
+
+@pytest.fixture
+def lowered_edge(monkeypatch):
+    """``lower(i)`` makes the next cut graph ``build_reduction`` builds
+    weigh its edge i 20 less than the pairs on it add up to."""
+
+    def lower(index: int) -> None:
+        def edge(tail: int, head: int, weight: int) -> Edge:
+            nonlocal made
+            made += 1
+            return Edge(tail, head, weight - 20 if made - 1 == index else weight)
+
+        made = 0
+        monkeypatch.setattr(reduction, "Edge", edge)
+
+    return lower
 
 
 def random_dag(

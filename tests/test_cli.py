@@ -419,6 +419,25 @@ def test_a_sink_side_missing_a_vertex_exits_two(files, monkeypatch):
     assert (status, report) == (2, "error: cut must exclude the sink")
 
 
+def test_a_lowered_cut_graph_edge_exits_two(files, lowered_edge):
+    # Edge 0 is the arc 0 -> 1, laid down first.  Rotation 0 moves boy 1
+    # from girl 4 (weight 1) to girl 3 (0) and boy 2 from girl 3 (2) to
+    # girl 4 (0).
+    lowered_edge(0)
+    status, report = run(
+        RunConfig(
+            "solve",
+            instance_path=files("inst.txt", BRANCH_FOUR_TEXT),
+            weights_path=files("w.txt", "4 0 0 1\n0 3 2 0\n1 0 0 5\n0 2 3 0\n"),
+        )
+    )
+    assert (status, report) == (
+        2,
+        "error: the cut graph weighs rotation 0 at -23, but eliminating it"
+        " changes the matching's weight by -3",
+    )
+
+
 def test_poset_with_arcs_against_rotation_ids_exits_two(files, reversed_rotation_ids):
     status, report = run(
         RunConfig("poset", instance_path=files("inst.txt", BRANCH_FOUR_TEXT))

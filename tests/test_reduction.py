@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from conftest import (
     branch_four,
+    family_instance,
     identity_three,
     instances,
     matching_weight_from_cut,
@@ -92,6 +93,25 @@ def test_build_reduction_names_a_missing_hand_off_arc():
         match="rotation 1 takes boy 1 from rotation 0, but the poset has no arc 0 -> 1",
     ):
         build_reduction(broken, WeightFunction.zero(4))
+
+
+def test_a_lowered_edge_weight_fails_a_prefix(lowered_edge):
+    # Every edge leaves the source or a rotation, so a wrong weight breaks
+    # the prefix that adds its tail.
+    rng = random.Random(913)
+    insts = [branch_four()]
+    insts += [family_instance(f, n, seed) for f, n in (("doubling", 8), ("cyclic", 7)) for seed in range(3)]
+    insts += [random_instance(rng, n) for n in (5, 6, 7) for _ in range(4)]
+    faults = 0
+    for inst in insts:
+        poset = build_poset(inst)
+        w = random_weights(rng, inst.n)
+        for index in range(len(build_reduction(poset, w).dag.edges)):
+            lowered_edge(index)
+            with pytest.raises(ContractViolation, match="weigh"):
+                build_reduction(poset, w)
+            faults += 1
+    assert faults > 100
 
 
 def test_reduction_unique_matching_sentinel():
