@@ -55,7 +55,7 @@ def measure(family: str, n: int, seed: int) -> dict:
     ms: dict[str, float] = {}
     flows: dict[str, int] = {}
     phases = [0]
-    feasible, minimum, levels = idealcut.feasible_flow, idealcut.min_flow, idealcut._sink_levels
+    feasible, minimum, levels = idealcut.feasible_flow, idealcut.min_flow, idealcut._source_levels
 
     def feasible_counted(g):
         f = feasible(g)
@@ -68,7 +68,7 @@ def measure(family: str, n: int, seed: int) -> dict:
 
     idealcut.feasible_flow = _timed(feasible_counted, ms, "feasible_flow_ms")
     idealcut.min_flow = _timed(minimum, ms, "min_flow_ms")
-    idealcut._sink_levels = levels_counted
+    idealcut._source_levels = levels_counted
 
     poset = _timed(build_poset, ms, "build_poset_ms")(inst)
     art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
@@ -81,7 +81,7 @@ def measure(family: str, n: int, seed: int) -> dict:
         **{key: round(ms[key], 1) for key in (
             "build_poset_ms", "build_reduction_ms", "feasible_flow_ms", "min_flow_ms", "cut_ms"
         )},
-        # The last level search finds the source out of reach.
+        # The last level search finds that the sink cannot reach the source.
         "phases": phases[0],
         "feasible_value": flows["feasible_value"],
         "min_value": weight,

@@ -11,15 +11,18 @@ The minimum flow is found by blocking flows from a feasible start built
 in two linear passes over a topological order.  In the residual graph
 every edge can take more flow forwards, and an edge carrying more than
 its weight can also give that slack back; the engine keeps the flow as
-one slack array, flow minus weight.  Each phase's level search and
-blocking search walk one arc list, and :func:`condense` certifies
-optimality from its own components.  Which minimum flow comes
-out is not part of the contract: the value, the set the sink reaches in
-the residual graph, and the residual components with the order between
-them are the same for every minimum flow.  The sequence :func:`condense`
-lists the components in is one topological order among several, found
-by a search over the flow's residual arcs, so it can differ between
-minimum flows, and the order of ``enumerate``'s listing follows it.
+one slack array, flow minus weight.  Each phase labels vertices with
+their residual distance to the source, by a breadth-first search from
+the source over reversed arcs, and then augments from the sink along
+arcs that descend one level, so the blocking search only walks shortest
+sink-to-source paths.  :func:`condense` certifies optimality from its
+own components.  Which minimum flow comes out is not part of the
+contract: the value, the set the sink reaches in the residual graph,
+and the residual components with the order between them are the same
+for every minimum flow.  The sequence :func:`condense` lists the
+components in is one topological order among several, found by a search
+over the flow's residual arcs, so it can differ between minimum flows,
+and the order of ``enumerate``'s listing follows it.
 """
 
 from __future__ import annotations
@@ -287,47 +290,57 @@ def residual(g: WeightedDag, f: Flow) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(lst) for lst in heads)
 
 
-def _assert_conservation(g: WeightedDag, flow: list[int]) -> None:
-    for v in range(g.num_vertices):
-        if v in (g.source, g.sink):
-            continue
-        if _net_outflow(g, flow, v) != 0:
+def _assert_conservation(g: WeightedDag, flow: Sequence[int]) -> int:
+    """Check that every vertex but the poles passes on what it receives,
+    naming the first that does not; return the source's net outflow, the
+    flow value.  One pass over the edges sums every vertex's net outflow."""
+    net = [0] * g.num_vertices
+    for (tail, head, _), f in zip(g.edges, flow):
+        net[tail] += f
+        net[head] -= f
+    value = net[g.source]
+    net[g.source] = net[g.sink] = 0
+    for v, x in enumerate(net):
+        if x:
             raise ContractViolation(f"flow conservation fails at vertex {v + 1}")
+    return value
 
 
-def _sink_levels(
+def _source_levels(
     g: WeightedDag,
-    arcs: Sequence[Sequence[int]],
-    tails: Sequence[int],
+    preds: Sequence[Sequence[int]],
     heads: Sequence[int],
     slack: Sequence[int],
 ) -> list[int]:
-    """Breadth-first residual distance from the sink, -1 where unlabelled.
+    """Breadth-first residual distance to the source, -1 where unlabelled.
 
-    The search walks the blocking search's ``arcs`` (see :func:`min_flow`):
-    every edge forwards and, where the edge has slack above its lower
-    bound, backwards.  It stops as soon as the source is labelled, so no
-    vertex further out than the source gets a level.
+    The search runs from the source over reversed residual arcs.  A vertex
+    y is one step further out than each tail of its in-edges
+    (``preds[y]``), since every forward arc exists, and than the head of
+    each out-edge with slack above its lower bound (a backward arc).  It
+    stops as soon as the sink is labelled, so no vertex further out than
+    the sink gets a level.
     """
-    source = g.source
+    sink, out_edges = g.sink, g.out_edges
     level = [-1] * g.num_vertices
-    level[g.sink] = 0
-    queue = deque([g.sink])
+    level[g.source] = 0
+    queue = deque([g.source])
     while queue:
-        v = queue.popleft()
-        up = level[v] + 1
-        for a in arcs[v]:
-            if a >= 0:
-                w = heads[a]
-            elif slack[~a] > 0:
-                w = tails[~a]
-            else:
-                continue
-            if level[w] == -1:
-                level[w] = up
-                if w == source:
-                    return level
-                queue.append(w)
+        y = queue.popleft()
+        up = level[y] + 1
+        for x in preds[y]:
+            if level[x] < 0:
+                level[x] = up
+                queue.append(x)
+        # The sink has no out-edges, so only a backward arc leaves it.
+        for i in out_edges[y]:
+            if slack[i] > 0:
+                x = heads[i]
+                if level[x] < 0:
+                    level[x] = up
+                    if x == sink:
+                        return level
+                    queue.append(x)
     return level
 
 
@@ -340,9 +353,11 @@ def min_flow(g: WeightedDag) -> Flow:
     f(e) - w(e), and comes out as w(e) plus the final slack.  The residual
     rule: any edge can take more flow forwards, since there is no upper
     bound, and an edge can give back (a backward step) its slack.  Each
-    phase labels vertices by residual distance from the sink, then
-    augments along sink-to-source paths whose every step rises one level
-    until none is left.  The sink has no out-edges, so every
+    phase labels vertices by residual distance to the source, then
+    augments along sink-to-source paths whose every step descends one
+    level until none is left.  Those are exactly the shortest residual
+    paths, so the depth-first search only backs out of branches that the
+    phase's own pushes cut off.  The sink has no out-edges, so every
     sink-to-source path has a backward step, and the bottleneck is the
     smallest slack among the path's backward steps.  The result's value
     equals the maximum ideal cut weight.
@@ -358,12 +373,14 @@ def min_flow(g: WeightedDag) -> Flow:
     heads = [e.head for e in g.edges]
     slack = [f - e.weight for f, e in zip(base.edge_flow, g.edges)]
     pushed_total = 0
-    # arcs[v]: v's candidate residual arcs, edge i forwards as i and
-    # backwards as ~i, out-edges first; the level search walks them too.
+    # arcs[v]: v's candidate residual arcs for the blocking search, edge i
+    # forwards as i and backwards as ~i, out-edges first.  preds[v]: the
+    # tails of v's in-edges, which the level search steps to from v.
     arcs = [list(out) + [~i for i in inn] for out, inn in zip(g.out_edges, g.in_edges)]
+    preds = [[tails[i] for i in inn] for inn in g.in_edges]
     while True:
-        level = _sink_levels(g, arcs, tails, heads, slack)
-        if level[source] < 0:
+        level = _source_levels(g, preds, heads, slack)
+        if level[sink] < 0:
             break
         # Blocking flow: an iterative depth-first search from the sink with
         # one arc cursor per vertex; a dead end gets level -1.
@@ -394,16 +411,16 @@ def min_flow(g: WeightedDag) -> Flow:
             vertex_arcs = arcs[v]
             end = len(vertex_arcs)
             c = cursor[v]
-            up = level[v] + 1
+            down = level[v] - 1
             while c < end:
                 a = vertex_arcs[c]
                 if a >= 0:
                     w = heads[a]
-                    if level[w] == up:
+                    if level[w] == down:
                         break
                 else:
                     w = tails[~a]
-                    if level[w] == up and slack[~a] > 0:
+                    if level[w] == down and slack[~a] > 0:
                         break
                 c += 1
             cursor[v] = c
@@ -419,8 +436,7 @@ def min_flow(g: WeightedDag) -> Flow:
                 v = stack.pop()
 
     flow = [s + e.weight for s, e in zip(slack, g.edges)]
-    _assert_conservation(g, flow)
-    value = _net_outflow(g, flow, g.source)
+    value = _assert_conservation(g, flow)
     if value != base.value - pushed_total:
         raise ContractViolation("composed flow value is inconsistent")
     result = Flow(tuple(flow), value)

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from conftest import (
     IDENTITY_THREE_TEXT,
     TWO_BY_TWO_TEXT,
+    family_instance,
     identity_three,
     instances,
+    random_instance,
     tie_weights,
     two_by_two,
 )
@@ -425,6 +427,21 @@ def test_gale_shapley_identity_three():
     diag = (0, 1, 2)
     assert gale_shapley(inst, "boys").partner_of_boy == diag
     assert gale_shapley(inst, "girls").partner_of_boy == diag
+
+
+def test_boys_proposing_gale_shapley_seeds_the_inverse():
+    rng = random.Random(19)
+    cases = [random_instance(rng, n) for n in (1, 2, 5, 30, 80)]
+    cases += [family_instance(family, n) for family in ("cyclic", "doubling") for n in (4, 16, 32)]
+    for inst in cases:
+        m = gale_shapley(inst, "boys")
+        assert "partner_of_girl" in m.__dict__  # seeded, not yet computed
+        fresh = Matching(m.partner_of_boy)
+        # Equality and hashing see only the boys' partners, with the
+        # fresh matching's inverse not yet built and then built.
+        assert m == fresh and hash(m) == hash(fresh)
+        assert m.partner_of_girl == fresh.partner_of_girl
+        assert m == fresh and {m, fresh} == {fresh}
 
 
 def test_gale_shapley_rejects_unknown_side():

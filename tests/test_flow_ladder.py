@@ -1,0 +1,29 @@
+"""``scripts/flow_ladder.py`` end to end on small rungs.
+
+The script patches ``idealcut`` in the process that measures and never
+restores it, so it runs here as a subprocess, as it does for its users.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "flow_ladder.py"
+
+
+def test_flow_ladder_prints_one_sound_line_per_rung():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--doubling", "8", "--cyclic", "10"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(row["family"], row["n"]) for row in rows] == [("doubling", 8), ("cyclic", 10)]
+    for row in rows:
+        assert row["phases"] >= 1
+        assert row["min_value"] <= row["feasible_value"]

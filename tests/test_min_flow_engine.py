@@ -1,13 +1,19 @@
-"""The blocking-flow ``min_flow`` against an Edmonds-Karp referee.
+"""The blocking-flow ``min_flow`` against two referees.
 
-The referee below is the shortest-augmenting-path loop ``min_flow`` used
-before it moved to blocking flows, and it starts from the per-edge path
-flow ``feasible_flow`` built before its two-pass form; both are kept here
-only to cross-check the engine.  Minimum flows are not unique, so the two
-must agree on what every minimum flow shares: the flow value, the
-returned maximum cut, and the residual condensation's components, poles
-and arcs.  Per-edge flows and the order ``condense`` lists components in
-may differ and are not compared.
+The Edmonds-Karp referee is the shortest-augmenting-path loop ``min_flow``
+used before it moved to blocking flows, and it starts from the per-edge
+path flow ``feasible_flow`` built before its two-pass form.  Minimum
+flows are not unique, so the engine and that referee must agree on what
+every minimum flow shares: the flow value, the returned maximum cut, and
+the residual condensation's components, poles and arcs.  Per-edge flows
+and the order ``condense`` lists components in may differ there and are
+not compared.
+
+The sink-side referee is the blocking-flow engine as it was while its
+levels counted distance from the sink.  Labelling distance to the source
+instead admits the same arcs in the same scan order, minus branches that
+cannot reach the source, so it must push the very same per-edge flow.
+Both referees are kept here only to cross-check the engine.
 """
 
 from __future__ import annotations
@@ -110,6 +116,76 @@ def edmonds_karp_min_flow(g: WeightedDag) -> Flow:
     return Flow(tuple(composed), value)
 
 
+def sink_side_min_flow(g: WeightedDag) -> Flow:
+    """Minimum flow by blocking flows from :func:`feasible_flow`, each phase
+    labelling vertices by residual distance from the sink (stopping once
+    the source is labelled) and augmenting along paths that rise one level
+    per step."""
+    base = feasible_flow(g)
+    source, sink = g.source, g.sink
+    tails = [e.tail for e in g.edges]
+    heads = [e.head for e in g.edges]
+    slack = [f - e.weight for f, e in zip(base.edge_flow, g.edges)]
+    arcs = [list(out) + [~i for i in inn] for out, inn in zip(g.out_edges, g.in_edges)]
+
+    def far_end(a: int) -> int | None:
+        """Where residual arc a leads, or None while it is absent."""
+        if a >= 0:
+            return heads[a]
+        return tails[~a] if slack[~a] > 0 else None
+
+    while True:
+        level = [-1] * g.num_vertices
+        level[sink] = 0
+        queue = deque([sink])
+        while queue and level[source] < 0:
+            v = queue.popleft()
+            for w in map(far_end, arcs[v]):
+                if w is not None and level[w] == -1:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+                    if w == source:
+                        break
+        if level[source] < 0:
+            break
+        cursor = [0] * g.num_vertices
+        path: list[int] = []
+        stack: list[int] = []
+        v = sink
+        while True:
+            if v == source:
+                bottleneck = min(slack[~a] for a in path if a < 0)
+                cut_at = -1
+                for k, a in enumerate(path):
+                    if a >= 0:
+                        slack[a] += bottleneck
+                    else:
+                        slack[~a] -= bottleneck
+                        if cut_at < 0 and slack[~a] == 0:
+                            cut_at = k
+                v = stack[cut_at]
+                del path[cut_at:], stack[cut_at:]
+                continue
+            while cursor[v] < len(arcs[v]):
+                a = arcs[v][cursor[v]]
+                w = far_end(a)
+                if w is not None and level[w] == level[v] + 1:
+                    break
+                cursor[v] += 1
+            if cursor[v] < len(arcs[v]):
+                path.append(a)
+                stack.append(v)
+                v = w
+            elif v == sink:
+                break
+            else:
+                level[v] = -1
+                path.pop()
+                v = stack.pop()
+    flow = [s + e.weight for s, e in zip(slack, g.edges)]
+    return Flow(tuple(flow), _net_outflow(g, flow, source))
+
+
 @lru_cache(maxsize=None)
 def reduction_dag(family: str, n: int, draw: int) -> WeightedDag:
     """The cut graph of a relabelled family instance under -9..9 weights,
@@ -163,12 +239,36 @@ def test_blocking_flow_agrees_with_edmonds_karp():
         assert condensation(condense(g, ours)) == condensation(condense(g, theirs))
 
 
+def test_source_side_levels_push_the_sink_side_flow():
+    graphs = list(corpus()) + [reduction_dag("doubling", 64, draw) for draw in (1, 2)]
+    for g in graphs:
+        assert min_flow(g).edge_flow == sink_side_min_flow(g).edge_flow
+
+
+def test_conservation_check_sums_each_vertex_once():
+    checked = 0
+    for g in corpus():
+        f = min_flow(g)
+        flow = list(f.edge_flow)
+        assert idealcut._assert_conservation(g, flow) == f.value == _net_outflow(g, flow, g.source)
+        inner = [i for i, e in enumerate(g.edges) if {e.tail, e.head}.isdisjoint({g.source, g.sink})]
+        if not inner:
+            continue
+        i = inner[len(inner) // 2]
+        flow[i] += 1
+        first = min(g.edges[i].tail, g.edges[i].head) + 1
+        with pytest.raises(ContractViolation, match=f"^flow conservation fails at vertex {first}$"):
+            idealcut._assert_conservation(g, flow)
+        checked += 1
+    assert checked > len(corpus()) // 2
+
+
 @pytest.fixture
 def phase_counts(monkeypatch):
     """Count the level searches of each min_flow call: one per phase,
-    the last of which finds the source out of reach."""
+    the last of which finds that the sink cannot reach the source."""
     counts: list[int] = []
-    real = idealcut._sink_levels
+    real = idealcut._source_levels
 
     def counted(*args):
         counts[-1] += 1
@@ -179,7 +279,7 @@ def phase_counts(monkeypatch):
         min_flow(g)
         return counts[-1]
 
-    monkeypatch.setattr(idealcut, "_sink_levels", counted)
+    monkeypatch.setattr(idealcut, "_source_levels", counted)
     return run
 
 
@@ -245,18 +345,23 @@ def test_condense_raises_exactly_when_the_sink_reaches_the_source():
     assert raised > len(corpus()) // 2
 
 
-def residual_distances(heads: tuple[tuple[int, ...], ...], start: int) -> list[int]:
-    """Breadth-first distance from start in a head adjacency, -1 where
-    unreached."""
+def distances_to(heads: tuple[tuple[int, ...], ...], target: int) -> list[int]:
+    """Length of the shortest path from each vertex to target in a head
+    adjacency, -1 where target is out of reach: a breadth-first search
+    from target over the reversed arcs."""
+    tails: list[list[int]] = [[] for _ in heads]
+    for v, row in enumerate(heads):
+        for w in row:
+            tails[w].append(v)
     dist = [-1] * len(heads)
-    dist[start] = 0
-    queue = deque([start])
+    dist[target] = 0
+    queue = deque([target])
     while queue:
-        v = queue.popleft()
-        for w in heads[v]:
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+        w = queue.popleft()
+        for v in tails[w]:
+            if dist[v] == -1:
+                dist[v] = dist[w] + 1
+                queue.append(v)
     return dist
 
 
@@ -265,19 +370,28 @@ class FirstLevels(Exception):
 
 
 def test_first_level_search_gives_residual_distances(monkeypatch):
-    real = idealcut._sink_levels
+    real = idealcut._source_levels
 
     def stop_after_one(*args):
         raise FirstLevels(real(*args))
 
-    monkeypatch.setattr(idealcut, "_sink_levels", stop_after_one)
+    monkeypatch.setattr(idealcut, "_source_levels", stop_after_one)
+    stopped_early = 0
     for g in corpus():
         with pytest.raises(FirstLevels) as caught:
             min_flow(g)
         (level,) = caught.value.args
-        dist = residual_distances(residual(g, feasible_flow(g)), g.sink)
+        dist = distances_to(residual(g, feasible_flow(g)), g.source)
         labelled = [v for v in range(g.num_vertices) if level[v] >= 0]
         assert all(level[v] == dist[v] for v in labelled)
-        if level[g.source] < 0:
-            # No early stop: the search labelled everything the sink reaches.
+        if level[g.sink] >= 0:
+            # An early stop labels every vertex nearer than the sink and
+            # none further out.
+            stopped_early += 1
+            assert max(level) == level[g.sink]
+            assert all(level[v] >= 0 for v in range(g.num_vertices) if 0 <= dist[v] < dist[g.sink])
+        else:
+            # No early stop: the search labelled exactly what reaches the source.
             assert labelled == [v for v in range(g.num_vertices) if dist[v] >= 0]
+    # Most feasible starts are not minimal, so most searches stop early.
+    assert stopped_early > len(corpus()) // 2
