@@ -30,11 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import ContractViolation, ParseError, _check_scale, _content_lines, _parse_decimal
 from .core import _scale_rows
-from .ideals import _capped, _preds_from_edges, _proper_ideals
 
 
 class Edge(NamedTuple):
@@ -546,38 +545,6 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
         source_component=comp_of[g.source],
         sink_component=comp_of[g.sink],
     )
-
-
-def enumerate_max_cuts(d: CondensedDag, cap: int) -> tuple[list[IdealCut], bool]:
-    """All maximum-weight ideal cuts of the original graph, by source-side
-    size then lexicographic, truncated after ``cap`` results.
-
-    In the component DAG the source component is the unique minimum and the
-    sink component the unique maximum, so every closed component subset
-    other than the empty and the full one is a valid cut.
-    """
-    count = len(d.components)
-
-    def to_cut(ideal: frozenset[int]) -> IdealCut:
-        if d.source_component not in ideal or d.sink_component in ideal:
-            raise ContractViolation("component ideal violates the cut poles")
-        vertices: set[int] = set()
-        for ci in ideal:
-            vertices |= d.components[ci]
-        return IdealCut(frozenset(vertices))
-
-    return _capped(_proper_ideals(count, _preds_from_edges(count, d.edges)), cap, to_cut)
-
-
-def iterate_ideal_cuts(g: WeightedDag) -> Iterator[IdealCut]:
-    """Generate every ideal cut of a validated DAG, by source-side size
-    then lexicographic.  Every edge must run from a lower vertex id to a
-    higher one, as in :func:`~stablecut.reduction.build_reduction`'s
-    graphs; raises ValueError otherwise.  The count can be exponential;
-    callers bound consumption."""
-    preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
-    for ideal in _proper_ideals(g.num_vertices, preds):
-        yield IdealCut(ideal)
 
 
 def parse_dag(text: str) -> WeightedDag:

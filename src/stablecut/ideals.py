@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
-
-S = TypeVar("S")
-T = TypeVar("T")
+from typing import Iterable, Iterator, Sequence
 
 
 def iter_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[frozenset[int]]:
@@ -74,17 +71,3 @@ def _proper_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[froz
     for ideal in iter_ideals(count, preds):
         if ideal and ideal != full:
             yield ideal
-
-
-def _capped(items: Iterable[S], cap: int, convert: Callable[[S], T]) -> tuple[list[T], bool]:
-    """``convert`` applied to the first ``cap`` items, plus whether any item
-    was left over.  Only listed items are converted, so the one that
-    reveals truncation costs nothing."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    out: list[T] = []
-    for item in items:
-        if len(out) == cap:
-            return out, True
-        out.append(convert(item))
-    return out, False

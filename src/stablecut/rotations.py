@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
-from .ideals import _capped, _preds_from_edges, iter_ideals
+from .ideals import _preds_from_edges
 
 Pair = tuple[int, int]
 
@@ -29,9 +29,6 @@ class Rotation:
 
     pairs: tuple[Pair, ...]
     id: int = -1
-
-    def boys(self) -> tuple[int, ...]:
-        return tuple(b for b, _ in self.pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,11 +282,3 @@ def closed_set_to_matching(poset: RotationPoset, closed: Iterable[int]) -> Match
     for rid in sorted(members):
         walk.apply_cycle(poset.rotations[rid].pairs)
     return walk.matching()
-
-
-def all_closed_sets(
-    poset: RotationPoset, cap: int
-) -> tuple[list[frozenset[int]], bool]:
-    """All predecessor-closed rotation subsets, by size then lexicographic,
-    truncated after ``cap`` results."""
-    return _capped(iter_ideals(len(poset.rotations), poset.preds), cap, lambda ideal: ideal)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
 from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow
-from .ideals import _capped, _preds_from_edges, _proper_ideals
+from .ideals import _preds_from_edges, _proper_ideals
 from .reduction import build_reduction, cut_to_matching
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
@@ -118,14 +118,23 @@ def girl_optimal_max(p: MetaRotationPoset) -> Matching:
 
 
 def enumerate_max_matchings(p: MetaRotationPoset, cap: int) -> tuple[list[Matching], bool]:
-    """All maximum-weight stable matchings, with a truncation flag once
-    ``cap`` results are out.
+    """All maximum-weight stable matchings, by size then lexicographic
+    ideal, with a truncation flag once ``cap`` results are out.
 
-    Every element other than the poles holds a rotation, so distinct
-    ideals give distinct matchings; a repeat is a ContractViolation.
+    The walk stops at the ideal after the ``cap``-th, which shows
+    truncation and is never translated.  Every element other than the
+    poles holds a rotation, so distinct ideals give distinct matchings; a
+    repeat is a ContractViolation.
     """
-    ideals = _proper_ideals(len(p.rotation_sets), p.preds())
-    out, truncated = _capped(ideals, cap, lambda ideal: _elements_to_matching(p, ideal))
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    out: list[Matching] = []
+    truncated = False
+    for ideal in _proper_ideals(len(p.rotation_sets), p.preds()):
+        if len(out) == cap:
+            truncated = True
+            break
+        out.append(_elements_to_matching(p, ideal))
     if len({m.partner_of_boy for m in out}) != len(out):
         raise ContractViolation("two meta-rotation ideals give the same matching")
     return out, truncated

@@ -9,12 +9,14 @@ from the benchmark's generators in ``bench/families.py``.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import strategies as st
 
 import families
 from stablecut import (
+    CondensedDag,
     Edge,
     IdealCut,
     Instance,
@@ -26,6 +28,7 @@ from stablecut import (
     reduction,
     rotations,
 )
+from stablecut.ideals import _preds_from_edges, _proper_ideals
 
 # Two couples where each boy's favourite girl ranks him last: two stable
 # matchings, one rotation apart.
@@ -141,6 +144,26 @@ def matching_weight_from_cut(art: ReductionArtifacts, cut: IdealCut) -> int:
     """Weight of the matching selected by the cut, computed on the cut side
     of the correspondence: cut weight plus the always-present base."""
     return cut_weight(art.dag, cut) + art.base_weight
+
+
+def ideal_cuts(g: WeightedDag) -> Iterator[IdealCut]:
+    """Every ideal cut of a DAG whose edges run from lower vertex ids to
+    higher ones, by source-side size then lexicographic: the proper ideals
+    of its vertex order.  The walker raises ValueError on an edge that
+    runs downwards."""
+    preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
+    return (IdealCut(ideal) for ideal in _proper_ideals(g.num_vertices, preds))
+
+
+def max_cut_sides(d: CondensedDag) -> Iterator[frozenset[int]]:
+    """The source sides of the maximum cuts a condensation encodes, by
+    component-ideal size then lexicographic: every proper ideal of the
+    component order, expanded to its vertices.  Asserts that each holds
+    the source component and not the sink component."""
+    count = len(d.components)
+    for ideal in _proper_ideals(count, _preds_from_edges(count, d.edges)):
+        assert d.source_component in ideal and d.sink_component not in ideal
+        yield frozenset(v for ci in ideal for v in d.components[ci])
 
 
 @pytest.fixture

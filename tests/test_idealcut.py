@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import diamond_dag, path_dag, random_dag
+from conftest import diamond_dag, ideal_cuts, max_cut_sides, path_dag, random_dag
 from stablecut import (
     ContractViolation,
     Edge,
@@ -19,9 +19,7 @@ from stablecut import (
     check_ideal_cut,
     condense,
     cut_weight,
-    enumerate_max_cuts,
     feasible_flow,
-    iterate_ideal_cuts,
     max_weight_ideal_cut,
     min_flow,
     parse_dag,
@@ -188,9 +186,7 @@ def test_condense_rejects_non_optimal_flow():
 
 def test_enumerate_max_cuts_unique_optimum():
     g = path_dag()
-    cuts, truncated = enumerate_max_cuts(condense(g, min_flow(g)), 10)
-    assert [c.source_side for c in cuts] == [frozenset({0})]
-    assert not truncated
+    assert list(max_cut_sides(condense(g, min_flow(g)))) == [frozenset({0})]
 
 
 def test_enumerate_max_cuts_tied_path():
@@ -199,21 +195,11 @@ def test_enumerate_max_cuts_tied_path():
     g = WeightedDag(3, 0, 2, (Edge(0, 1, 2), Edge(1, 2, 2)))
     d = condense(g, min_flow(g))
     assert len(d.components) == 3
-    cuts, truncated = enumerate_max_cuts(d, 10)
-    assert [c.source_side for c in cuts] == [frozenset({0}), frozenset({0, 1})]
-    assert not truncated
-
-
-def test_enumerate_max_cuts_cap():
-    g = WeightedDag(3, 0, 2, (Edge(0, 1, 2), Edge(1, 2, 2)))
-    d = condense(g, min_flow(g))
-    cuts, truncated = enumerate_max_cuts(d, 1)
-    assert len(cuts) == 1
-    assert truncated
+    assert list(max_cut_sides(d)) == [frozenset({0}), frozenset({0, 1})]
 
 
 def test_iterate_ideal_cuts_diamond():
-    sides = [c.source_side for c in iterate_ideal_cuts(diamond_dag())]
+    sides = [c.source_side for c in ideal_cuts(diamond_dag())]
     assert sides == [
         frozenset({0}),
         frozenset({0, 1}),
@@ -225,7 +211,7 @@ def test_iterate_ideal_cuts_diamond():
 def test_oracle_cuts_match_iteration():
     g = diamond_dag()
     assert [c.source_side for c in all_ideal_cuts(g)] == [
-        c.source_side for c in iterate_ideal_cuts(g)
+        c.source_side for c in ideal_cuts(g)
     ]
 
 
@@ -303,13 +289,13 @@ def test_condensation_enumerates_exactly_the_maximum_cuts():
     for _ in range(40):
         g = random_dag(rng, max_vertices=9)
         d = condense(g, min_flow(g))
-        cuts, truncated = enumerate_max_cuts(d, 100_000)
-        assert not truncated
+        sides = list(max_cut_sides(d))
+        assert len(set(sides)) == len(sides)
         _, best = brute_max_weight_cut(g)
         expected = {
             c.source_side for c in all_ideal_cuts(g) if cut_weight(g, c) == best
         }
-        assert {c.source_side for c in cuts} == expected
+        assert set(sides) == expected
 
 
 def test_maximum_cuts_close_under_union_and_intersection():

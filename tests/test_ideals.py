@@ -4,8 +4,8 @@ The referee below is the level-by-level enumerator ``iter_ideals`` used
 before it built each ideal once from its parent: it grows every ideal of
 a size level by every addable element, dedups the results in a set and
 sorts the whole level before yielding it.  It is kept here only to
-cross-check the sequence ``iter_ideals`` yields and the enumerators built
-on it.
+cross-check the sequence ``iter_ideals`` yields, on its own and under
+``enumerate_max_matchings`` and the cut listings the tests build on it.
 """
 
 from __future__ import annotations
@@ -18,19 +18,16 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import family_instance
+from conftest import family_instance, ideal_cuts, max_cut_sides
 from stablecut import (
     Edge,
     WeightedDag,
     WeightFunction,
-    all_closed_sets,
     build_poset,
     build_reduction,
     closed_subset_to_max_matching,
     condense,
-    enumerate_max_cuts,
     enumerate_max_matchings,
-    iterate_ideal_cuts,
     meta_rotation_poset,
     min_flow,
 )
@@ -153,7 +150,7 @@ def test_iterate_ideal_cuts_rejects_an_edge_to_a_lower_id():
     # A valid DAG (0 -> 2 -> 1 -> 3) whose edge 2 -> 1 runs downwards.
     g = WeightedDag(4, 0, 3, (Edge(0, 2, 1), Edge(2, 1, 1), Edge(1, 3, 1)))
     with pytest.raises(ValueError, match="element 1 has predecessor 2"):
-        list(iterate_ideal_cuts(g))
+        list(ideal_cuts(g))
 
 
 @st.composite
@@ -201,10 +198,10 @@ def test_matches_the_referee_on_seeded_random_posets():
 @pytest.mark.parametrize("family,n", FAMILIES)
 def test_all_closed_sets_match_the_referee(family, n):
     poset = build_poset(family_instance(family, n))
-    sets, truncated = all_closed_sets(poset, CAP)
-    expected = list(islice(referee_ideals(len(poset.rotations), poset.preds), CAP + 1))
-    assert sets == expected[:CAP]
-    assert truncated == (len(expected) > CAP)
+    count = len(poset.rotations)
+    assert list(islice(iter_ideals(count, poset.preds), CAP + 1)) == list(
+        islice(referee_ideals(count, poset.preds), CAP + 1)
+    )
 
 
 @pytest.mark.parametrize("family,n", FAMILIES)
@@ -226,16 +223,14 @@ def test_max_cuts_and_ideal_cuts_match_the_referee(family, n):
     for w in (WeightFunction.zero(n), WeightFunction.from_rows(table)):
         g = build_reduction(build_poset(inst), w).dag
         d = condense(g, min_flow(g))
-        cuts, truncated = enumerate_max_cuts(d, CAP)
         count = len(d.components)
         expected = referee_proper(count, _preds_from_edges(count, d.edges), CAP)
-        assert [c.source_side for c in cuts] == [
-            frozenset(v for ci in ideal for v in d.components[ci]) for ideal in expected[:CAP]
+        assert list(islice(max_cut_sides(d), CAP + 1)) == [
+            frozenset(v for ci in ideal for v in d.components[ci]) for ideal in expected
         ]
-        assert truncated == (len(expected) > CAP)
 
     preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
-    sides = [c.source_side for c in islice(iterate_ideal_cuts(g), CAP + 1)]
+    sides = [c.source_side for c in islice(ideal_cuts(g), CAP + 1)]
     assert sides == referee_proper(g.num_vertices, preds, CAP)
 
 

@@ -12,6 +12,7 @@ from conftest import (
     branch_four,
     family_instance,
     identity_three,
+    ideal_cuts,
     instances,
     matching_weight_from_cut,
     pair_edges,
@@ -33,7 +34,6 @@ from stablecut import (
     build_reduction,
     cut_to_matching,
     cut_weight,
-    iterate_ideal_cuts,
     matching_weight,
     max_weight_ideal_cut,
     preset_egalitarian,
@@ -245,7 +245,7 @@ def test_every_cut_transports_weight_and_membership(inst):
             arc = (rotation_of_vertex[edge.tail], rotation_of_vertex[edge.head])
             assert arc in poset.edges
     assert carried == {(e.tail, e.head): e.weight for e in art.dag.edges}
-    for cut in iterate_ideal_cuts(art.dag):
+    for cut in ideal_cuts(art.dag):
         m = cut_to_matching(art, cut)
         assert matching_weight(m, w) == cut_weight(art.dag, cut) + art.base_weight
         side = cut.source_side

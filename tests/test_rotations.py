@@ -20,7 +20,6 @@ from stablecut import (
     Instance,
     Matching,
     Rotation,
-    all_closed_sets,
     all_stable_matchings,
     build_poset,
     closed_set_to_matching,
@@ -31,6 +30,7 @@ from stablecut import (
     rotation_count_limit,
     rotations,
 )
+from stablecut.ideals import iter_ideals
 
 SWAP = Rotation(((0, 0), (1, 1)))  # the single rotation of two_by_two
 Cycle = tuple[tuple[int, int], ...]
@@ -287,33 +287,22 @@ def test_closed_set_to_matching_rejects_bad_id():
         closed_set_to_matching(poset, {7})
 
 
+def closed_sets(poset):
+    return list(iter_ideals(len(poset.rotations), poset.preds))
+
+
 def test_all_closed_sets_two_by_two():
-    poset = build_poset(two_by_two())
-    sets, truncated = all_closed_sets(poset, 10)
-    assert sets == [frozenset(), frozenset({0})]
-    assert not truncated
+    assert closed_sets(build_poset(two_by_two())) == [frozenset(), frozenset({0})]
 
 
 def test_all_closed_sets_branch_four_order():
-    poset = build_poset(branch_four())
-    sets, truncated = all_closed_sets(poset, 10)
-    assert sets == [
+    assert closed_sets(build_poset(branch_four())) == [
         frozenset(),
         frozenset({0}),
         frozenset({0, 1}),
         frozenset({0, 2}),
         frozenset({0, 1, 2}),
     ]
-    assert not truncated
-
-
-def test_all_closed_sets_cap():
-    poset = build_poset(branch_four())
-    sets, truncated = all_closed_sets(poset, 2)
-    assert len(sets) == 2
-    assert truncated
-    with pytest.raises(ValueError, match="cap"):
-        all_closed_sets(poset, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,8 +311,7 @@ def test_closed_sets_biject_with_stable_matchings(inst):
     """Every predecessor-closed rotation set generates a distinct stable
     matching and together they generate all of them."""
     poset = build_poset(inst)
-    sets, truncated = all_closed_sets(poset, 100_000)
-    assert not truncated
+    sets = closed_sets(poset)
     generated = {
         closed_set_to_matching(poset, c).partner_of_boy for c in sets
     }
@@ -378,6 +366,6 @@ def test_simultaneously_exposed_rotations_are_disjoint(inst):
     exposed = exposed_rotations(inst, current)
     seen: set[int] = set()
     for rho in exposed:
-        boys = set(rho.boys())
+        boys = {b for b, _ in rho.pairs}
         assert not (seen & boys)
         seen |= boys
