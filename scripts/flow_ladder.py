@@ -4,14 +4,19 @@ For each family and n, one child process imports stablecut, draws a
 relabelled instance of the family (``bench/families.py``) with -9..9
 integer weights, seeded by (family, n, seed), and runs ``build_poset``,
 ``build_reduction`` and ``max_weight_ideal_cut`` once each.  Inside the
-cut it times ``min_flow`` and the ``feasible_flow`` that ``min_flow``
-starts from, and counts the flow's phases (its level searches).  One
-JSON line per n gives the cut graph's V and E, each stage's time in ms
-(``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
-``min_flow_ms``), the phases, the feasible start's value, the minimum
-flow's value, and the child's peak RSS.  Linux only: the peak is read
-from ``/proc/self/status``.  Random instances are parse-bound and have
-few rotations; ``parse_scale.py`` covers them.
+poset it times ``enumerate_rotations``, and inside the cut it times
+``min_flow`` and the ``feasible_flow`` that ``min_flow`` starts from,
+and counts the flow's phases (its level searches).  After the solve, a
+second ``enumerate_rotations`` counts the rotation walk's successor
+probes (``_ChainWalk.successor_girl`` calls), so the counter slows no
+timed stage.  One JSON line per n gives the cut graph's V and E, each
+stage's time in ms (``rotations_ms`` is part of ``build_poset_ms``,
+``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
+``min_flow_ms``), the probes, the phases, the feasible start's value,
+the minimum flow's value, and the child's peak RSS during the solve.
+Linux only: the peak is read from ``/proc/self/status``.  Random
+instances are parse-bound and have few rotations; ``parse_scale.py``
+covers them.
 
 Usage:
     python scripts/flow_ladder.py --doubling 32 64 128 256 --cyclic 100 200 400 800
@@ -43,7 +48,7 @@ def _timed(fn, into: dict, key: str):
 def measure(family: str, n: int, seed: int) -> dict:
     """Solve one seeded weighted instance in this process; times in ms."""
     import families
-    from stablecut import Instance, WeightFunction, build_poset, build_reduction, idealcut
+    from stablecut import Instance, WeightFunction, build_poset, build_reduction, idealcut, rotations
 
     rng = random.Random(f"{family}-{n}-{seed}")
     prefs = families.doubling_prefs(n) if family == "doubling" else families.cyclic_prefs(n)
@@ -69,23 +74,38 @@ def measure(family: str, n: int, seed: int) -> dict:
     idealcut.feasible_flow = _timed(feasible_counted, ms, "feasible_flow_ms")
     idealcut.min_flow = _timed(minimum, ms, "min_flow_ms")
     idealcut._source_levels = levels_counted
+    enumerate_rotations = rotations.enumerate_rotations
+    rotations.enumerate_rotations = _timed(enumerate_rotations, ms, "rotations_ms")
 
     poset = _timed(build_poset, ms, "build_poset_ms")(inst)
     art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
     _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag)
+    peak_rss_mb = _peak_rss_mb()
+
+    probes = [0]
+    successor = rotations._ChainWalk.successor_girl
+
+    def successor_counted(walk, b):
+        probes[0] += 1
+        return successor(walk, b)
+
+    rotations._ChainWalk.successor_girl = successor_counted
+    enumerate_rotations(inst)
     return {
         "family": family,
         "n": n,
         "vertices": art.dag.num_vertices,
         "edges": len(art.dag.edges),
         **{key: round(ms[key], 1) for key in (
-            "build_poset_ms", "build_reduction_ms", "feasible_flow_ms", "min_flow_ms", "cut_ms"
+            "build_poset_ms", "rotations_ms", "build_reduction_ms",
+            "feasible_flow_ms", "min_flow_ms", "cut_ms",
         )},
+        "probes": probes[0],
         # The last level search finds that the sink cannot reach the source.
         "phases": phases[0],
         "feasible_value": flows["feasible_value"],
         "min_value": weight,
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(peak_rss_mb, 1),
     }
 
 

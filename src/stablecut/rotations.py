@@ -16,6 +16,9 @@ from .core import ContractViolation, Instance, Matching, gale_shapley
 from .ideals import _preds_from_edges
 
 Pair = tuple[int, int]
+# The walk stamp of a boy in a reported rotation: above every walk's, so
+# a walk that reaches him stops as at a boy settled earlier in the call.
+_REPORTED = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -69,23 +72,32 @@ class _ChainWalk:
         # partner prefers the boy, so that probe starts just below the
         # partner; every boy is probed before he moves.
         self.cursor = [-1] * inst.n
-        self.reported = [False] * inst.n
+        # Discovery state, built by the first exposed_cycles call so that
+        # a walk which only applies cycles never pays for it: each boy's
+        # successor girl, the boys outside every reported rotation, and
+        # per boy the stamp of the last walk that visited him.
+        self.succ_girl: list[int] | None = None
+        self.unreported: set[int] = set()
+        self.stamp: list[int] = []
+        self.walks = 0
 
-    def successor_girl(self, b: int) -> int | None:
-        """First girl below b's partner who strictly prefers b to her own."""
+    def successor_girl(self, b: int) -> int:
+        """First girl below b's partner who strictly prefers b to her own,
+        or -1 when there is none."""
         prefs = self.inst.boy_prefs[b]
-        girl_rank = self.inst.girl_rank
+        girl_rank, girl_partner = self.inst.girl_rank, self.girl_partner
         i = self.cursor[b]
         if i < 0:
             i = self.inst.boy_rank[b][self.boy_partner[b]] + 1
         n = len(prefs)
         while i < n:
             g = prefs[i]
-            if girl_rank[g][b] < girl_rank[g][self.girl_partner[g]]:
+            rank = girl_rank[g]
+            if rank[b] < rank[girl_partner[g]]:
                 break
             i += 1
         self.cursor[b] = i
-        return prefs[i] if i < n else None
+        return prefs[i] if i < n else -1
 
     def exposed_cycles(self) -> list[tuple[Pair, ...]]:
         """The cycles of the successor relation not reported before, in
@@ -95,57 +107,89 @@ class _ChainWalk:
         rotation stays exposed until :meth:`apply_cycle` eliminates it, so
         its boys are neither probed nor walked till then: a walk reaching
         one ends in that rotation.  A fresh walk lists every exposed one.
+        Walks start from every unreported boy in increasing id and follow
+        the cached successor girls, which :meth:`apply_cycle` keeps
+        current: only the first call probes, every boy once.
         """
-        n = self.inst.n
-        color = [2 if r else 0 for r in self.reported]  # 0 unseen, 1 on current walk, 2 settled
-        succ = [-1] * n
-        for b in range(n):
-            if not color[b]:
-                g = self.successor_girl(b)
-                if g is not None:
-                    succ[b] = self.girl_partner[g]
+        if self.succ_girl is None:
+            n = self.inst.n
+            self.succ_girl = [self.successor_girl(b) for b in range(n)]
+            self.unreported = set(range(n))
+            self.stamp = [0] * n
+        succ_girl, stamp = self.succ_girl, self.stamp
+        boy_partner, girl_partner = self.boy_partner, self.girl_partner
+        first = self.walks + 1  # a boy stamped below first is unseen in this call
+        reported = _REPORTED
+        walk = self.walks
         cycles = []
-        for start in range(n):
-            if color[start]:
+        for start in sorted(self.unreported):
+            if stamp[start] >= first:
                 continue
+            walk += 1
             path = []
             b = start
-            while b >= 0 and color[b] == 0:
-                color[b] = 1
+            # This also stops at a reported boy: see _REPORTED.
+            while b >= 0 and stamp[b] < first:
+                stamp[b] = walk
                 path.append(b)
-                b = succ[b]
-            if b >= 0 and color[b] == 1:
+                g = succ_girl[b]
+                b = girl_partner[g] if g >= 0 else -1
+            if b >= 0 and stamp[b] == walk:
                 cycle = path[path.index(b):]
                 pivot = cycle.index(min(cycle))
                 cycle = cycle[pivot:] + cycle[:pivot]
-                cycles.append(tuple((x, self.boy_partner[x]) for x in cycle))
+                pairs = []
                 for x in cycle:
-                    self.reported[x] = True
-            for x in path:
-                color[x] = 2
+                    stamp[x] = reported
+                    pairs.append((x, boy_partner[x]))
+                cycles.append(tuple(pairs))
+                self.unreported.difference_update(cycle)
+        self.walks = walk
         return cycles
 
     def apply_cycle(self, pairs: tuple[Pair, ...]) -> None:
         """Shift every boy in the cycle to the next girl, after verifying the
-        cycle really is exposed in the current matching."""
+        cycle really is exposed in the current matching.
+
+        Once :meth:`exposed_cycles` has cached successor girls, the
+        cycle's boys rejoin the unreported ones and are probed again, as
+        is every unreported boy whose successor girl is in the cycle: she
+        now holds a better partner.  No other boy's successor changes.
+        His partner and his successor girl's partner are the same as
+        before, and girls only improve, so no girl between them has come
+        to prefer him.
+        """
+        boy_partner, girl_partner = self.boy_partner, self.girl_partner
+        boys, girls = [], []
         for b, g in pairs:
-            if self.boy_partner[b] != g:
+            if boy_partner[b] != g:
                 raise ContractViolation(
                     f"rotation pair ({b + 1}, {g + 1}) is not matched here"
                 )
-        r = len(pairs)
-        for i, (b, _) in enumerate(pairs):
-            expected = pairs[(i + 1) % r][1]
-            if self.successor_girl(b) != expected:
+            boys.append(b)
+            girls.append(g)
+        nexts = girls[1:] + girls[:1]  # the girl each boy moves to
+        probe = self.successor_girl
+        for b, g_next in zip(boys, nexts):
+            if probe(b) != g_next:
                 raise ContractViolation(
                     f"rotation is not exposed: boy {b + 1} does not lead to"
-                    f" girl {expected + 1}"
+                    f" girl {g_next + 1}"
                 )
-        for i, (b, _) in enumerate(pairs):
-            g_next = pairs[(i + 1) % r][1]
-            self.boy_partner[b] = g_next
-            self.girl_partner[g_next] = b
-            self.reported[b] = False
+        for b, g_next in zip(boys, nexts):
+            boy_partner[b] = g_next
+            girl_partner[g_next] = b
+        succ_girl, unreported, stamp = self.succ_girl, self.unreported, self.stamp
+        if succ_girl is None:
+            return
+        moved = set(girls)
+        for b in unreported:
+            if succ_girl[b] in moved:
+                succ_girl[b] = probe(b)
+        for b in boys:
+            succ_girl[b] = probe(b)
+            stamp[b] = 0
+        unreported.update(boys)
 
     def matching(self) -> Matching:
         return Matching(tuple(self.boy_partner))
