@@ -7,9 +7,12 @@ process per n imports stablecut, reads both files, and runs the stages of
 ``stablecut enumerate --cap CAP`` one after another: the meta-rotation
 poset, the first CAP + 1 ideals of its condensed poset, the translation of
 CAP of them into matchings, and the report.  One JSON line per n gives
-each stage's time in ms, the subset checks the ideal walk made (counted
-on a second, untimed walk), the report's size, and the child's peak RSS.
-Linux only: the peak is read from ``/proc/self/status``.
+each stage's wall time in ms and, as ``<stage>_cpu_ms``, its CPU time,
+the report's size, and the child's peak RSS after the report.  Two
+counts come from second, untimed passes: the subset checks the ideal
+walk makes, and the ``gale_shapley`` runs that translating the same
+ideals makes on a meta poset built afresh.  Linux only: the peak is read
+from ``/proc/self/status``.
 
 Usage:
     python scripts/enumerate_scale.py --n 32 64 128 --cap 5000 --seed 1
@@ -23,8 +26,8 @@ import sys
 import tempfile
 from itertools import islice
 from pathlib import Path
-from time import perf_counter
 
+from flow_ladder import _cpu_key, _timed
 from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
 
 
@@ -43,37 +46,51 @@ def _counted(preds: list[frozenset[int]]) -> tuple[list[frozenset[int]], list[in
 
 def measure(inst_path: str, weights_path: str, cap: int) -> dict:
     """Run the enumerate stages once in this process; times in ms."""
-    from stablecut import cli
+    from stablecut import cli, rotations
     from stablecut.core import parse_instance, parse_weights
     from stablecut.ideals import _proper_ideals
     from stablecut.sublattice import _elements_to_matching, meta_rotation_poset
 
     inst = parse_instance(Path(inst_path).read_text())
     w = parse_weights(Path(weights_path).read_text(), inst.n)
-    t0 = perf_counter()
-    p = meta_rotation_poset(inst, w)
-    t1 = perf_counter()
+    ms: dict[str, float] = {}
+    p = _timed(meta_rotation_poset, ms, "meta_poset_ms")(inst, w)
     count, preds = len(p.rotation_sets), p.preds()
-    ideals = list(islice(_proper_ideals(count, preds), cap + 1))
-    t2 = perf_counter()
-    matchings = [_elements_to_matching(p, ideal) for ideal in ideals[:cap]]
-    t3 = perf_counter()
-    report = cli._enumerate_report(matchings, len(ideals) > cap, inst.n)
-    t4 = perf_counter()
+
+    def first_ideals(preds):
+        return list(islice(_proper_ideals(count, preds), cap + 1))
+
+    def translate(q):
+        return [_elements_to_matching(q, ideal) for ideal in ideals[:cap]]
+
+    ideals = _timed(first_ideals, ms, "ideals_ms")(preds)
+    matchings = _timed(translate, ms, "translation_ms")(p)
+    report = _timed(cli._enumerate_report, ms, "rendering_ms")(matchings, len(ideals) > cap, inst.n)
+    peak_rss_mb = _peak_rss_mb()
+
     counted, checks = _counted(preds)
-    for _ in islice(_proper_ideals(count, counted), cap + 1):
-        pass
+    first_ideals(counted)
+    fresh = meta_rotation_poset(inst, w)
+    gale_shapley, runs = rotations.gale_shapley, [0]
+
+    def gale_shapley_counted(*args):
+        runs[0] += 1
+        return gale_shapley(*args)
+
+    rotations.gale_shapley = gale_shapley_counted
+    translate(fresh)
+    rotations.gale_shapley = gale_shapley
     return {
         "n": inst.n,
         "meta_elements": count,
         "listed": len(matchings),
-        "meta_poset_ms": round((t1 - t0) * 1e3, 1),
-        "ideals_ms": round((t2 - t1) * 1e3, 1),
-        "translation_ms": round((t3 - t2) * 1e3, 1),
-        "rendering_ms": round((t4 - t3) * 1e3, 1),
+        **{key: round(ms[key], 1) for stage in (
+            "meta_poset_ms", "ideals_ms", "translation_ms", "rendering_ms",
+        ) for key in (stage, _cpu_key(stage))},
         "subset_checks": checks[0],
+        "translation_gale_shapley": runs[0],
         "report_mb": round(len(report) / 2**20, 1),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(peak_rss_mb, 1),
     }
 
 

@@ -10,13 +10,15 @@ and counts the flow's phases (its level searches).  After the solve, a
 second ``enumerate_rotations`` counts the rotation walk's successor
 probes (``_ChainWalk.successor_girl`` calls), so the counter slows no
 timed stage.  One JSON line per n gives the cut graph's V and E, each
-stage's time in ms (``rotations_ms`` is part of ``build_poset_ms``,
+stage's wall time in ms (``rotations_ms`` is part of ``build_poset_ms``,
 ``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
-``min_flow_ms``), the probes, the phases, the feasible start's value,
-the minimum flow's value, and the child's peak RSS during the solve.
-Linux only: the peak is read from ``/proc/self/status``.  Random
-instances are parse-bound and have few rotations; ``parse_scale.py``
-covers them.
+``min_flow_ms``) and next to it, as ``<stage>_cpu_ms``, the process's
+CPU time in the stage, which other load on a shared machine disturbs
+less than wall time; then the probes, the phases, the feasible start's
+value, the minimum flow's value, and the child's peak RSS during the
+solve.  Linux only: the peak is read from ``/proc/self/status``.
+Random instances are parse-bound and have few rotations;
+``parse_scale.py`` covers them.
 
 Usage:
     python scripts/flow_ladder.py --doubling 32 64 128 256 --cyclic 100 200 400 800
@@ -27,22 +29,30 @@ import json
 import random
 import subprocess
 import sys
-from time import perf_counter
+from time import perf_counter, process_time
 
 from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
 
 
 def _timed(fn, into: dict, key: str):
-    """``fn`` with its time in ms added to ``into[key]`` on every call."""
+    """``fn`` with its wall time in ms added to ``into[key]`` and its CPU
+    time in ms to ``into[_cpu_key(key)]`` on every call."""
+    cpu_key = _cpu_key(key)
 
     def run(*args):
-        start = perf_counter()
+        start, cpu_start = perf_counter(), process_time()
         try:
             return fn(*args)
         finally:
             into[key] = into.get(key, 0.0) + (perf_counter() - start) * 1e3
+            into[cpu_key] = into.get(cpu_key, 0.0) + (process_time() - cpu_start) * 1e3
 
     return run
+
+
+def _cpu_key(key: str) -> str:
+    """``<stage>_cpu_ms`` for the wall-time key ``<stage>_ms``."""
+    return key.removesuffix("_ms") + "_cpu_ms"
 
 
 def measure(family: str, n: int, seed: int) -> dict:
@@ -96,10 +106,10 @@ def measure(family: str, n: int, seed: int) -> dict:
         "n": n,
         "vertices": art.dag.num_vertices,
         "edges": len(art.dag.edges),
-        **{key: round(ms[key], 1) for key in (
+        **{key: round(ms[key], 1) for stage in (
             "build_poset_ms", "rotations_ms", "build_reduction_ms",
             "feasible_flow_ms", "min_flow_ms", "cut_ms",
-        )},
+        ) for key in (stage, _cpu_key(stage))},
         "probes": probes[0],
         # The last level search finds that the sink cannot reach the source.
         "phases": phases[0],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
@@ -53,6 +54,13 @@ class RotationPoset:
 
     def is_closed(self, members: frozenset[int]) -> bool:
         return all(self.preds[r] <= members for r in members)
+
+    @cached_property
+    def boy_optimal(self) -> Matching:
+        """The instance's boy-optimal matching, which every closed set is
+        eliminated from: one Gale–Shapley run, made the first time it is
+        read and kept for the life of the poset."""
+        return gale_shapley(self.inst, "boys")
 
 
 class _ChainWalk:
@@ -312,17 +320,17 @@ def build_poset(inst: Instance) -> RotationPoset:
 
 
 def closed_set_to_matching(poset: RotationPoset, closed: Iterable[int]) -> Matching:
-    """Eliminate exactly the rotations in ``closed`` from the boy-optimal
-    matching of the poset's instance, in increasing id, which is a
-    precedence order.  Raises ContractViolation when the set is not
-    predecessor-closed."""
+    """Eliminate exactly the rotations in ``closed`` from the poset's
+    boy-optimal matching, in increasing id, which is a precedence order.
+    The walk copies that matching, so the poset's stays as it was.  Raises
+    ContractViolation when the set is not predecessor-closed."""
     members = frozenset(closed)
     for rid in members:
         if not 0 <= rid < len(poset.rotations):
             raise ValueError(f"rotation id {rid} out of range")
     if not poset.is_closed(members):
         raise ContractViolation("rotation set is not predecessor-closed")
-    walk = _ChainWalk(poset.inst, gale_shapley(poset.inst, "boys"))
+    walk = _ChainWalk(poset.inst, poset.boy_optimal)
     for rid in sorted(members):
         walk.apply_cycle(poset.rotations[rid].pairs)
     return walk.matching()

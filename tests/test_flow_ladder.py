@@ -28,6 +28,9 @@ def test_flow_ladder_prints_one_sound_line_per_rung():
         assert row["phases"] >= 1
         assert row["min_value"] <= row["feasible_value"]
         assert 0 <= row["rotations_ms"] <= row["build_poset_ms"]
+        stages = ("build_poset", "rotations", "build_reduction", "feasible_flow", "min_flow", "cut")
+        for stage in stages:
+            assert 0 <= row[f"{stage}_cpu_ms"]
     # Doubling n=8 probes as often as test_rotations.SEEDED_PROBES pins.
     # Cyclic n=10 probes its 10 boys once, then twice at each of its 9
     # eliminations: once to check the rotation, once to re-probe.

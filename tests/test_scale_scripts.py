@@ -33,8 +33,11 @@ def test_enumerate_scale_prints_one_sound_line_per_n():
     for row in rows:
         assert 1 <= row["listed"] <= cap
         assert row["meta_elements"] >= 2 and row["subset_checks"] >= 0
-        for key in ("meta_poset_ms", "ideals_ms", "translation_ms", "rendering_ms"):
-            assert row[key] >= 0
+        for stage in ("meta_poset", "ideals", "translation", "rendering"):
+            assert row[f"{stage}_ms"] >= 0 and row[f"{stage}_cpu_ms"] >= 0
+        # Every listed optimum is replayed from the poset's one boy-optimal
+        # matching.
+        assert row["translation_gale_shapley"] == 1
         assert row["report_mb"] >= 0 and row["peak_rss_mb"] > 0
     # Doubling n=8 has far more than 20 stable matchings, all optimal under
     # zero weights.

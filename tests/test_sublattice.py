@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -37,16 +38,19 @@ from stablecut import (
     closed_subset_to_max_matching,
     dominates,
     enumerate_max_matchings,
+    gale_shapley,
     girl_optimal_max,
     matching_weight,
     max_weight_ideal_cut,
     meet,
     join,
     meta_rotation_poset,
+    rotations,
     solve_bi_objective,
     solve_max_weight,
     sublattice,
 )
+from stablecut.ideals import _proper_ideals
 
 # On branch_four this table gives three optima at weight 5 spanning a
 # four-element meta-rotation chain.
@@ -204,6 +208,66 @@ def test_enumerate_sentinel_passthrough():
     ms, truncated = enumerate_max_matchings(p, 10)
     assert [m.partner_of_boy for m in ms] == [(0, 1, 2)]
     assert not truncated
+
+
+def listing_cases():
+    """Doubling, cyclic-shift and random instances under zero weights, so
+    every stable matching is listed, up to the cap of 50."""
+    for family, n in (("doubling", 16), ("doubling", 32), ("cyclic", 25)):
+        yield family_instance(family, n), WeightFunction.zero(n)
+    rng = random.Random(47)
+    for _ in range(12):
+        n = rng.randint(4, 10)
+        yield random_instance(rng, n), WeightFunction.zero(n)
+
+
+def referee_walk(inst, poset, closed):
+    """Eliminate the rotations in ``closed`` by id from a fresh
+    boy-optimal matching, shifting each boy to the next pair's girl."""
+    partner = list(gale_shapley(inst, "boys").partner_of_boy)
+    for rid in sorted(closed):
+        pairs = poset.rotations[rid].pairs
+        for (b, g), (_, g_next) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert partner[b] == g
+            partner[b] = g_next
+    return tuple(partner)
+
+
+@pytest.fixture
+def gale_shapley_calls(monkeypatch):
+    """The proposing sides of every ``gale_shapley`` call made through
+    ``stablecut.rotations`` while the test runs."""
+    calls = []
+    real = rotations.gale_shapley
+
+    def counted(inst, proposing_side="boys"):
+        calls.append(proposing_side)
+        return real(inst, proposing_side)
+
+    monkeypatch.setattr(rotations, "gale_shapley", counted)
+    return calls
+
+
+def test_listing_runs_gale_shapley_once_per_poset(gale_shapley_calls):
+    for inst, w in listing_cases():
+        p = meta_rotation_poset(inst, w)
+        gale_shapley_calls.clear()
+        first, _ = enumerate_max_matchings(p, 50)
+        assert gale_shapley_calls == ["boys"]
+        again, _ = enumerate_max_matchings(p, 50)
+        assert gale_shapley_calls == ["boys"]
+        assert again == first
+
+
+def test_listing_matches_a_referee_walk_from_a_fresh_boy_optimum():
+    for inst, w in listing_cases():
+        p = meta_rotation_poset(inst, w)
+        ms, _ = enumerate_max_matchings(p, 50)
+        ideals = list(islice(_proper_ideals(len(p.rotation_sets), p.preds()), len(ms)))
+        for m, ideal in zip(ms, ideals):
+            closed = set().union(*(p.rotation_sets[i] for i in ideal))
+            assert m.partner_of_boy == referee_walk(inst, p.poset, closed)
+        assert p.poset.boy_optimal == gale_shapley(inst, "boys")
 
 
 def test_bi_objective_breaks_the_tie_upward():
