@@ -242,7 +242,7 @@ def _run_cut_solve(cfg: RunConfig) -> str:
         cut = cuts[-1]
     else:
         cut, weight = max_weight_ideal_cut(g)
-    side = " ".join(str(v + 1) for v in sorted(cut.source_side))
+    side = " ".join(str(v + 1) for v in sorted(cut))
     return f"weight {format_scaled(weight, g.scale)}\nS: {side}"
 
 

@@ -94,11 +94,6 @@ def _incidence(n: int, near: Sequence[int], far: Sequence[int]) -> tuple[tuple[i
 
 
 @dataclass(frozen=True)
-class IdealCut:
-    source_side: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Flow:
     """Per-edge flow values (scaled integers) and the net source-to-sink
     value, which may be negative."""
@@ -142,11 +137,6 @@ def _reachable(heads: Sequence[Sequence[int]], start: int) -> frozenset[int]:
     # Each adjacency entry is a vertex, so the far end of entry v is v.
     parent = _bfs_parents(heads, range(len(heads)), start)
     return frozenset(v for v, p in enumerate(parent) if p != -1)
-
-
-def _net_outflow(g: WeightedDag, flow: Sequence[int], v: int) -> int:
-    """Flow leaving v minus flow entering it."""
-    return sum(flow[i] for i in g.out_edges[v]) - sum(flow[i] for i in g.in_edges[v])
 
 
 def validate_dag(g: WeightedDag) -> None:
@@ -223,9 +213,8 @@ def check_ideal_cut(g: WeightedDag, source_side: frozenset[int]) -> None:
             )
 
 
-def cut_weight(g: WeightedDag, cut: IdealCut) -> int:
-    """Total weight of the edges leaving the cut's source side."""
-    side = cut.source_side
+def cut_weight(g: WeightedDag, side: frozenset[int]) -> int:
+    """Total weight of the edges leaving an ideal cut's source side."""
     check_ideal_cut(g, side)
     return sum(e.weight for e in g.edges if e.tail in side and e.head not in side)
 
@@ -240,7 +229,8 @@ def feasible_flow(g: WeightedDag) -> Flow:
     topological order, each vertex that receives more than it sends
     pushes the surplus on over its sink-tree edge, which only adds to the
     inflow of a later vertex.  Flow only ever rises, so every edge stays
-    at or above its weight.
+    at or above its weight.  Raises ContractViolation unless the result
+    meets every lower bound and is conserved at every vertex but the poles.
     """
     # Shortest-path trees from the source and to the sink; edges are
     # scanned in ascending far-end order, so ties go to low vertex ids.
@@ -268,7 +258,7 @@ def feasible_flow(g: WeightedDag) -> Flow:
     for f, e in zip(flow, edges):
         if f < e.weight:
             raise ContractViolation("constructed flow misses a lower bound")
-    return Flow(tuple(flow), _net_outflow(g, flow, source))
+    return Flow(tuple(flow), _assert_conservation(g, flow))
 
 
 def residual(g: WeightedDag, f: Flow) -> tuple[tuple[int, ...], ...]:
@@ -446,13 +436,14 @@ def min_flow(g: WeightedDag) -> Flow:
     return result
 
 
-def max_weight_ideal_cut(g: WeightedDag) -> tuple[IdealCut, int]:
+def max_weight_ideal_cut(g: WeightedDag) -> tuple[frozenset[int], int]:
     """The maximum-weight ideal cut with the largest source side, plus its
-    weight.  The weight always equals the minimum flow value; a cut that
-    is not ideal or weighs otherwise raises ContractViolation."""
+    weight.  A cut is its source side, a set of 0-based vertex ids.  The
+    weight always equals the minimum flow value; a cut that is not ideal
+    or weighs otherwise raises ContractViolation."""
     f = min_flow(g)
     sink_side = _reachable(residual(g, f), g.sink)
-    cut = IdealCut(frozenset(range(g.num_vertices)) - sink_side)
+    cut = frozenset(range(g.num_vertices)) - sink_side
     try:
         weight = cut_weight(g, cut)
     except ValueError as exc:

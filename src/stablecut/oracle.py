@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, dominates, matching_weight
-from .idealcut import IdealCut, WeightedDag, cut_weight
+from .idealcut import WeightedDag, cut_weight
 
 MAX_ORACLE_N = 8
 MAX_ORACLE_VERTICES = 20
@@ -80,9 +80,9 @@ def _optimal_pole(optima: list[Matching], inst: Instance, side: str) -> Matching
     return poles[0]
 
 
-def all_ideal_cuts(g: WeightedDag) -> list[IdealCut]:
-    """Every ideal cut, by brute force over all vertex subsets, ordered by
-    source-side size then lexicographically.  Refuses more than 20
+def all_ideal_cuts(g: WeightedDag) -> list[frozenset[int]]:
+    """Every ideal cut's source side, by brute force over all vertex
+    subsets, ordered by size then lexicographically.  Refuses more than 20
     vertices."""
     n = g.num_vertices
     if n > MAX_ORACLE_VERTICES:
@@ -96,14 +96,14 @@ def all_ideal_cuts(g: WeightedDag) -> list[IdealCut]:
             side = frozenset(chosen) | {g.source}
             if any(e.head in side and e.tail not in side for e in g.edges):
                 continue
-            cuts.append(IdealCut(side))
+            cuts.append(side)
     # combinations() yields each size's subsets of the sorted middle in
     # lexicographic order, and the source joins every side, so the list
     # is already in (size, sorted side) order.
     return cuts
 
 
-def heaviest_ideal_cuts(g: WeightedDag) -> tuple[list[IdealCut], int]:
+def heaviest_ideal_cuts(g: WeightedDag) -> tuple[list[frozenset[int]], int]:
     """Every maximum-weight ideal cut, in ``all_ideal_cuts`` order, plus
     the maximum weight."""
     weighed = [(cut_weight(g, c), c) for c in all_ideal_cuts(g)]
@@ -111,7 +111,7 @@ def heaviest_ideal_cuts(g: WeightedDag) -> tuple[list[IdealCut], int]:
     return [c for wt, c in weighed if wt == best], best
 
 
-def brute_max_weight_cut(g: WeightedDag) -> tuple[IdealCut, int]:
+def brute_max_weight_cut(g: WeightedDag) -> tuple[frozenset[int], int]:
     """Heaviest ideal cut by exhaustion.  Ties go to the smallest source
     side, then lexicographic: the first heaviest in ``all_ideal_cuts``
     order."""

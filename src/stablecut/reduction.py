@@ -13,9 +13,10 @@ the pairs present everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
-from .idealcut import Edge, IdealCut, WeightedDag, check_ideal_cut, max_weight_ideal_cut
+from .idealcut import Edge, WeightedDag, check_ideal_cut, max_weight_ideal_cut
 from .rotations import RotationPoset, _replay, build_poset, closed_set_to_matching
 
 
@@ -25,7 +26,9 @@ class ReductionArtifacts:
 
     ``dag`` vertex 0 is the source, vertex ``len(rotations) + 1`` the sink,
     and rotation r sits at vertex r + 1; without rotations the graph is the
-    one edge from source to sink.  Each edge's (tail, head) is unique, and
+    one edge from source to sink.  A cut of ``dag`` is its source side, a
+    frozenset of 0-based vertex ids, and :meth:`rotations_in` reads the
+    rotations it holds.  Each edge's (tail, head) is unique, and
     its weight is the total over the varying pairs made at its tail (or
     boy-optimal, at the source) and broken at its head (or kept to the
     girl-optimal matching, at the sink).  ``base_weight`` is the total
@@ -36,7 +39,12 @@ class ReductionArtifacts:
     poset: RotationPoset
     dag: WeightedDag
     base_weight: int
-    vertex_of_rotation: tuple[int, ...]
+
+    def rotations_in(self, vertices: Iterable[int]) -> frozenset[int]:
+        """The ids of the rotations at the given ``dag`` vertices; the source
+        and the sink hold none."""
+        sink = self.dag.sink
+        return frozenset(v - 1 for v in vertices if 0 < v < sink)
 
 
 def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifacts:
@@ -60,14 +68,13 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     mz = gale_shapley(inst, "girls")
     k = len(poset.rotations)
     source, sink = 0, k + 1
-    vertex_of_rotation = tuple(rid + 1 for rid in range(k))
 
     # Edge (tail, head) -> weight; insertion order is the edge order.
     # With no rotations the one stable matching is the one ideal cut
     # {source}.
     weight: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
     for a, b in sorted(poset.edges):
-        weight[(vertex_of_rotation[a], vertex_of_rotation[b])] = 0
+        weight[(a + 1, b + 1)] = 0
     base_weight = 0
     for b, g, maker, breaker in _replay(poset.rotations, m0):
         if breaker < 0 and mz.partner_of_boy[b] != g:
@@ -78,8 +85,8 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
             base_weight += w.table[b][g]
             continue
         ends = (
-            source if maker < 0 else vertex_of_rotation[maker],
-            sink if breaker < 0 else vertex_of_rotation[breaker],
+            source if maker < 0 else maker + 1,
+            sink if breaker < 0 else breaker + 1,
         )
         # A pair handed on is exactly what makes the precedence arc
         # (maker, breaker), so its edge is that arc's edge.
@@ -95,7 +102,6 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
         poset=poset,
         dag=WeightedDag(k + 2, source, sink, edges, w.scale),
         base_weight=base_weight,
-        vertex_of_rotation=vertex_of_rotation,
     )
     _check_prefix_weights(art, m0, w)
     return art
@@ -121,7 +127,7 @@ def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFuncti
         net[head] -= weight
     if net[dag.source] + art.base_weight != matching_weight(m0, w):
         raise ContractViolation("the cut {source} does not weigh the boy-optimal matching")
-    for rho, v in zip(art.poset.rotations, art.vertex_of_rotation):
+    for v, rho in enumerate(art.poset.rotations, 1):
         # Eliminating the rotation hands each of its girls to the boy
         # before her partner in the cycle.
         gain = 0
@@ -136,18 +142,16 @@ def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFuncti
             )
 
 
-def cut_to_matching(art: ReductionArtifacts, cut: IdealCut) -> Matching:
-    """Translate an ideal cut of the reduction graph into the stable
-    matching generated by the rotations on the cut's source side.  Raises
-    ContractViolation unless the cut is an ideal cut of ``art.dag``."""
+def cut_to_matching(art: ReductionArtifacts, side: frozenset[int]) -> Matching:
+    """Translate an ideal cut of the reduction graph, given as its source
+    side of 0-based vertex ids, into the stable matching generated by the
+    rotations there: rotation r is vertex r + 1.  Raises ContractViolation
+    unless the side is an ideal cut of ``art.dag``."""
     try:
-        check_ideal_cut(art.dag, cut.source_side)
+        check_ideal_cut(art.dag, side)
     except ValueError as exc:
         raise ContractViolation(str(exc)) from None
-    closed = frozenset(
-        rid for rid, v in enumerate(art.vertex_of_rotation) if v in cut.source_side
-    )
-    return closed_set_to_matching(art.poset, closed)
+    return closed_set_to_matching(art.poset, art.rotations_in(side))
 
 
 def solve_max_weight(inst: Instance, w: WeightFunction) -> tuple[Matching, int]:

@@ -51,11 +51,7 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     art = build_reduction(poset, w)
     flow = min_flow(art.dag)
     d = condense(art.dag, flow)
-    rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
-    rotation_sets = tuple(
-        frozenset(rotation_of_vertex[v] for v in comp if v in rotation_of_vertex)
-        for comp in d.components
-    )
+    rotation_sets = tuple(art.rotations_in(comp) for comp in d.components)
     covered: set[int] = set()
     for group in rotation_sets:
         if covered & group:

@@ -18,7 +18,6 @@ import families
 from stablecut import (
     CondensedDag,
     Edge,
-    IdealCut,
     Instance,
     ReductionArtifacts,
     Rotation,
@@ -132,27 +131,27 @@ def pair_edges(art: ReductionArtifacts) -> dict[tuple[int, int], Edge]:
     edges = {}
     for pair in maker.keys() | breaker.keys():
         ends = (
-            art.vertex_of_rotation[maker[pair]] if pair in maker else g.source,
-            art.vertex_of_rotation[breaker[pair]] if pair in breaker else g.sink,
+            maker[pair] + 1 if pair in maker else g.source,
+            breaker[pair] + 1 if pair in breaker else g.sink,
         )
         assert ends in by_ends, f"varying pair {pair} has no edge {ends}"
         edges[pair] = by_ends[ends]
     return edges
 
 
-def matching_weight_from_cut(art: ReductionArtifacts, cut: IdealCut) -> int:
+def matching_weight_from_cut(art: ReductionArtifacts, cut: frozenset[int]) -> int:
     """Weight of the matching selected by the cut, computed on the cut side
     of the correspondence: cut weight plus the always-present base."""
     return cut_weight(art.dag, cut) + art.base_weight
 
 
-def ideal_cuts(g: WeightedDag) -> Iterator[IdealCut]:
+def ideal_cuts(g: WeightedDag) -> Iterator[frozenset[int]]:
     """Every ideal cut of a DAG whose edges run from lower vertex ids to
     higher ones, by source-side size then lexicographic: the proper ideals
     of its vertex order.  The walker raises ValueError on an edge that
     runs downwards."""
     preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
-    return (IdealCut(ideal) for ideal in _proper_ideals(g.num_vertices, preds))
+    return _proper_ideals(g.num_vertices, preds)
 
 
 def max_cut_sides(d: CondensedDag) -> Iterator[frozenset[int]]:

@@ -1,0 +1,29 @@
+"""The package's public surface: ``stablecut.__all__`` and its imports agree."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import stablecut
+
+
+def imported_public_names() -> set[str]:
+    tree = ast.parse(Path(stablecut.__file__).read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_every_exported_name_resolves():
+    assert len(set(stablecut.__all__)) == len(stablecut.__all__)
+    missing = [name for name in stablecut.__all__ if not hasattr(stablecut, name)]
+    assert missing == []
+
+
+def test_every_public_import_is_exported():
+    assert imported_public_names() - set(stablecut.__all__) == set()

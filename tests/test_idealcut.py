@@ -11,7 +11,6 @@ from stablecut import (
     ContractViolation,
     Edge,
     Flow,
-    IdealCut,
     ParseError,
     WeightedDag,
     all_ideal_cuts,
@@ -78,24 +77,24 @@ def test_validate_rejects_dead_end_vertex():
 
 def test_cut_weight_path_dag():
     g = path_dag()
-    assert cut_weight(g, IdealCut(frozenset({0}))) == 5
-    assert cut_weight(g, IdealCut(frozenset({0, 1}))) == -2
+    assert cut_weight(g, frozenset({0})) == 5
+    assert cut_weight(g, frozenset({0, 1})) == -2
 
 
 def test_cut_weight_diamond():
-    assert cut_weight(diamond_dag(), IdealCut(frozenset({0, 1}))) == 7
+    assert cut_weight(diamond_dag(), frozenset({0, 1})) == 7
 
 
 def test_cut_weight_rejects_invalid_cuts():
     g = diamond_dag()
     with pytest.raises(ValueError, match="contain the source"):
-        cut_weight(g, IdealCut(frozenset({1})))
+        cut_weight(g, frozenset({1}))
     with pytest.raises(ValueError, match="exclude the sink"):
-        cut_weight(g, IdealCut(frozenset({0, 3})))
+        cut_weight(g, frozenset({0, 3}))
     # {s, t-side of an edge} without its tail has an entering edge.
     g2 = WeightedDag(4, 0, 3, (Edge(0, 1, 1), Edge(1, 2, 1), Edge(2, 3, 1)))
     with pytest.raises(ValueError, match="enters the cut"):
-        cut_weight(g2, IdealCut(frozenset({0, 2})))
+        cut_weight(g2, frozenset({0, 2}))
     with pytest.raises(ValueError, match="vertex 8 out of range"):
         check_ideal_cut(g, frozenset({0, 7}))
 
@@ -144,19 +143,19 @@ def test_min_flow_leaves_no_sink_to_source_path():
 
 def test_max_cut_path_dag():
     cut, weight = max_weight_ideal_cut(path_dag())
-    assert cut.source_side == frozenset({0})
+    assert cut == frozenset({0})
     assert weight == 5
 
 
 def test_max_cut_diamond():
     cut, weight = max_weight_ideal_cut(diamond_dag())
-    assert cut.source_side == frozenset({0, 1})
+    assert cut == frozenset({0, 1})
     assert weight == 7
 
 
 def test_max_cut_single_negative_edge():
     cut, weight = max_weight_ideal_cut(single_edge_dag(-3))
-    assert cut.source_side == frozenset({0})
+    assert cut == frozenset({0})
     assert weight == -3
 
 
@@ -199,7 +198,7 @@ def test_enumerate_max_cuts_tied_path():
 
 
 def test_iterate_ideal_cuts_diamond():
-    sides = [c.source_side for c in ideal_cuts(diamond_dag())]
+    sides = list(ideal_cuts(diamond_dag()))
     assert sides == [
         frozenset({0}),
         frozenset({0, 1}),
@@ -210,9 +209,7 @@ def test_iterate_ideal_cuts_diamond():
 
 def test_oracle_cuts_match_iteration():
     g = diamond_dag()
-    assert [c.source_side for c in all_ideal_cuts(g)] == [
-        c.source_side for c in ideal_cuts(g)
-    ]
+    assert all_ideal_cuts(g) == list(ideal_cuts(g))
 
 
 def test_parse_dag_round_trip():
@@ -292,9 +289,7 @@ def test_condensation_enumerates_exactly_the_maximum_cuts():
         sides = list(max_cut_sides(d))
         assert len(set(sides)) == len(sides)
         _, best = brute_max_weight_cut(g)
-        expected = {
-            c.source_side for c in all_ideal_cuts(g) if cut_weight(g, c) == best
-        }
+        expected = {c for c in all_ideal_cuts(g) if cut_weight(g, c) == best}
         assert set(sides) == expected
 
 
@@ -303,13 +298,11 @@ def test_maximum_cuts_close_under_union_and_intersection():
     for _ in range(40):
         g = random_dag(rng, max_vertices=8)
         _, best = brute_max_weight_cut(g)
-        maxima = [
-            c.source_side for c in all_ideal_cuts(g) if cut_weight(g, c) == best
-        ]
+        maxima = [c for c in all_ideal_cuts(g) if cut_weight(g, c) == best]
         for a in maxima:
             for b in maxima:
-                assert cut_weight(g, IdealCut(a | b)) == best
-                assert cut_weight(g, IdealCut(a & b)) == best
+                assert cut_weight(g, a | b) == best
+                assert cut_weight(g, a & b) == best
 
 
 def test_feasible_flow_is_feasible_on_random_dags():
@@ -325,4 +318,4 @@ def test_min_flow_handles_parallel_edges():
     g = WeightedDag(2, 0, 1, (Edge(0, 1, 3), Edge(0, 1, -1), Edge(0, 1, 0)))
     cut, weight = max_weight_ideal_cut(g)
     assert weight == 2
-    assert cut.source_side == frozenset({0})
+    assert cut == frozenset({0})

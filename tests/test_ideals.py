@@ -230,7 +230,7 @@ def test_max_cuts_and_ideal_cuts_match_the_referee(family, n):
         ]
 
     preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
-    sides = [c.source_side for c in islice(ideal_cuts(g), CAP + 1)]
+    sides = list(islice(ideal_cuts(g), CAP + 1))
     assert sides == referee_proper(g.num_vertices, preds, CAP)
 
 

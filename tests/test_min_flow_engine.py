@@ -29,6 +29,7 @@ from conftest import random_dag
 from stablecut import (
     ContractViolation,
     CondensedDag,
+    Edge,
     Flow,
     Instance,
     WeightedDag,
@@ -42,7 +43,13 @@ from stablecut import (
     min_flow,
     residual,
 )
-from stablecut.idealcut import _net_outflow, _reachable, _validated_trees
+from stablecut.idealcut import _reachable, _validated_trees
+
+
+def source_outflow(g: WeightedDag, flow: list[int]) -> int:
+    """Flow leaving the source minus flow entering it."""
+    out = sum(flow[i] for i in g.out_edges[g.source])
+    return out - sum(flow[i] for i in g.in_edges[g.source])
 
 
 def path_feasible_flow(g: WeightedDag) -> Flow:
@@ -65,7 +72,7 @@ def path_feasible_flow(g: WeightedDag) -> Flow:
                 v = g.edges[fwd].head
             for p in path:
                 flow[p] += e.weight
-    return Flow(tuple(flow), _net_outflow(g, flow, g.source))
+    return Flow(tuple(flow), source_outflow(g, flow))
 
 
 def edmonds_karp_min_flow(g: WeightedDag) -> Flow:
@@ -183,7 +190,7 @@ def sink_side_min_flow(g: WeightedDag) -> Flow:
                 path.pop()
                 v = stack.pop()
     flow = [s + e.weight for s, e in zip(slack, g.edges)]
-    return Flow(tuple(flow), _net_outflow(g, flow, source))
+    return Flow(tuple(flow), source_outflow(g, flow))
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +241,7 @@ def test_blocking_flow_agrees_with_edmonds_karp():
         assert ours.value == theirs.value
         sink_side = _reachable(residual(g, theirs), g.sink)
         cut, weight = max_weight_ideal_cut(g)
-        assert cut.source_side == frozenset(range(g.num_vertices)) - sink_side
+        assert cut == frozenset(range(g.num_vertices)) - sink_side
         assert weight == theirs.value
         assert condensation(condense(g, ours)) == condensation(condense(g, theirs))
 
@@ -250,7 +257,7 @@ def test_conservation_check_sums_each_vertex_once():
     for g in corpus():
         f = min_flow(g)
         flow = list(f.edge_flow)
-        assert idealcut._assert_conservation(g, flow) == f.value == _net_outflow(g, flow, g.source)
+        assert idealcut._assert_conservation(g, flow) == f.value == source_outflow(g, flow)
         inner = [i for i, e in enumerate(g.edges) if {e.tail, e.head}.isdisjoint({g.source, g.sink})]
         if not inner:
             continue
@@ -261,6 +268,24 @@ def test_conservation_check_sums_each_vertex_once():
             idealcut._assert_conservation(g, flow)
         checked += 1
     assert checked > len(corpus()) // 2
+
+
+def test_feasible_start_checks_conservation(monkeypatch):
+    """Point vertex 2's source-tree edge at the edge into vertex 3: every
+    lower bound still holds, so only the conservation check can see it."""
+    g = WeightedDag(4, 0, 3, (Edge(0, 1, 1), Edge(0, 2, 4), Edge(1, 3, 3), Edge(2, 3, 2)))
+    trees = idealcut._validated_trees
+    assert trees(g)[1][1] == 0
+
+    def wrong_tree(h):
+        order, from_source, to_sink = trees(h)
+        from_source[1] = 1
+        return order, from_source, to_sink
+
+    assert feasible_flow(g).value == 7
+    monkeypatch.setattr(idealcut, "_validated_trees", wrong_tree)
+    with pytest.raises(ContractViolation, match="^flow conservation fails at vertex 2$"):
+        feasible_flow(g)
 
 
 @pytest.fixture

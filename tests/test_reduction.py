@@ -26,7 +26,6 @@ from conftest import (
 from stablecut import (
     ContractViolation,
     Edge,
-    IdealCut,
     Instance,
     WeightFunction,
     brute_max_weight_matching,
@@ -49,7 +48,7 @@ def test_reduction_two_by_two_tie():
     assert (art.dag.source, art.dag.sink) == (0, 2)
     assert art.dag.edges == (Edge(0, 1, 4), Edge(1, 2, 4))
     assert art.base_weight == 0
-    assert art.vertex_of_rotation == (1,)
+    assert art.rotations_in(range(3)) == frozenset({0})
     assert pair_edges(art) == {
         (0, 0): Edge(0, 1, 4),
         (1, 1): Edge(0, 1, 4),
@@ -157,8 +156,8 @@ def test_cut_to_matching_two_by_two():
     inst = two_by_two()
     poset = build_poset(inst)
     art = build_reduction(poset, tie_weights())
-    top = cut_to_matching(art, IdealCut(frozenset({0})))
-    bottom = cut_to_matching(art, IdealCut(frozenset({0, 1})))
+    top = cut_to_matching(art, frozenset({0}))
+    bottom = cut_to_matching(art, frozenset({0, 1}))
     assert top.partner_of_boy == (0, 1)
     assert bottom.partner_of_boy == (1, 0)
 
@@ -166,14 +165,14 @@ def test_cut_to_matching_two_by_two():
 def test_cut_to_matching_refuses_a_cut_that_is_not_ideal():
     art = build_reduction(build_poset(two_by_two()), tie_weights())
     with pytest.raises(ContractViolation, match="cut must exclude the sink"):
-        cut_to_matching(art, IdealCut(frozenset({0, 1, 2})))
+        cut_to_matching(art, frozenset({0, 1, 2}))
 
 
 def test_matching_weight_from_cut_two_by_two():
     inst = two_by_two()
     art = build_reduction(build_poset(inst), tie_weights())
-    assert matching_weight_from_cut(art, IdealCut(frozenset({0}))) == 4
-    assert matching_weight_from_cut(art, IdealCut(frozenset({0, 1}))) == 4
+    assert matching_weight_from_cut(art, frozenset({0})) == 4
+    assert matching_weight_from_cut(art, frozenset({0, 1})) == 4
 
 
 def test_solve_tie_returns_girl_side_pole():
@@ -236,19 +235,16 @@ def test_every_cut_transports_weight_and_membership(inst):
     w = random_weights(rng, inst.n)
     poset = build_poset(inst)
     art = build_reduction(poset, w)
-    rotation_of_vertex = {v: rid for rid, v in enumerate(art.vertex_of_rotation)}
     pairs = pair_edges(art)
     carried = {(e.tail, e.head): 0 for e in art.dag.edges}
     for (b, g), edge in pairs.items():
         carried[(edge.tail, edge.head)] += w.table[b][g]
-        if edge.tail in rotation_of_vertex and edge.head in rotation_of_vertex:
-            arc = (rotation_of_vertex[edge.tail], rotation_of_vertex[edge.head])
-            assert arc in poset.edges
+        if edge.tail != art.dag.source and edge.head != art.dag.sink:
+            assert (edge.tail - 1, edge.head - 1) in poset.edges
     assert carried == {(e.tail, e.head): e.weight for e in art.dag.edges}
-    for cut in ideal_cuts(art.dag):
-        m = cut_to_matching(art, cut)
-        assert matching_weight(m, w) == cut_weight(art.dag, cut) + art.base_weight
-        side = cut.source_side
+    for side in ideal_cuts(art.dag):
+        m = cut_to_matching(art, side)
+        assert matching_weight(m, w) == cut_weight(art.dag, side) + art.base_weight
         for (b, g), edge in pairs.items():
             crosses = edge.tail in side and edge.head not in side
             assert crosses == (m.partner_of_boy[b] == g)

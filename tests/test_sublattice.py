@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    TWO_BY_TWO_TEXT,
     branch_four,
     family_instance,
     identity_three,
@@ -50,6 +51,7 @@ from stablecut import (
     solve_max_weight,
     sublattice,
 )
+from stablecut.cli import RunConfig, run
 from stablecut.ideals import _proper_ideals
 
 # On branch_four this table gives three optima at weight 5 spanning a
@@ -201,6 +203,40 @@ def test_enumerate_rejects_a_repeated_matching(monkeypatch):
     monkeypatch.setattr("stablecut.sublattice._elements_to_matching", lambda p, subset: fixed)
     with pytest.raises(ContractViolation, match="same matching"):
         enumerate_max_matchings(p, 10)
+
+
+@pytest.mark.parametrize(
+    ("twice", "message"),
+    [
+        (True, "a rotation appears in two meta-rotations"),
+        (False, "meta-rotations do not cover every rotation"),
+    ],
+)
+def test_meta_poset_rejects_components_that_do_not_partition_the_rotations(
+    monkeypatch, tmp_path, twice, message
+):
+    """Rotation 0 of the two-by-two tie is cut-graph vertex 1, outside the
+    source component {0}: add it there too, or drop it everywhere."""
+    components = sublattice.condense
+
+    def condense(g, flow):
+        d = components(g, flow)
+        s = d.source_component
+        assert d.components[s] == frozenset({0})
+        if twice:
+            listed = [c | {1} if i == s else c for i, c in enumerate(d.components)]
+        else:
+            listed = [c - {1} for c in d.components]
+        return dataclasses.replace(d, components=tuple(listed))
+
+    monkeypatch.setattr("stablecut.sublattice.condense", condense)
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        meta_rotation_poset(two_by_two(), tie_weights())
+    inst, weights = tmp_path / "inst.txt", tmp_path / "w.txt"
+    inst.write_text(TWO_BY_TWO_TEXT)
+    weights.write_text("3 2\n2 1\n")
+    cfg = RunConfig("enumerate", instance_path=str(inst), weights_path=str(weights))
+    assert run(cfg) == (2, f"error: {message}")
 
 
 def test_enumerate_sentinel_passthrough():
@@ -369,14 +405,14 @@ def contracted_bi_objective(inst, w1, w2):
     element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
     for i, group in enumerate(p.rotation_sets):
         for rid in group:
-            element_of_vertex[art2.vertex_of_rotation[rid]] = i
+            element_of_vertex[rid + 1] = i
     ends = [(element_of_vertex[e.tail], element_of_vertex[e.head]) for e in art2.dag.edges]
     edges = tuple(
         Edge(a, b, e.weight) for (a, b), e in zip(ends, art2.dag.edges) if a != b
     )
     g = WeightedDag(len(p.rotation_sets), p.s_element, p.t_element, edges)
     cut, _ = max_weight_ideal_cut(g)
-    m = closed_subset_to_max_matching(p, cut.source_side)
+    m = closed_subset_to_max_matching(p, cut)
     return m, matching_weight(m, w1), matching_weight(m, w2)
 
 
