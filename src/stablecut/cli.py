@@ -224,9 +224,9 @@ def _run_poset(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
     poset = build_poset(inst)
     lines = []
-    for rho in poset.rotations:
-        pairs = " ".join(f"({b + 1},{g + 1})" for b, g in rho.pairs)
-        lines.append(f"rotation {rho.id}: {pairs}")
+    for rid, rho in enumerate(poset.rotations):
+        pairs = " ".join(f"({b + 1},{g + 1})" for b, g in rho)
+        lines.append(f"rotation {rid}: {pairs}")
     for a, b in sorted(poset.edges):
         lines.append(f"edge {a} {b}")
     return "\n".join(lines) if lines else "no rotations"

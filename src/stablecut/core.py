@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 MAX_N = 5000
 MAX_FRACTION_DIGITS = 9
@@ -110,11 +110,6 @@ class Matching:
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         return iter(enumerate(self.partner_of_boy))
-
-
-class BlockingPair(NamedTuple):
-    boy: int
-    girl: int
 
 
 def _check_scale(scale: int) -> None:
@@ -380,7 +375,7 @@ def gale_shapley(inst: Instance, proposing_side: str = "boys") -> Matching:
     return Matching(tuple(engaged_to))
 
 
-def blocking_pairs(inst: Instance, m: Matching) -> set[BlockingPair]:
+def blocking_pairs(inst: Instance, m: Matching) -> set[tuple[int, int]]:
     """All pairs (b, g) where both would rather be together than stay put."""
     found = set()
     girl_rank = inst.girl_rank
@@ -389,7 +384,7 @@ def blocking_pairs(inst: Instance, m: Matching) -> set[BlockingPair]:
         my_rank = inst.boy_rank[b][m.partner_of_boy[b]]
         for g in inst.boy_prefs[b][:my_rank]:
             if girl_rank[g][b] < girl_rank[g][partner_of_girl[g]]:
-                found.add(BlockingPair(b, g))
+                found.add((b, g))
     return found
 
 

@@ -131,13 +131,13 @@ def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFuncti
         # Eliminating the rotation hands each of its girls to the boy
         # before her partner in the cycle.
         gain = 0
-        before = rho.pairs[-1][0]
-        for b, g in rho.pairs:
+        before = rho[-1][0]
+        for b, g in rho:
             gain += table[before][g] - table[b][g]
             before = b
         if net[v] != gain:
             raise ContractViolation(
-                f"the cut graph weighs rotation {rho.id} at {net[v]}, but eliminating"
+                f"the cut graph weighs rotation {v - 1} at {net[v]}, but eliminating"
                 f" it changes the matching's weight by {gain}"
             )
 

@@ -22,33 +22,23 @@ Pair = tuple[int, int]
 _REPORTED = 1 << 62
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """An ordered cycle ((b0, g0), ..., (br-1, gr-1)) of matched pairs.
-
-    ``id`` is the dense discovery index within an instance, which is also
-    its elimination order; a rotation built outside an enumeration has
-    id -1.
-    """
-
-    pairs: tuple[Pair, ...]
-    id: int = -1
-
-
 @dataclass(frozen=True, eq=False)
 class RotationPoset:
     """All rotations of the instance ``inst`` plus their precedence arcs.
 
-    An arc (a, b) in ``edges`` means rotation a precedes rotation b: any
-    predecessor-closed subset containing b must contain a.  Every arc has
-    a < b, so increasing id is a topological order.  ``preds[r]`` holds
+    ``rotations[r]`` is rotation r, an ordered cycle ((b0, g0), ...,
+    (bk-1, gk-1)) of matched (boy, girl) pairs; its id r is its discovery
+    index, which is also its elimination order.  An arc (a, b) in
+    ``edges`` means rotation a precedes rotation b: any predecessor-closed
+    subset containing b must contain a.  Every arc has a < b, so
+    increasing id is a topological order.  ``preds[r]`` holds
     the tails of the arcs into r.  :func:`build_poset` stores the
     instance it enumerated, so consumers take the poset alone and cannot
     pair it with another instance.
     """
 
     inst: Instance
-    rotations: tuple[Rotation, ...]
+    rotations: tuple[tuple[Pair, ...], ...]
     edges: frozenset[tuple[int, int]]
     preds: tuple[frozenset[int], ...]
 
@@ -209,15 +199,17 @@ def rotation_count_limit(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def enumerate_rotations(inst: Instance) -> list[Rotation]:
-    """Discover every rotation of the instance.
+def enumerate_rotations(inst: Instance) -> list[tuple[Pair, ...]]:
+    """Discover every rotation of the instance, each as its cycle of
+    (boy, girl) pairs, in discovery order.
 
     Walks a single elimination chain from the boy-optimal matching down to
     the girl-optimal one; every rotation appears exactly once along any
     such chain, and the walk reports it once, when it is first exposed.
     Rotations are eliminated first-in first-out in that order, which works
     because an exposed rotation stays exposed until it is eliminated; so
-    ids are the elimination order and a topological order of the poset.
+    list positions, the rotation ids, are the elimination order and a
+    topological order of the poset.
     """
     walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
     order = walk.exposed_cycles()
@@ -228,15 +220,16 @@ def enumerate_rotations(inst: Instance) -> list[Rotation]:
         raise ContractViolation("elimination chain did not end girl-optimal")
     if len(order) > rotation_count_limit(inst.n):
         raise ContractViolation("rotation count exceeds the n(n-1)/2 bound")
-    return [Rotation(pairs, rid) for rid, pairs in enumerate(order)]
+    return order
 
 
 def _replay(
-    rotations: Iterable[Rotation], m0: Matching
+    rotations: Iterable[tuple[Pair, ...]], m0: Matching
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Replay the rotations in id order, the elimination order, from the
-    boy-optimal matching m0, and yield (b, g, maker, breaker) for every
-    pair a boy holds along the chain.
+    """Replay the rotations, pair cycles whose list position is their id,
+    in id order, the elimination order, from the boy-optimal matching m0,
+    and yield (b, g, maker, breaker) for every pair a boy holds along the
+    chain.
 
     ``maker`` is the rotation that gave boy b girl g (-1 when the pair is
     boy-optimal) and ``breaker`` the one that moves him on (-1 when he
@@ -246,17 +239,17 @@ def _replay(
     """
     partner = list(m0.partner_of_boy)
     maker = [-1] * len(partner)
-    for rho in rotations:
-        r = len(rho.pairs)
-        for i, (b, g) in enumerate(rho.pairs):
+    for rid, rho in enumerate(rotations):
+        r = len(rho)
+        for i, (b, g) in enumerate(rho):
             if partner[b] != g:
                 raise ContractViolation(
-                    f"rotation {rho.id} moves boy {b + 1} from girl {g + 1},"
+                    f"rotation {rid} moves boy {b + 1} from girl {g + 1},"
                     f" but his partner is girl {partner[b] + 1}"
                 )
-            yield b, g, maker[b], rho.id
-            partner[b] = rho.pairs[(i + 1) % r][1]
-            maker[b] = rho.id
+            yield b, g, maker[b], rid
+            partner[b] = rho[(i + 1) % r][1]
+            maker[b] = rid
     for b, g in enumerate(partner):
         yield b, g, maker[b], -1
 
@@ -284,10 +277,10 @@ def build_poset(inst: Instance) -> RotationPoset:
     # Per girl, her new partners' negated ranks (ascending) and their lifters.
     rises: list[list[int]] = [[] for _ in range(inst.n)]
     lifters: list[list[int]] = [[] for _ in range(inst.n)]
-    for rho in rotations:
-        r = len(rho.pairs)
-        for i, (b, g_from) in enumerate(rho.pairs):
-            g_to = rho.pairs[(i + 1) % r][1]
+    for rid, rho in enumerate(rotations):
+        r = len(rho)
+        for i, (b, g_from) in enumerate(rho):
+            g_to = rho[(i + 1) % r][1]
             lo, hi = boy_rank[b][g_from], boy_rank[b][g_to]
             for g in inst.boy_prefs[b][lo + 1 : hi]:
                 threshold = girl_rank[g][b]
@@ -298,13 +291,13 @@ def build_poset(inst: Instance) -> RotationPoset:
                     raise ContractViolation(
                         f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
                     )
-                edges.add((lifters[g][j], rho.id))
-        for i, (b, g) in enumerate(rho.pairs):
-            rank = girl_rank[g][rho.pairs[(i - 1) % r][0]]
+                edges.add((lifters[g][j], rid))
+        for i, (b, g) in enumerate(rho):
+            rank = girl_rank[g][rho[(i - 1) % r][0]]
             if rank >= girl_rank[g][b]:
                 raise ContractViolation(f"girl {g + 1} does not rise to her next partner")
             rises[g].append(-rank)
-            lifters[g].append(rho.id)
+            lifters[g].append(rid)
 
     for a, b in edges:
         if a >= b:
@@ -332,5 +325,5 @@ def closed_set_to_matching(poset: RotationPoset, closed: Iterable[int]) -> Match
         raise ContractViolation("rotation set is not predecessor-closed")
     walk = _ChainWalk(poset.inst, poset.boy_optimal)
     for rid in sorted(members):
-        walk.apply_cycle(poset.rotations[rid].pairs)
+        walk.apply_cycle(poset.rotations[rid])
     return walk.matching()

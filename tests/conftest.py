@@ -20,7 +20,6 @@ from stablecut import (
     Edge,
     Instance,
     ReductionArtifacts,
-    Rotation,
     WeightedDag,
     WeightFunction,
     cut_weight,
@@ -123,11 +122,11 @@ def pair_edges(art: ReductionArtifacts) -> dict[tuple[int, int], Edge]:
     assert len(by_ends) == len(g.edges), "two cut-graph edges share (tail, head)"
     maker: dict[tuple[int, int], int] = {}
     breaker: dict[tuple[int, int], int] = {}
-    for rho in art.poset.rotations:
+    for rid, rho in enumerate(art.poset.rotations):
         # rho moves each boy from his pair's girl to the next pair's girl.
-        for (b, g_from), (_, g_to) in zip(rho.pairs, rho.pairs[1:] + rho.pairs[:1]):
-            breaker[(b, g_from)] = rho.id
-            maker[(b, g_to)] = rho.id
+        for (b, g_from), (_, g_to) in zip(rho, rho[1:] + rho[:1]):
+            breaker[(b, g_from)] = rid
+            maker[(b, g_to)] = rid
     edges = {}
     for pair in maker.keys() | breaker.keys():
         ends = (
@@ -169,12 +168,7 @@ def max_cut_sides(d: CondensedDag) -> Iterator[frozenset[int]]:
 def reversed_rotation_ids(monkeypatch):
     """Make rotation discovery number rotations last-seen first."""
     real = rotations.enumerate_rotations
-
-    def reverse(inst: Instance) -> list[Rotation]:
-        found = real(inst)
-        return [Rotation(r.pairs, len(found) - 1 - r.id) for r in reversed(found)]
-
-    monkeypatch.setattr(rotations, "enumerate_rotations", reverse)
+    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: real(inst)[::-1])
 
 
 @pytest.fixture

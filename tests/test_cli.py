@@ -592,8 +592,8 @@ def test_reports_render_the_library_results(tmp_path, capsys):
     poset = stablecut.build_poset(stablecut.parse_instance(cyclic_path.read_text()))
     assert len(poset.rotations) == 11  # so ids reach two digits
     dump = [
-        f"rotation {rho.id}: " + " ".join(f"({b + 1},{g + 1})" for b, g in rho.pairs)
-        for rho in poset.rotations
+        f"rotation {rid}: " + " ".join(f"({b + 1},{g + 1})" for b, g in rho)
+        for rid, rho in enumerate(poset.rotations)
     ]
     dump += [f"edge {a} {b}" for a, b in sorted(poset.edges)]
 

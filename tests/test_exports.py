@@ -27,3 +27,27 @@ def test_every_exported_name_resolves():
 
 def test_every_public_import_is_exported():
     assert imported_public_names() - set(stablecut.__all__) == set()
+
+
+def test_every_import_is_used():
+    """Every name a module binds by a top-level import is read somewhere
+    in that module; ``__init__.py`` imports in order to re-export."""
+    unused = []
+    for path in sorted(Path(stablecut.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -19,7 +19,6 @@ from stablecut import (
     ContractViolation,
     Instance,
     Matching,
-    Rotation,
     all_stable_matchings,
     build_poset,
     closed_set_to_matching,
@@ -32,14 +31,13 @@ from stablecut import (
 )
 from stablecut.ideals import iter_ideals
 
-SWAP = Rotation(((0, 0), (1, 1)))  # the single rotation of two_by_two
+SWAP = ((0, 0), (1, 1))  # the single rotation of two_by_two
 Cycle = tuple[tuple[int, int], ...]
 BRANCH_FOUR_ROTATIONS = [((0, 3), (1, 2)), ((0, 2), (3, 0)), ((1, 3), (2, 1))]
 
 
 def test_exposed_in_boy_optimal():
-    found = exposed_rotations(two_by_two(), Matching((0, 1)))
-    assert [r.pairs for r in found] == [SWAP.pairs]
+    assert exposed_rotations(two_by_two(), Matching((0, 1))) == [SWAP]
 
 
 def test_girl_optimal_exposes_nothing():
@@ -62,15 +60,14 @@ def test_eliminate_rejects_unexposed_rotation():
 
 def test_eliminate_rejects_wrong_cycle():
     # Pairs are matched but the successor structure does not close.
-    rho = Rotation(((0, 3), (2, 1)))
+    rho = ((0, 3), (2, 1))
     inst = branch_four()
     with pytest.raises(ContractViolation, match="not exposed"):
         eliminate(inst, gale_shapley(inst, "boys"), rho)
 
 
 def test_enumerate_rotations_two_by_two():
-    rots = enumerate_rotations(two_by_two())
-    assert [(r.id, r.pairs) for r in rots] == [(0, SWAP.pairs)]
+    assert enumerate_rotations(two_by_two()) == [SWAP]
 
 
 def test_enumerate_rotations_identity_three():
@@ -88,24 +85,23 @@ def test_relabelled_doubling_meets_the_rotation_bound(n):
     assert len(enumerate_rotations(inst)) == rotation_count_limit(n)
 
 
-def exposed_rotations(inst: Instance, m: Matching) -> list[Rotation]:
+def exposed_rotations(inst: Instance, m: Matching) -> list[Cycle]:
     """Rotations exposed in the stable matching m, from a fresh walk.
     Empty exactly when m is the girl-optimal matching."""
-    walk = rotations._ChainWalk(inst, m)
-    return [Rotation(pairs) for pairs in walk.exposed_cycles()]
+    return rotations._ChainWalk(inst, m).exposed_cycles()
 
 
-def eliminate(inst: Instance, m: Matching, rho: Rotation) -> Matching:
+def eliminate(inst: Instance, m: Matching, rho: Cycle) -> Matching:
     """Apply one exposed rotation.  Boys in the cycle move down their lists,
     the affected girls move up; raises ContractViolation when rho is not
     exposed in m."""
     walk = rotations._ChainWalk(inst, m)
-    walk.apply_cycle(rho.pairs)
+    walk.apply_cycle(rho)
     return walk.matching()
 
 
-def rescan_rotations(inst) -> list[tuple[Cycle, int]]:
-    """The (pairs, id) list of a referee that starts a fresh walk for each
+def rescan_rotations(inst) -> list[Cycle]:
+    """The rotation list of a referee that starts a fresh walk for each
     step: after every elimination it lists every exposed rotation again,
     keeps the ones not seen before, and eliminates first-in first-out."""
     current = gale_shapley(inst, "boys")
@@ -114,12 +110,12 @@ def rescan_rotations(inst) -> list[tuple[Cycle, int]]:
     eliminated = 0
     while True:
         for rho in exposed_rotations(inst, current):
-            if rho.pairs not in seen:
-                seen.add(rho.pairs)
-                order.append(rho.pairs)
+            if rho not in seen:
+                seen.add(rho)
+                order.append(rho)
         if eliminated == len(order):
-            return [(pairs, rid) for rid, pairs in enumerate(order)]
-        current = eliminate(inst, current, Rotation(order[eliminated]))
+            return order
+        current = eliminate(inst, current, order[eliminated])
         eliminated += 1
 
 
@@ -131,37 +127,33 @@ def rescan_steps(inst) -> list[list[Cycle]]:
     pending: list[Cycle] = []
     steps = []
     while True:
-        new = [rho.pairs for rho in exposed_rotations(inst, current) if rho.pairs not in seen]
+        new = [rho for rho in exposed_rotations(inst, current) if rho not in seen]
         seen.update(new)
         pending.extend(new)
         steps.append(new)
         if not pending:
             return steps
-        current = eliminate(inst, current, Rotation(pending.pop(0)))
-
-
-def found_rotations(inst) -> list[tuple[Cycle, int]]:
-    return [(r.pairs, r.id) for r in enumerate_rotations(inst)]
+        current = eliminate(inst, current, pending.pop(0))
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_doubling_rotations_match_the_rescan_referee(n):
     for seed in (None, 1, 2):
         inst = family_instance("doubling", n, seed)
-        assert found_rotations(inst) == rescan_rotations(inst)
+        assert enumerate_rotations(inst) == rescan_rotations(inst)
 
 
 def test_cyclic_rotations_match_the_rescan_referee():
     for n in range(3, 65):
         inst = family_instance("cyclic", n)
-        assert found_rotations(inst) == rescan_rotations(inst)
+        assert enumerate_rotations(inst) == rescan_rotations(inst)
 
 
 def test_random_rotations_match_the_rescan_referee():
     rng = random.Random(14)
     for max_n in [12] * 2000 + [60] * 40:
         inst = random_instance(rng, rng.randint(1, max_n))
-        assert found_rotations(inst) == rescan_rotations(inst)
+        assert enumerate_rotations(inst) == rescan_rotations(inst)
 
 
 def test_referee_corpus_tells_walk_order_from_smallest_boy_order():
@@ -234,13 +226,12 @@ def test_walk_reports_each_rotation_once():
     walk.apply_cycle(first)
     assert walk.exposed_cycles() == [second, third]
     assert walk.exposed_cycles() == []
-    listed = exposed_rotations(inst, walk.matching())
-    assert [r.pairs for r in listed] == [second, third]
+    assert exposed_rotations(inst, walk.matching()) == [second, third]
 
 
 def test_branch_four_rotations_and_edges():
     poset = build_poset(branch_four())
-    assert [r.pairs for r in poset.rotations] == BRANCH_FOUR_ROTATIONS
+    assert list(poset.rotations) == BRANCH_FOUR_ROTATIONS
     assert sorted(poset.edges) == [(0, 1), (0, 2)]
     assert poset.preds == (frozenset(), frozenset({0}), frozenset({0}))
 
@@ -255,14 +246,21 @@ def test_build_poset_rejects_arcs_against_rotation_ids(reversed_rotation_ids):
         build_poset(branch_four())
 
 
-def test_build_poset_rejects_ids_relabelled_in_chain_order(monkeypatch):
-    # Chain order kept but ids counted down: the hand-off arcs become
-    # (2, 1) and (2, 0), acyclic but against increasing id.
-    found = enumerate_rotations(branch_four())
-    relabelled = [Rotation(r.pairs, len(found) - 1 - r.id) for r in found]
-    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: relabelled)
+def test_build_poset_rejects_hand_off_arcs_against_rotation_ids(monkeypatch):
+    # A replay that swaps maker and breaker on every hand-off turns
+    # branch_four's arcs (0, 1) and (0, 2) into (1, 0) and (2, 0), acyclic
+    # but against increasing id.
+    real = rotations._replay
+
+    def swapped(rots, m0):
+        for b, g, maker, breaker in real(rots, m0):
+            if maker >= 0 and breaker >= 0:
+                maker, breaker = breaker, maker
+            yield b, g, maker, breaker
+
+    monkeypatch.setattr(rotations, "_replay", swapped)
     with pytest.raises(
-        ContractViolation, match=r"precedence arc \(2, 0\) does not follow rotation ids"
+        ContractViolation, match=r"precedence arc \((1|2), 0\) does not follow rotation ids"
     ):
         build_poset(branch_four())
 
@@ -270,7 +268,7 @@ def test_build_poset_rejects_ids_relabelled_in_chain_order(monkeypatch):
 def test_build_poset_rejects_a_rotation_that_lowers_a_girl(monkeypatch):
     # Boys 1 and 2 swapping partners in identity_three hands girl 1 the
     # boy she ranks below the one she leaves.
-    swap = Rotation(((0, 0), (1, 1)), 0)
+    swap = ((0, 0), (1, 1))
     monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: [swap])
     with pytest.raises(ContractViolation, match="girl 1 does not rise to her next partner"):
         build_poset(identity_three())
@@ -402,6 +400,6 @@ def test_simultaneously_exposed_rotations_are_disjoint(inst):
     exposed = exposed_rotations(inst, current)
     seen: set[int] = set()
     for rho in exposed:
-        boys = {b for b, _ in rho.pairs}
+        boys = {b for b, _ in rho}
         assert not (seen & boys)
         seen |= boys

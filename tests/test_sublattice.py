@@ -262,7 +262,7 @@ def referee_walk(inst, poset, closed):
     boy-optimal matching, shifting each boy to the next pair's girl."""
     partner = list(gale_shapley(inst, "boys").partner_of_boy)
     for rid in sorted(closed):
-        pairs = poset.rotations[rid].pairs
+        pairs = poset.rotations[rid]
         for (b, g), (_, g_next) in zip(pairs, pairs[1:] + pairs[:1]):
             assert partner[b] == g
             partner[b] = g_next
