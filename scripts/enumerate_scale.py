@@ -55,7 +55,7 @@ def measure(inst_path: str, weights_path: str, cap: int) -> dict:
     w = parse_weights(Path(weights_path).read_text(), inst.n)
     ms: dict[str, float] = {}
     p = _timed(meta_rotation_poset, ms, "meta_poset_ms")(inst, w)
-    count, preds = len(p.rotation_sets), p.preds()
+    count, preds = len(p.rotation_sets), p.preds
 
     def first_ideals(preds):
         return list(islice(_proper_ideals(count, preds), cap + 1))

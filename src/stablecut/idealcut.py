@@ -19,10 +19,11 @@ sink-to-source paths.  :func:`condense` certifies optimality from its
 own components.  Which minimum flow comes out is not part of the
 contract: the value, the set the sink reaches in the residual graph,
 and the residual components with the order between them are the same
-for every minimum flow.  The sequence :func:`condense` lists the
-components in is one topological order among several, found by a search
-over the flow's residual arcs, so it can differ between minimum flows,
-and the order of ``enumerate``'s listing follows it.
+for every minimum flow.  :func:`condense` always lists the source's
+component first and the sink's last, but the components between them
+come in one topological order among several, found by a search over the
+flow's residual arcs, so their numbering can differ between minimum
+flows, and the order of ``enumerate``'s listing follows it.
 """
 
 from __future__ import annotations
@@ -100,17 +101,6 @@ class Flow:
 
     edge_flow: tuple[int, ...]
     value: int
-
-
-@dataclass(frozen=True, eq=False)
-class CondensedDag:
-    """Strongly connected components of a residual graph, listed in
-    topological order, with the deduplicated arcs between them."""
-
-    components: tuple[frozenset[int], ...]
-    edges: frozenset[tuple[int, int]]
-    source_component: int
-    sink_component: int
 
 
 def _bfs_parents(adjacency: Sequence[Sequence[int]], endpoint: Sequence[int], root: int) -> list[int]:
@@ -503,16 +493,24 @@ def _tarjan_components(res: Sequence[Sequence[int]]) -> list[list[int]]:
     return components
 
 
-def condense(g: WeightedDag, f: Flow) -> CondensedDag:
-    """Shrink the residual graph of an optimal flow to its component DAG.
+def condense(
+    g: WeightedDag, f: Flow
+) -> tuple[tuple[frozenset[int], ...], frozenset[tuple[int, int]]]:
+    """Shrink the residual graph of an optimal flow to its component DAG:
+    the strongly connected components in topological order, and the
+    deduplicated arcs (a, b) between components a < b.
 
     The ideal cuts of the result, pulled back to vertex sets, are exactly
     the maximum-weight ideal cuts of g.  Requires g validated (see
     :func:`validate_dag`) and f optimal: forward arcs then carry the
     source to the sink, so the two share a component exactly when the
-    sink reaches the source, which only a non-optimal f allows; that
-    raises ContractViolation, as does a component listed after one it
-    precedes.
+    sink reaches the source, which only a non-optimal f allows.  They
+    also run from the source to every vertex and from every vertex to
+    the sink, so the source's component is always first and the sink's
+    always last; only the numbering of the components between them can
+    vary with the flow.  A shared pole component, a component listed
+    after one it precedes, or a pole component out of place raises
+    ContractViolation.
     """
     res = residual(g, f)
     comps = list(reversed(_tarjan_components(res)))
@@ -530,12 +528,9 @@ def condense(g: WeightedDag, f: Flow) -> CondensedDag:
     }
     if any(a > b for a, b in edges):
         raise ContractViolation("residual components are not listed in topological order")
-    return CondensedDag(
-        components=tuple(frozenset(c) for c in comps),
-        edges=frozenset(edges),
-        source_component=comp_of[g.source],
-        sink_component=comp_of[g.sink],
-    )
+    if comp_of[g.source] != 0 or comp_of[g.sink] != len(comps) - 1:
+        raise ContractViolation("pole components are not listed first and last")
+    return tuple(frozenset(c) for c in comps), frozenset(edges)
 
 
 def parse_dag(text: str) -> WeightedDag:

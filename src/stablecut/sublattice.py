@@ -1,8 +1,9 @@
 """The sublattice of maximum-weight stable matchings.
 
 Condensing the optimal flow's residual graph groups rotations into
-meta-rotations.  Closed subsets of the meta-rotation poset that contain
-the source element and avoid the sink element generate exactly the
+meta-rotations.  The first element holds the cut graph's source and the
+last its sink.  Closed subsets of the meta-rotation poset that contain
+the first element and avoid the last generate exactly the
 maximum-weight stable matchings, so the optima inherit meet, join, and
 two extreme poles from the full lattice.  A second weight w2 is
 optimised over the optima of w1 by one cut on edge weights
@@ -26,23 +27,20 @@ from .rotations import RotationPoset, build_poset, closed_set_to_matching
 class MetaRotationPoset:
     """Rotations grouped by residual component, with component precedence.
 
-    ``rotation_sets[i]`` holds the rotation ids of element i; the source
-    marker lives in ``s_element`` and the sink marker in ``t_element``
-    (both elements may also hold rotations).  Every rotation belongs to
-    exactly one element.  The instance is ``poset.inst``; ``weight`` is
-    the scaled weight under ``w`` that every optimum has.
+    ``rotation_sets[i]`` holds the rotation ids of element i; element 0
+    holds the source marker and the last element the sink marker (both
+    may also hold rotations).  Every rotation belongs to exactly one
+    element.  ``preds[i]`` holds the direct predecessors of element i
+    under ``edges``.  The instance is ``poset.inst``; ``weight`` is the
+    scaled weight under ``w`` that every optimum has.
     """
 
     poset: RotationPoset
     rotation_sets: tuple[frozenset[int], ...]
     edges: frozenset[tuple[int, int]]
-    s_element: int
-    t_element: int
+    preds: tuple[frozenset[int], ...]
     w: WeightFunction
     weight: int
-
-    def preds(self) -> list[frozenset[int]]:
-        return _preds_from_edges(len(self.rotation_sets), self.edges)
 
 
 def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
@@ -50,8 +48,8 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     poset = build_poset(inst)
     art = build_reduction(poset, w)
     flow = min_flow(art.dag)
-    d = condense(art.dag, flow)
-    rotation_sets = tuple(art.rotations_in(comp) for comp in d.components)
+    components, edges = condense(art.dag, flow)
+    rotation_sets = tuple(art.rotations_in(comp) for comp in components)
     covered: set[int] = set()
     for group in rotation_sets:
         if covered & group:
@@ -62,9 +60,8 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
     return MetaRotationPoset(
         poset=poset,
         rotation_sets=rotation_sets,
-        edges=d.edges,
-        s_element=d.source_component,
-        t_element=d.sink_component,
+        edges=edges,
+        preds=tuple(_preds_from_edges(len(components), edges)),
         w=w,
         weight=flow.value + art.base_weight,
     )
@@ -81,17 +78,17 @@ def closed_subset_to_max_matching(
     p: MetaRotationPoset, subset: frozenset[int]
 ) -> Matching:
     """The maximum-weight matching generated by a closed subset of
-    meta-rotations containing the source element and not the sink.
-    Raises ContractViolation unless it weighs ``p.weight``."""
+    meta-rotations containing the source element 0 and not the last, the
+    sink element.  Raises ContractViolation unless it weighs ``p.weight``."""
     subset = frozenset(subset)
     for i in subset:
         if not 0 <= i < len(p.rotation_sets):
             raise ValueError(f"meta-rotation index {i} out of range")
-    if p.s_element not in subset:
+    if 0 not in subset:
         raise ContractViolation("subset must contain the source element")
-    if p.t_element in subset:
+    if len(p.rotation_sets) - 1 in subset:
         raise ContractViolation("subset must not contain the sink element")
-    preds = p.preds()
+    preds = p.preds
     if not all(preds[i] <= subset for i in subset):
         raise ContractViolation("subset is not predecessor-closed")
     m = _elements_to_matching(p, subset)
@@ -102,15 +99,14 @@ def closed_subset_to_max_matching(
 
 def boy_optimal_max(p: MetaRotationPoset) -> Matching:
     """The optimum every boy weakly prefers: only the source element's
-    rotations are eliminated."""
-    return closed_subset_to_max_matching(p, frozenset({p.s_element}))
+    rotations, element 0's, are eliminated."""
+    return closed_subset_to_max_matching(p, frozenset({0}))
 
 
 def girl_optimal_max(p: MetaRotationPoset) -> Matching:
     """The optimum every girl weakly prefers: everything but the sink
-    element is eliminated."""
-    subset = frozenset(range(len(p.rotation_sets))) - {p.t_element}
-    return closed_subset_to_max_matching(p, subset)
+    element, the last one, is eliminated."""
+    return closed_subset_to_max_matching(p, frozenset(range(len(p.rotation_sets) - 1)))
 
 
 def enumerate_max_matchings(p: MetaRotationPoset, cap: int) -> tuple[list[Matching], bool]:
@@ -126,7 +122,7 @@ def enumerate_max_matchings(p: MetaRotationPoset, cap: int) -> tuple[list[Matchi
         raise ValueError("cap must be at least 1")
     out: list[Matching] = []
     truncated = False
-    for ideal in _proper_ideals(len(p.rotation_sets), p.preds()):
+    for ideal in _proper_ideals(len(p.rotation_sets), p.preds):
         if len(out) == cap:
             truncated = True
             break

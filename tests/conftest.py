@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import families
 from stablecut import (
-    CondensedDag,
     Edge,
     Instance,
     ReductionArtifacts,
@@ -153,15 +152,19 @@ def ideal_cuts(g: WeightedDag) -> Iterator[frozenset[int]]:
     return _proper_ideals(g.num_vertices, preds)
 
 
-def max_cut_sides(d: CondensedDag) -> Iterator[frozenset[int]]:
+def max_cut_sides(
+    condensed: tuple[tuple[frozenset[int], ...], frozenset[tuple[int, int]]],
+) -> Iterator[frozenset[int]]:
     """The source sides of the maximum cuts a condensation encodes, by
     component-ideal size then lexicographic: every proper ideal of the
     component order, expanded to its vertices.  Asserts that each holds
-    the source component and not the sink component."""
-    count = len(d.components)
-    for ideal in _proper_ideals(count, _preds_from_edges(count, d.edges)):
-        assert d.source_component in ideal and d.sink_component not in ideal
-        yield frozenset(v for ci in ideal for v in d.components[ci])
+    the source component, the first, and not the sink component, the
+    last."""
+    components, edges = condensed
+    count = len(components)
+    for ideal in _proper_ideals(count, _preds_from_edges(count, edges)):
+        assert 0 in ideal and count - 1 not in ideal
+        yield frozenset(v for ci in ideal for v in components[ci])
 
 
 @pytest.fixture

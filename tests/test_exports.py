@@ -25,6 +25,10 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_exports_are_sorted():
+    assert stablecut.__all__ == sorted(stablecut.__all__)
+
+
 def test_every_public_import_is_exported():
     assert imported_public_names() - set(stablecut.__all__) == set()
 

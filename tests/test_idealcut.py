@@ -161,11 +161,24 @@ def test_max_cut_single_negative_edge():
 
 def test_condense_path_dag():
     g = path_dag()
-    d = condense(g, min_flow(g))
-    assert d.components == (frozenset({0}), frozenset({1, 2}))
-    assert d.source_component == 0
-    assert d.sink_component == 1
-    assert d.edges == frozenset({(0, 1)})
+    components, edges = condense(g, min_flow(g))
+    assert components == (frozenset({0}), frozenset({1, 2}))
+    assert edges == frozenset({(0, 1)})
+
+
+def test_condense_lists_the_pole_components_first_and_last():
+    # On a validated graph the source's component comes first and the
+    # sink's last; on these unvalidated ones a pole sits elsewhere.
+    g = WeightedDag(3, 0, 2, (Edge(0, 1, 0), Edge(1, 2, 0)))
+    components, _ = condense(g, Flow((0, 0), 0))
+    assert components == (frozenset({0}), frozenset({1}), frozenset({2}))
+    misplaced = [
+        WeightedDag(3, 1, 2, (Edge(0, 1, 0), Edge(1, 2, 0))),  # source not first
+        WeightedDag(3, 0, 1, (Edge(0, 2, 0), Edge(0, 1, 0))),  # sink not last
+    ]
+    for g in misplaced:
+        with pytest.raises(ContractViolation, match="first and last"):
+            condense(g, Flow((0, 0), 0))
 
 
 def test_condense_rejects_non_optimal_flow():
@@ -192,8 +205,8 @@ def test_enumerate_max_cuts_tied_path():
     # Both cuts of s -> m -> t weigh 2, so the condensation keeps three
     # separate components.
     g = WeightedDag(3, 0, 2, (Edge(0, 1, 2), Edge(1, 2, 2)))
-    d = condense(g, min_flow(g))
-    assert len(d.components) == 3
+    components, _ = d = condense(g, min_flow(g))
+    assert len(components) == 3
     assert list(max_cut_sides(d)) == [frozenset({0}), frozenset({0, 1})]
 
 

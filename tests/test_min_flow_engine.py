@@ -28,7 +28,6 @@ import families
 from conftest import random_dag
 from stablecut import (
     ContractViolation,
-    CondensedDag,
     Edge,
     Flow,
     Instance,
@@ -221,16 +220,18 @@ def corpus() -> tuple[WeightedDag, ...]:
     return tuple(graphs)
 
 
-def condensation(d: CondensedDag) -> tuple:
+def condensation(
+    condensed: tuple[tuple[frozenset[int], ...], frozenset[tuple[int, int]]],
+) -> tuple:
     """What every minimum flow's condensation shares, with no listing
     order: the components as a set, the source and sink components, and
     the arcs between components as pairs of vertex sets."""
-    comps = d.components
+    comps, edges = condensed
     return (
         frozenset(comps),
-        comps[d.source_component],
-        comps[d.sink_component],
-        frozenset((comps[a], comps[b]) for a, b in d.edges),
+        comps[0],
+        comps[-1],
+        frozenset((comps[a], comps[b]) for a, b in edges),
     )
 
 

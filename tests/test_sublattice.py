@@ -62,7 +62,6 @@ BRANCH_TIE_TABLE = ((2, 2, -1, 1), (-4, 3, 1, -2), (-5, 2, -1, -3), (1, -3, 3, -
 def test_meta_poset_two_by_two_tie():
     p = meta_rotation_poset(two_by_two(), tie_weights())
     assert p.rotation_sets == (frozenset(), frozenset({0}), frozenset())
-    assert (p.s_element, p.t_element) == (0, 2)
     assert p.edges == frozenset({(0, 1), (1, 2)})
 
 
@@ -70,13 +69,11 @@ def test_meta_poset_two_by_two_unique_optimum():
     # The suboptimal rotation is pulled into the sink element.
     p = meta_rotation_poset(two_by_two(), single_weights())
     assert p.rotation_sets == (frozenset(), frozenset({0}))
-    assert (p.s_element, p.t_element) == (0, 1)
 
 
 def test_meta_poset_unique_stable_matching_sentinel():
     p = meta_rotation_poset(identity_three(), WeightFunction.zero(3))
     assert p.rotation_sets == (frozenset(), frozenset())
-    assert (p.s_element, p.t_element) == (0, 1)
     assert p.edges == frozenset({(0, 1)})
     assert boy_optimal_max(p).partner_of_boy == (0, 1, 2)
     assert girl_optimal_max(p).partner_of_boy == (0, 1, 2)
@@ -90,7 +87,6 @@ def test_meta_poset_branch_four_tie():
         frozenset({2}),
         frozenset(),
     )
-    assert (p.s_element, p.t_element) == (0, 3)
     # (0, 2) follows from (0, 1) and (1, 2).
     assert sorted(p.edges) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
 
@@ -133,7 +129,7 @@ def test_closed_subset_refuses_a_matching_off_the_optimum(monkeypatch):
     real = sublattice._elements_to_matching
 
     def with_sink(q, subset):
-        return real(q, subset | {q.t_element})
+        return real(q, subset | {len(q.rotation_sets) - 1})
 
     monkeypatch.setattr(sublattice, "_elements_to_matching", with_sink)
     with pytest.raises(ContractViolation, match="does not weigh the optimum"):
@@ -220,14 +216,13 @@ def test_meta_poset_rejects_components_that_do_not_partition_the_rotations(
     components = sublattice.condense
 
     def condense(g, flow):
-        d = components(g, flow)
-        s = d.source_component
-        assert d.components[s] == frozenset({0})
+        comps, edges = components(g, flow)
+        assert comps[0] == frozenset({0})
         if twice:
-            listed = [c | {1} if i == s else c for i, c in enumerate(d.components)]
+            listed = [c | {1} if i == 0 else c for i, c in enumerate(comps)]
         else:
-            listed = [c - {1} for c in d.components]
-        return dataclasses.replace(d, components=tuple(listed))
+            listed = [c - {1} for c in comps]
+        return tuple(listed), edges
 
     monkeypatch.setattr("stablecut.sublattice.condense", condense)
     with pytest.raises(ContractViolation, match=f"^{message}$"):
@@ -299,7 +294,7 @@ def test_listing_matches_a_referee_walk_from_a_fresh_boy_optimum():
     for inst, w in listing_cases():
         p = meta_rotation_poset(inst, w)
         ms, _ = enumerate_max_matchings(p, 50)
-        ideals = list(islice(_proper_ideals(len(p.rotation_sets), p.preds()), len(ms)))
+        ideals = list(islice(_proper_ideals(len(p.rotation_sets), p.preds), len(ms)))
         for m, ideal in zip(ms, ideals):
             closed = set().union(*(p.rotation_sets[i] for i in ideal))
             assert m.partner_of_boy == referee_walk(inst, p.poset, closed)
@@ -402,7 +397,8 @@ def contracted_bi_objective(inst, w1, w2):
     meta-rotation of w1 contracted to one vertex."""
     p = meta_rotation_poset(inst, w1)
     art2 = build_reduction(p.poset, w2)
-    element_of_vertex = {art2.dag.source: p.s_element, art2.dag.sink: p.t_element}
+    last = len(p.rotation_sets) - 1
+    element_of_vertex = {art2.dag.source: 0, art2.dag.sink: last}
     for i, group in enumerate(p.rotation_sets):
         for rid in group:
             element_of_vertex[rid + 1] = i
@@ -410,7 +406,7 @@ def contracted_bi_objective(inst, w1, w2):
     edges = tuple(
         Edge(a, b, e.weight) for (a, b), e in zip(ends, art2.dag.edges) if a != b
     )
-    g = WeightedDag(len(p.rotation_sets), p.s_element, p.t_element, edges)
+    g = WeightedDag(len(p.rotation_sets), 0, last, edges)
     cut, _ = max_weight_ideal_cut(g)
     m = closed_subset_to_max_matching(p, cut)
     return m, matching_weight(m, w1), matching_weight(m, w2)
