@@ -9,12 +9,14 @@ poset it times ``enumerate_rotations``, and inside the cut it times
 and counts the flow's phases (its level searches).  After the solve, a
 second ``enumerate_rotations`` counts the rotation walk's successor
 probes (``_ChainWalk.successor_girl`` calls), so the counter slows no
-timed stage.  One JSON line per n gives the cut graph's V and E, each
+timed stage.  One JSON line per n gives the rotation count and the
+rotations' total size in pairs, the cut graph's V and E, each
 stage's wall time in ms (``rotations_ms`` is part of ``build_poset_ms``,
 ``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
 ``min_flow_ms``) and next to it, as ``<stage>_cpu_ms``, the process's
 CPU time in the stage, which other load on a shared machine disturbs
-less than wall time; then the probes, the phases, the feasible start's
+less than wall time; then the probes (at most twice the rotation pairs
+plus the rotations), the phases, the feasible start's
 value, the minimum flow's value, and the child's peak RSS during the
 solve.  Linux only: the peak is read from ``/proc/self/status``.
 Random instances are parse-bound and have few rotations;
@@ -104,6 +106,8 @@ def measure(family: str, n: int, seed: int) -> dict:
     return {
         "family": family,
         "n": n,
+        "rotations": len(poset.rotations),
+        "rotation_pairs": sum(map(len, poset.rotations)),
         "vertices": art.dag.num_vertices,
         "edges": len(art.dag.edges),
         **{key: round(ms[key], 1) for stage in (

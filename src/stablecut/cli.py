@@ -2,8 +2,8 @@
 
 Subcommands: solve, enumerate, poset, cut-solve, bi-objective.  Exit
 status 0 on success, 1 for input and usage errors or a closed output
-pipe, 2 for internal contract violations.  All weights are printed as
-exact decimals.
+pipe, 2 for internal contract violations, 3 when memory runs out.  All
+weights are printed as exact decimals.
 """
 
 from __future__ import annotations
@@ -275,6 +275,9 @@ def run(cfg: RunConfig) -> tuple[int, str]:
         return 2, f"error: {exc}"
     except (ParseError, ValueError, OSError) as exc:
         return 1, f"error: {exc}"
+    except MemoryError:
+        # Unbound, so leaving this clause frees the request's frames.
+        return 3, "error: out of memory"
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -23,7 +23,8 @@ for every minimum flow.  :func:`condense` always lists the source's
 component first and the sink's last, but the components between them
 come in one topological order among several, found by a search over the
 flow's residual arcs, so their numbering can differ between minimum
-flows, and the order of ``enumerate``'s listing follows it.
+flows.  Listings do not follow it: ``sublattice.meta_rotation_poset``
+renumbers the components from the instance alone.
 """
 
 from __future__ import annotations
@@ -508,9 +509,10 @@ def condense(
     also run from the source to every vertex and from every vertex to
     the sink, so the source's component is always first and the sink's
     always last; only the numbering of the components between them can
-    vary with the flow.  A shared pole component, a component listed
-    after one it precedes, or a pole component out of place raises
-    ContractViolation.
+    vary with the flow, so a listing must not follow it
+    (``sublattice.meta_rotation_poset`` renumbers them).  A shared pole
+    component, a component listed after one it precedes, or a pole
+    component out of place raises ContractViolation.
     """
     res = residual(g, f)
     comps = list(reversed(_tarjan_components(res)))

@@ -33,12 +33,15 @@ class ReductionArtifacts:
     boy-optimal, at the source) and broken at its head (or kept to the
     girl-optimal matching, at the sink).  ``base_weight`` is the total
     weight of pairs present in every stable matching and must be added to
-    any cut weight.  The instance is ``poset.inst``.
+    any cut weight.  ``net[v]`` is vertex v's out-weight less its
+    in-weight, so a cut weighs the sum of ``net`` over its source side.
+    The instance is ``poset.inst``.
     """
 
     poset: RotationPoset
     dag: WeightedDag
     base_weight: int
+    net: tuple[int, ...]
 
     def rotations_in(self, vertices: Iterable[int]) -> frozenset[int]:
         """The ids of the rotations at the given ``dag`` vertices; the source
@@ -98,17 +101,16 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
         weight[ends] = weight.get(ends, 0) + w.table[b][g]
 
     edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
-    art = ReductionArtifacts(
-        poset=poset,
-        dag=WeightedDag(k + 2, source, sink, edges, w.scale),
-        base_weight=base_weight,
-    )
-    _check_prefix_weights(art, m0, w)
-    return art
+    dag = WeightedDag(k + 2, source, sink, edges, w.scale)
+    net = _check_prefix_weights(poset, dag, base_weight, m0, w)
+    return ReductionArtifacts(poset=poset, dag=dag, base_weight=base_weight, net=net)
 
 
-def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFunction) -> None:
-    """Check that the cut graph weighs every prefix of the rotation ids.
+def _check_prefix_weights(
+    poset: RotationPoset, dag: WeightedDag, base_weight: int, m0: Matching, w: WeightFunction
+) -> tuple[int, ...]:
+    """Check that the cut graph weighs every prefix of the rotation ids,
+    and return every vertex's out-weight less its in-weight.
 
     Edges run from lower ids to higher ones, so the source plus rotations
     0..j-1 is an ideal cut, and its matching is the chain's after j
@@ -120,14 +122,14 @@ def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFuncti
     ContractViolation naming the first rotation whose prefix does not
     transport.
     """
-    dag, table = art.dag, w.table
+    table = w.table
     net = [0] * dag.num_vertices  # out-weight less in-weight
     for tail, head, weight in dag.edges:
         net[tail] += weight
         net[head] -= weight
-    if net[dag.source] + art.base_weight != matching_weight(m0, w):
+    if net[dag.source] + base_weight != matching_weight(m0, w):
         raise ContractViolation("the cut {source} does not weigh the boy-optimal matching")
-    for v, rho in enumerate(art.poset.rotations, 1):
+    for v, rho in enumerate(poset.rotations, 1):
         # Eliminating the rotation hands each of its girls to the boy
         # before her partner in the cycle.
         gain = 0
@@ -140,6 +142,7 @@ def _check_prefix_weights(art: ReductionArtifacts, m0: Matching, w: WeightFuncti
                 f"the cut graph weighs rotation {v - 1} at {net[v]}, but eliminating"
                 f" it changes the matching's weight by {gain}"
             )
+    return tuple(net)
 
 
 def cut_to_matching(art: ReductionArtifacts, side: frozenset[int]) -> Matching:

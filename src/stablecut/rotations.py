@@ -17,9 +17,6 @@ from .core import ContractViolation, Instance, Matching, gale_shapley
 from .ideals import _preds_from_edges
 
 Pair = tuple[int, int]
-# The walk stamp of a boy in a reported rotation: above every walk's, so
-# a walk that reaches him stops as at a boy settled earlier in the call.
-_REPORTED = 1 << 62
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +67,6 @@ class _ChainWalk:
         # partner prefers the boy, so that probe starts just below the
         # partner; every boy is probed before he moves.
         self.cursor = [-1] * inst.n
-        # Discovery state, built by the first exposed_cycles call so that
-        # a walk which only applies cycles never pays for it: each boy's
-        # successor girl, the boys outside every reported rotation, and
-        # per boy the stamp of the last walk that visited him.
-        self.succ_girl: list[int] | None = None
-        self.unreported: set[int] = set()
-        self.stamp: list[int] = []
-        self.walks = 0
 
     def successor_girl(self, b: int) -> int:
         """First girl below b's partner who strictly prefers b to her own,
@@ -97,66 +86,9 @@ class _ChainWalk:
         self.cursor[b] = i
         return prefs[i] if i < n else -1
 
-    def exposed_cycles(self) -> list[tuple[Pair, ...]]:
-        """The cycles of the successor relation not reported before, in
-        order of the smallest boy whose walk reaches them.
-
-        Each cycle is rotated so its smallest boy comes first.  A reported
-        rotation stays exposed until :meth:`apply_cycle` eliminates it, so
-        its boys are neither probed nor walked till then: a walk reaching
-        one ends in that rotation.  A fresh walk lists every exposed one.
-        Walks start from every unreported boy in increasing id and follow
-        the cached successor girls, which :meth:`apply_cycle` keeps
-        current: only the first call probes, every boy once.
-        """
-        if self.succ_girl is None:
-            n = self.inst.n
-            self.succ_girl = [self.successor_girl(b) for b in range(n)]
-            self.unreported = set(range(n))
-            self.stamp = [0] * n
-        succ_girl, stamp = self.succ_girl, self.stamp
-        boy_partner, girl_partner = self.boy_partner, self.girl_partner
-        first = self.walks + 1  # a boy stamped below first is unseen in this call
-        reported = _REPORTED
-        walk = self.walks
-        cycles = []
-        for start in sorted(self.unreported):
-            if stamp[start] >= first:
-                continue
-            walk += 1
-            path = []
-            b = start
-            # This also stops at a reported boy: see _REPORTED.
-            while b >= 0 and stamp[b] < first:
-                stamp[b] = walk
-                path.append(b)
-                g = succ_girl[b]
-                b = girl_partner[g] if g >= 0 else -1
-            if b >= 0 and stamp[b] == walk:
-                cycle = path[path.index(b):]
-                pivot = cycle.index(min(cycle))
-                cycle = cycle[pivot:] + cycle[:pivot]
-                pairs = []
-                for x in cycle:
-                    stamp[x] = reported
-                    pairs.append((x, boy_partner[x]))
-                cycles.append(tuple(pairs))
-                self.unreported.difference_update(cycle)
-        self.walks = walk
-        return cycles
-
     def apply_cycle(self, pairs: tuple[Pair, ...]) -> None:
         """Shift every boy in the cycle to the next girl, after verifying the
-        cycle really is exposed in the current matching.
-
-        Once :meth:`exposed_cycles` has cached successor girls, the
-        cycle's boys rejoin the unreported ones and are probed again, as
-        is every unreported boy whose successor girl is in the cycle: she
-        now holds a better partner.  No other boy's successor changes.
-        His partner and his successor girl's partner are the same as
-        before, and girls only improve, so no girl between them has come
-        to prefer him.
-        """
+        cycle really is exposed in the current matching."""
         boy_partner, girl_partner = self.boy_partner, self.girl_partner
         boys, girls = [], []
         for b, g in pairs:
@@ -167,9 +99,8 @@ class _ChainWalk:
             boys.append(b)
             girls.append(g)
         nexts = girls[1:] + girls[:1]  # the girl each boy moves to
-        probe = self.successor_girl
         for b, g_next in zip(boys, nexts):
-            if probe(b) != g_next:
+            if self.successor_girl(b) != g_next:
                 raise ContractViolation(
                     f"rotation is not exposed: boy {b + 1} does not lead to"
                     f" girl {g_next + 1}"
@@ -177,17 +108,6 @@ class _ChainWalk:
         for b, g_next in zip(boys, nexts):
             boy_partner[b] = g_next
             girl_partner[g_next] = b
-        succ_girl, unreported, stamp = self.succ_girl, self.unreported, self.stamp
-        if succ_girl is None:
-            return
-        moved = set(girls)
-        for b in unreported:
-            if succ_girl[b] in moved:
-                succ_girl[b] = probe(b)
-        for b in boys:
-            succ_girl[b] = probe(b)
-            stamp[b] = 0
-        unreported.update(boys)
 
     def matching(self) -> Matching:
         return Matching(tuple(self.boy_partner))
@@ -201,22 +121,54 @@ def rotation_count_limit(n: int) -> int:
 
 def enumerate_rotations(inst: Instance) -> list[tuple[Pair, ...]]:
     """Discover every rotation of the instance, each as its cycle of
-    (boy, girl) pairs, in discovery order.
+    (boy, girl) pairs rotated so its smallest boy comes first, in
+    elimination order.
 
-    Walks a single elimination chain from the boy-optimal matching down to
-    the girl-optimal one; every rotation appears exactly once along any
-    such chain, and the walk reports it once, when it is first exposed.
-    Rotations are eliminated first-in first-out in that order, which works
-    because an exposed rotation stays exposed until it is eliminated; so
-    list positions, the rotation ids, are the elimination order and a
-    topological order of the poset.
+    One walk keeps a stack of boys from the boy-optimal matching down to
+    the girl-optimal one (Gusfield 1987; Gusfield & Irving 1989, 3.2).
+    It pushes the partner of the top boy's successor girl; when that boy
+    is already on the stack, the stack from him up is an exposed
+    rotation, which the walk eliminates at once and pops, continuing
+    from the boy below.  No boy left on the stack moves, and only the
+    new top's successor girl can have changed, so the stack stays a
+    path of successors once the top is probed again.  A boy away from
+    his girl-optimal partner has a successor girl, and her partner is
+    away from his too, so walks start from such boys, smallest first,
+    and never run dry.  Each push is popped by one elimination, so the
+    walk probes at most twice per rotation pair plus once per rotation:
+    O(n^2) in all.  List positions, the rotation ids, are the
+    elimination order and so a topological order of the poset.
     """
     walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
-    order = walk.exposed_cycles()
-    for pairs in order:  # grows as each elimination exposes new rotations
-        walk.apply_cycle(pairs)
-        order.extend(walk.exposed_cycles())
-    if walk.matching() != gale_shapley(inst, "girls"):
+    last = gale_shapley(inst, "girls")
+    boy_partner, girl_partner = walk.boy_partner, walk.girl_partner
+    order: list[tuple[Pair, ...]] = []
+    stack: list[int] = []
+    depth = [-1] * inst.n  # each boy's stack position, -1 when off it
+    for start in range(inst.n):
+        while stack or boy_partner[start] != last.partner_of_boy[start]:
+            if not stack:
+                depth[start] = 0
+                stack.append(start)
+            g = walk.successor_girl(stack[-1])
+            if g < 0:
+                raise ContractViolation(
+                    f"boy {stack[-1] + 1} is not girl-optimal but has no successor girl"
+                )
+            b = girl_partner[g]
+            if depth[b] < 0:
+                depth[b] = len(stack)
+                stack.append(b)
+                continue
+            cycle = stack[depth[b]:]
+            del stack[depth[b]:]
+            pivot = cycle.index(min(cycle))
+            pairs = tuple((x, boy_partner[x]) for x in cycle[pivot:] + cycle[:pivot])
+            for x in cycle:
+                depth[x] = -1
+            walk.apply_cycle(pairs)
+            order.append(pairs)
+    if walk.matching() != last:
         raise ContractViolation("elimination chain did not end girl-optimal")
     if len(order) > rotation_count_limit(inst.n):
         raise ContractViolation("rotation count exceeds the n(n-1)/2 bound")

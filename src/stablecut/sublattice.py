@@ -15,12 +15,13 @@ cuts by w1 first and w2 second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
 from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow
 from .ideals import _preds_from_edges, _proper_ideals
 from .reduction import build_reduction, cut_to_matching
-from .rotations import RotationPoset, build_poset, closed_set_to_matching
+from .rotations import Pair, RotationPoset, build_poset, closed_set_to_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,12 +45,23 @@ class MetaRotationPoset:
 
 
 def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
-    """Group rotations by how the optimal flow's residual connects them."""
+    """Group rotations by how the optimal flow's residual connects them.
+
+    The elements are numbered by the instance alone, not by the flow or
+    the rotation ids: the source element first, the sink element last
+    (the one precedes and the other follows every element), and the
+    others by Kahn's algorithm, taking the ready element with the
+    smallest (boy, girl) pair first.  A pair lies in at most one
+    rotation, so no two elements tie.  Raises ContractViolation unless
+    the elements partition the rotations, the source element weighs the
+    flow's value and every other element but the sink gains nothing:
+    each middle element and the ideal just below it are both optimal.
+    """
     poset = build_poset(inst)
     art = build_reduction(poset, w)
     flow = min_flow(art.dag)
     components, edges = condense(art.dag, flow)
-    rotation_sets = tuple(art.rotations_in(comp) for comp in components)
+    rotation_sets = [art.rotations_in(comp) for comp in components]
     covered: set[int] = set()
     for group in rotation_sets:
         if covered & group:
@@ -57,9 +69,37 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
         covered |= group
     if covered != set(range(len(poset.rotations))):
         raise ContractViolation("meta-rotations do not cover every rotation")
+    if sum(art.net[v] for v in components[0]) != flow.value:
+        raise ContractViolation("the source meta-rotation does not weigh the minimum flow")
+    if any(sum(art.net[v] for v in comp) for comp in components[1:-1]):
+        raise ContractViolation("a middle meta-rotation changes the optimum's weight")
+    last = len(components) - 1
+    succs: list[list[int]] = [[] for _ in components]
+    waiting = [0] * len(components)
+    for a, b in edges:
+        if 0 < a and b < last:
+            succs[a].append(b)
+            waiting[b] += 1
+
+    def ready(i: int) -> tuple[Pair, int]:
+        return min(min(poset.rotations[r]) for r in rotation_sets[i]), i
+
+    heap = [ready(i) for i in range(1, last) if not waiting[i]]
+    heapify(heap)
+    order = [0]
+    while heap:
+        _, i = heappop(heap)
+        order.append(i)
+        for j in succs[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(heap, ready(j))
+    order.append(last)
+    number = {old: new for new, old in enumerate(order)}
+    edges = frozenset((number[a], number[b]) for a, b in edges)
     return MetaRotationPoset(
         poset=poset,
-        rotation_sets=rotation_sets,
+        rotation_sets=tuple(rotation_sets[i] for i in order),
         edges=edges,
         preds=tuple(_preds_from_edges(len(components), edges)),
         w=w,

@@ -174,6 +174,47 @@ def reversed_rotation_ids(monkeypatch):
     monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: real(inst)[::-1])
 
 
+def linear_extension(preds: tuple[frozenset[int], ...], rng: random.Random) -> list[int]:
+    """A random linear extension of the poset on ids 0..len(preds)-1:
+    Kahn's algorithm taking a ready id drawn with rng at every step."""
+    succs: list[list[int]] = [[] for _ in preds]
+    waiting = [len(p) for p in preds]
+    for r, p in enumerate(preds):
+        for a in p:
+            succs[a].append(r)
+    ready = [r for r, count in enumerate(waiting) if not count]
+    order = []
+    while ready:
+        r = ready.pop(rng.randrange(len(ready)))
+        order.append(r)
+        for s in sorted(succs[r]):
+            waiting[s] -= 1
+            if not waiting[s]:
+                ready.append(s)
+    return order
+
+
+@pytest.fixture
+def shuffled_rotation_ids(monkeypatch):
+    """``shuffle(seed)`` makes rotation discovery, from then on, list the
+    rotations in a random linear extension of their poset, drawn afresh
+    from ``random.Random(seed)`` for every instance: the ids another
+    valid elimination order would give."""
+    real = rotations.enumerate_rotations
+
+    def shuffled(inst, seed):
+        with monkeypatch.context() as m:
+            m.setattr(rotations, "enumerate_rotations", real)
+            poset = rotations.build_poset(inst)
+        order = linear_extension(poset.preds, random.Random(seed))
+        return [poset.rotations[r] for r in order]
+
+    def shuffle(seed: int) -> None:
+        monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: shuffled(inst, seed))
+
+    return shuffle
+
+
 @pytest.fixture
 def lowered_edge(monkeypatch):
     """``lower(i)`` makes the next cut graph ``build_reduction`` builds

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -547,6 +548,34 @@ def test_closed_output_pipe_exits_one_without_a_traceback(tmp_path):
     assert first == b"count 2000\n"
     assert status == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak")
+def test_running_out_of_memory_exits_three_without_a_traceback(tmp_path):
+    # A weighted doubling n=128 solve needs more than 14 MB of address
+    # space beyond what starting the command takes; the child alone gets
+    # 8 MB.
+    n = 128
+    rng = random.Random(17)
+    inst, weights = tmp_path / "inst.txt", tmp_path / "w.txt"
+    families.write_instance(inst, *families.relabel(rng, *families.doubling_prefs(n)))
+    families.write_weights(weights, families.random_weights(rng, n, -9, 9, 0), 0)
+    env = dict(os.environ, PYTHONPATH=str(Path(stablecut.__file__).parents[1]))
+    started = subprocess.run(
+        [sys.executable, "-c", "import stablecut.cli; print(open('/proc/self/status').read())"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    peak_kb = int(next(line.split()[1] for line in started.splitlines() if line.startswith("VmPeak:")))
+    limit = (peak_kb + 8000) * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "stablecut.cli", "solve", str(inst), "--weights", str(weights)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
 def _plain_pairs(m) -> list[str]:

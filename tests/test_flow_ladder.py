@@ -31,7 +31,10 @@ def test_flow_ladder_prints_one_sound_line_per_rung():
         stages = ("build_poset", "rotations", "build_reduction", "feasible_flow", "min_flow", "cut")
         for stage in stages:
             assert 0 <= row[f"{stage}_cpu_ms"]
+        # Each push is popped by an elimination: see test_rotations.
+        assert row["probes"] <= 2 * row["rotation_pairs"] + row["rotations"]
+    assert [(row["rotations"], row["rotation_pairs"]) for row in rows] == [(28, 56), (9, 90)]
     # Doubling n=8 probes as often as test_rotations.SEEDED_PROBES pins.
-    # Cyclic n=10 probes its 10 boys once, then twice at each of its 9
-    # eliminations: once to check the rotation, once to re-probe.
-    assert [row["probes"] for row in rows] == [144, 190]
+    # Cyclic n=10 walks each of its 9 rotations afresh from boy 1: 9
+    # probes that push, 1 that closes the cycle and 10 exposure checks.
+    assert [row["probes"] for row in rows] == [128, 180]

@@ -2,8 +2,9 @@
 
 The first 30 instances of the seed-1 corpus give about a thousand CLI
 reports (every subcommand, ``--oracle`` included) and the reduction DAG
-files they read.  The pin was taken before the minimum flow moved to
-blocking flows; re-pin only alongside a CHANGES.md entry that says which
+files they read.  The pin was last moved when the persistent rotation
+walk renumbered rotations and the meta-rotations came to be numbered by
+their pairs; re-pin only alongside a CHANGES.md entry that says which
 reports changed and why.
 """
 
@@ -26,5 +27,5 @@ def test_digest_slice_is_unchanged(tmp_path):
     count, hexdigest = load_script().digest(1, tmp_path, instances=30)
     assert (count, hexdigest) == (
         1018,
-        "5021cdc98ed23b52e96fa39da652aa785439047639b9ed7728d5af0a419bc011",
+        "0e31b021a5441ae7faaa72e1f45f44726e4663d0d7521d94e14347db1b6dd84d",
     )

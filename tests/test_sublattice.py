@@ -41,6 +41,7 @@ from stablecut import (
     enumerate_max_matchings,
     gale_shapley,
     girl_optimal_max,
+    idealcut,
     matching_weight,
     max_weight_ideal_cut,
     meet,
@@ -232,6 +233,40 @@ def test_meta_poset_rejects_components_that_do_not_partition_the_rotations(
     weights.write_text("3 2\n2 1\n")
     cfg = RunConfig("enumerate", instance_path=str(inst), weights_path=str(weights))
     assert run(cfg) == (2, f"error: {message}")
+
+
+ZERO_GAIN = (
+    "the source meta-rotation does not weigh the minimum flow"
+    "|a middle meta-rotation changes the optimum's weight"
+)
+
+
+def test_meta_poset_certifies_that_middle_elements_gain_nothing(monkeypatch, tmp_path):
+    """Without its backward arcs the residual graph splits into single
+    vertices.  The minimum flow's own certificate reads the same residual
+    and still passes, and the listing would hold matchings off the
+    optimum; the component weights must not pass."""
+
+    def forward_only(g, f):
+        heads = [[] for _ in range(g.num_vertices)]
+        for e in g.edges:
+            heads[e.tail].append(e.head)
+        return tuple(map(tuple, heads))
+
+    monkeypatch.setattr(idealcut, "residual", forward_only)
+    rng = random.Random(16)
+    for seed in range(20):
+        inst = family_instance("doubling", 8, seed)
+        with pytest.raises(ContractViolation, match=ZERO_GAIN):
+            meta_rotation_poset(inst, random_weights(rng, 8, -3, 3))
+    # The two-by-two tie's one rotation gains nothing, so it passes.
+    assert meta_rotation_poset(two_by_two(), tie_weights()).weight == 4
+    inst, weights = tmp_path / "inst.txt", tmp_path / "w.txt"
+    inst.write_text(TWO_BY_TWO_TEXT)
+    weights.write_text("1 0\n0 0\n")
+    status, report = run(RunConfig("enumerate", instance_path=str(inst), weights_path=str(weights)))
+    assert status == 2
+    assert report == "error: a middle meta-rotation changes the optimum's weight"
 
 
 def test_enumerate_sentinel_passthrough():
