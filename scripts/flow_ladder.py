@@ -4,12 +4,11 @@ For each family and n, one child process imports stablecut, draws a
 relabelled instance of the family (``bench/families.py``) with -9..9
 integer weights, seeded by (family, n, seed), and runs ``build_poset``,
 ``build_reduction`` and ``max_weight_ideal_cut`` once each.  Inside the
-poset it times ``enumerate_rotations``, and inside the cut it times
-``min_flow`` and the ``feasible_flow`` that ``min_flow`` starts from,
-and counts the flow's phases (its level searches).  After the solve, a
-second ``enumerate_rotations`` counts the rotation walk's successor
-probes (``_ChainWalk.successor_girl`` calls), so the counter slows no
-timed stage.  One JSON line per n gives the rotation count and the
+poset it times the rotation walk (``rotations._walk``: rotation
+discovery and precedence arcs) and reads the successor probes the walk
+counts; inside the cut it times ``min_flow`` and the ``feasible_flow``
+that ``min_flow`` starts from, and counts the flow's phases (its level
+searches).  One JSON line per n gives the rotation count and the
 rotations' total size in pairs, the cut graph's V and E, each
 stage's wall time in ms (``rotations_ms`` is part of ``build_poset_ms``,
 ``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
@@ -86,23 +85,20 @@ def measure(family: str, n: int, seed: int) -> dict:
     idealcut.feasible_flow = _timed(feasible_counted, ms, "feasible_flow_ms")
     idealcut.min_flow = _timed(minimum, ms, "min_flow_ms")
     idealcut._source_levels = levels_counted
-    enumerate_rotations = rotations.enumerate_rotations
-    rotations.enumerate_rotations = _timed(enumerate_rotations, ms, "rotations_ms")
+    probes: list[int] = []
+    walk = _timed(rotations._walk, ms, "rotations_ms")
+
+    def walk_counted(*args):
+        found = walk(*args)
+        probes.append(found[2])  # the whole result, kept, would add to the peak RSS
+        return found
+
+    rotations._walk = walk_counted
 
     poset = _timed(build_poset, ms, "build_poset_ms")(inst)
     art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
     _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag)
     peak_rss_mb = _peak_rss_mb()
-
-    probes = [0]
-    successor = rotations._ChainWalk.successor_girl
-
-    def successor_counted(walk, b):
-        probes[0] += 1
-        return successor(walk, b)
-
-    rotations._ChainWalk.successor_girl = successor_counted
-    enumerate_rotations(inst)
     return {
         "family": family,
         "n": n,

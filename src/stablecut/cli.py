@@ -223,12 +223,12 @@ def _enumerate_report(matchings: list[Matching], truncated: bool, n: int) -> str
 def _run_poset(cfg: RunConfig) -> str:
     inst = parse_instance(_read(cfg.instance_path))
     poset = build_poset(inst)
-    lines = []
-    for rid, rho in enumerate(poset.rotations):
-        pairs = " ".join(f"({b + 1},{g + 1})" for b, g in rho)
-        lines.append(f"rotation {rid}: {pairs}")
-    for a, b in sorted(poset.edges):
-        lines.append(f"edge {a} {b}")
+    label = [str(i + 1) for i in range(inst.n)]  # 1-based ids, converted once
+    lines = [
+        f"rotation {rid}: " + " ".join(f"({label[b]},{label[g]})" for b, g in rho)
+        for rid, rho in enumerate(poset.rotations)
+    ]
+    lines += [f"edge {a} {b}" for a, b in sorted(poset.edges)]
     return "\n".join(lines) if lines else "no rotations"
 
 

@@ -4,6 +4,13 @@ A rotation is an ordered cycle of matched pairs that can be shifted in one
 step to move from a stable matching to the next one below it.  The
 predecessor-closed subsets of the rotation poset are in bijection with the
 stable matchings, which is what every solver in this package builds on.
+
+One elimination walk from the boy-optimal matching to the girl-optimal
+one (:func:`_walk`) discovers the rotations and records each precedence
+arc as it eliminates the rotation at its head, so the poset takes one pass
+over the pairs.  :func:`_replay` replays a finished poset independently,
+for the cut-graph reduction, and :func:`closed_set_to_matching` eliminates
+a closed set, checking that each rotation is exposed when its turn comes.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import neg
 from typing import Iterable, Iterator
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
@@ -50,129 +58,172 @@ class RotationPoset:
         return gale_shapley(self.inst, "boys")
 
 
-class _ChainWalk:
-    """Mutable elimination state along a downward chain of stable matchings.
-
-    Girls only improve along any chain, so each boy's candidate pointer
-    moves one way; the walk answers successor queries in amortised
-    constant time and stays correct across every elimination it applies.
-    """
-
-    def __init__(self, inst: Instance, matching: Matching) -> None:
-        self.inst = inst
-        self.boy_partner = list(matching.partner_of_boy)
-        self.girl_partner = list(matching.partner_of_girl)
-        # Next position worth probing in each boy's list, -1 until his
-        # first probe.  In a stable matching no girl above the current
-        # partner prefers the boy, so that probe starts just below the
-        # partner; every boy is probed before he moves.
-        self.cursor = [-1] * inst.n
-
-    def successor_girl(self, b: int) -> int:
-        """First girl below b's partner who strictly prefers b to her own,
-        or -1 when there is none."""
-        prefs = self.inst.boy_prefs[b]
-        girl_rank, girl_partner = self.inst.girl_rank, self.girl_partner
-        i = self.cursor[b]
-        if i < 0:
-            i = self.inst.boy_rank[b][self.boy_partner[b]] + 1
-        n = len(prefs)
-        while i < n:
-            g = prefs[i]
-            rank = girl_rank[g]
-            if rank[b] < rank[girl_partner[g]]:
-                break
-            i += 1
-        self.cursor[b] = i
-        return prefs[i] if i < n else -1
-
-    def apply_cycle(self, pairs: tuple[Pair, ...]) -> None:
-        """Shift every boy in the cycle to the next girl, after verifying the
-        cycle really is exposed in the current matching."""
-        boy_partner, girl_partner = self.boy_partner, self.girl_partner
-        boys, girls = [], []
-        for b, g in pairs:
-            if boy_partner[b] != g:
-                raise ContractViolation(
-                    f"rotation pair ({b + 1}, {g + 1}) is not matched here"
-                )
-            boys.append(b)
-            girls.append(g)
-        nexts = girls[1:] + girls[:1]  # the girl each boy moves to
-        for b, g_next in zip(boys, nexts):
-            if self.successor_girl(b) != g_next:
-                raise ContractViolation(
-                    f"rotation is not exposed: boy {b + 1} does not lead to"
-                    f" girl {g_next + 1}"
-                )
-        for b, g_next in zip(boys, nexts):
-            boy_partner[b] = g_next
-            girl_partner[g_next] = b
-
-    def matching(self) -> Matching:
-        return Matching(tuple(self.boy_partner))
-
-
 def rotation_count_limit(n: int) -> int:
     """n(n-1)/2: a pair lies in at most one rotation, the n girl-optimal
     pairs lie in none, and every rotation has at least two pairs."""
     return n * (n - 1) // 2
 
 
-def enumerate_rotations(inst: Instance) -> list[tuple[Pair, ...]]:
-    """Discover every rotation of the instance, each as its cycle of
-    (boy, girl) pairs rotated so its smallest boy comes first, in
-    elimination order.
+Walk = tuple[list[tuple[Pair, ...]], set[tuple[int, int]], int]
 
-    One walk keeps a stack of boys from the boy-optimal matching down to
-    the girl-optimal one (Gusfield 1987; Gusfield & Irving 1989, 3.2).
-    It pushes the partner of the top boy's successor girl; when that boy
-    is already on the stack, the stack from him up is an exposed
-    rotation, which the walk eliminates at once and pops, continuing
-    from the boy below.  No boy left on the stack moves, and only the
-    new top's successor girl can have changed, so the stack stays a
-    path of successors once the top is probed again.  A boy away from
-    his girl-optimal partner has a successor girl, and her partner is
-    away from his too, so walks start from such boys, smallest first,
-    and never run dry.  Each push is popped by one elimination, so the
-    walk probes at most twice per rotation pair plus once per rotation:
-    O(n^2) in all.  List positions, the rotation ids, are the
-    elimination order and so a topological order of the poset.
+
+def _walk(inst: Instance, top: Matching, bottom: Matching, floor: Matching) -> Walk:
+    """Eliminate rotations from the boy-optimal matching ``top`` down to
+    the girl-optimal ``bottom``, recording every rotation and every
+    precedence arc as the walk meets it.  Returns the rotations in
+    elimination order, the precedence arcs between their ids, and the
+    successor probes the walk made.
+
+    One walk keeps a stack of boys (Gusfield 1987; Gusfield & Irving
+    1989, 3.2).  It pushes the partner of the top boy's successor girl,
+    the first girl below the top boy's partner who strictly prefers him
+    to her own.  When that boy is already on the stack, the stack from
+    him up is an exposed rotation, which the walk eliminates at once and
+    pops, continuing from the boy below.  No boy left on the stack moves,
+    and only the new top's successor girl can have changed, so the stack
+    stays a path of successors once the top is probed again.  Girls only
+    rise, so each boy's probe position only moves down his list.  A boy
+    away from his girl-optimal partner has a successor girl, and her
+    partner is away from his too, so walks start from such boys, smallest
+    first, and never run dry.  Each push is popped by one elimination,
+    whose exposure check probes each of its boys once more, so the walk
+    makes at most two probes per rotation pair plus one per rotation:
+    O(n^2) in all.  Rotation ids, list positions, are the elimination
+    order and so a topological order of the poset.
+
+    Two arc families generate the precedence order (Gusfield & Irving
+    1989, 3.3), and each arc is recorded when its head is eliminated.
+    The rotation that gave a boy his partner precedes the one that moves
+    him on.  And a girl g that a probe of boy b skips already ranks her
+    partner above b; unless her partner in ``floor`` did, a rotation has
+    lifted her across b, and it precedes the rotation that moves b past
+    her.  Each girl's rises are kept as her partners' ranks (descending)
+    beside their lifters, starting from her partner in ``floor``, so the
+    probe finds that lifter by one bisect, and b keeps it until he moves.
+    A rise is only recorded when it is above the last one.
+
+    Then an end check confirms that no rotation is exposed in the final
+    matching, whatever ``bottom`` said.  ``probes`` counts the walk's
+    successor probes, exposure checks included.  Raises
+    ContractViolation when a boy away from ``bottom`` has no successor
+    girl, when a girl does not rise or a skipped girl has no lifter in
+    her rises, or when the end check finds an exposed rotation.
     """
-    walk = _ChainWalk(inst, gale_shapley(inst, "boys"))
-    last = gale_shapley(inst, "girls")
-    boy_partner, girl_partner = walk.boy_partner, walk.girl_partner
-    order: list[tuple[Pair, ...]] = []
+    n = inst.n
+    boy_prefs, boy_rank, girl_rank = inst.boy_prefs, inst.boy_rank, inst.girl_rank
+    boy_partner = list(top.partner_of_boy)
+    girl_partner = list(top.partner_of_girl)
+    last = bottom.partner_of_boy
+    # Next position worth probing in each boy's list: in a stable matching
+    # no girl above a boy's partner prefers him.
+    cursor = [boy_rank[b][g] + 1 for b, g in enumerate(boy_partner)]
+    maker = [-1] * n  # the rotation that gave each boy his partner
+    floor_rank = [girl_rank[g][b] for g, b in enumerate(floor.partner_of_girl)]
+    rises = [[r] for r in floor_rank]
+    lifters = [[-1] for _ in range(n)]
+    crossed: list[list[int]] = [[] for _ in range(n)]  # lifters of girls each boy skipped
+    rotations: list[tuple[Pair, ...]] = []
+    edges: set[tuple[int, int]] = set()
     stack: list[int] = []
-    depth = [-1] * inst.n  # each boy's stack position, -1 when off it
-    for start in range(inst.n):
-        while stack or boy_partner[start] != last.partner_of_boy[start]:
+    depth = [-1] * n  # each boy's stack position, -1 when off it
+    probes = 0
+    for start in range(n):
+        while stack or boy_partner[start] != last[start]:
             if not stack:
                 depth[start] = 0
                 stack.append(start)
-            g = walk.successor_girl(stack[-1])
-            if g < 0:
+            b = stack[-1]
+            prefs, i, skipped = boy_prefs[b], cursor[b], crossed[b]
+            while i < n:
+                g = prefs[i]
+                row = girl_rank[g]
+                r = row[b]
+                if r < row[girl_partner[g]]:
+                    break
+                if r < floor_rank[g]:  # a rotation has lifted her across b
+                    k = bisect_right(rises[g], -r, key=neg)
+                    if k == len(rises[g]):
+                        raise ContractViolation(
+                            f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
+                        )
+                    skipped.append(lifters[g][k])
+                i += 1
+            cursor[b] = i
+            probes += 1
+            if i == n:
                 raise ContractViolation(
-                    f"boy {stack[-1] + 1} is not girl-optimal but has no successor girl"
+                    f"boy {b + 1} is not girl-optimal but has no successor girl"
                 )
-            b = girl_partner[g]
-            if depth[b] < 0:
+            b = girl_partner[prefs[i]]
+            d = depth[b]
+            if d < 0:
                 depth[b] = len(stack)
                 stack.append(b)
                 continue
-            cycle = stack[depth[b]:]
-            del stack[depth[b]:]
+            cycle = stack[d:]
+            del stack[d:]
             pivot = cycle.index(min(cycle))
-            pairs = tuple((x, boy_partner[x]) for x in cycle[pivot:] + cycle[:pivot])
-            for x in cycle:
+            cycle = cycle[pivot:] + cycle[:pivot]
+            girls = [boy_partner[x] for x in cycle]
+            rid = len(rotations)
+            rotations.append(tuple(zip(cycle, girls)))
+            before = {maker[x] for x in cycle}
+            probes += len(cycle)
+            for x, g in zip(cycle, girls[1:] + girls[:1]):  # g: the girl x moves to
+                pos = cursor[x]
+                if boy_prefs[x][pos] != g:
+                    raise ContractViolation(
+                        f"rotation is not exposed: boy {x + 1} does not lead to girl {g + 1}"
+                    )
+                if crossed[x]:
+                    before.update(crossed[x])
+                    crossed[x] = []
+                r = girl_rank[g][x]
+                if r >= rises[g][-1]:
+                    raise ContractViolation(f"girl {g + 1} does not rise to her next partner")
+                rises[g].append(r)
+                lifters[g].append(rid)
+                boy_partner[x] = g
+                girl_partner[g] = x
+                maker[x] = rid
+                cursor[x] = pos + 1
                 depth[x] = -1
-            walk.apply_cycle(pairs)
-            order.append(pairs)
-    if walk.matching() != last:
-        raise ContractViolation("elimination chain did not end girl-optimal")
-    if len(order) > rotation_count_limit(inst.n):
+            before.discard(-1)
+            edges.update((a, rid) for a in before)
+
+    # No rotation is exposed in the final matching: the successor chains
+    # have no cycle.  Each boy's successor girl is found from the girls'
+    # side, since only a boy that a girl ranks above her partner can have
+    # her as his, and positions above his cursor hold none.
+    found = [n] * n  # per boy, his successor girl's list position
+    for g, b in enumerate(girl_partner):
+        for x in inst.girl_prefs[g][: girl_rank[g][b]]:
+            pos = boy_rank[x][g]
+            if cursor[x] <= pos < found[x]:
+                found[x] = pos
+    seen = [0] * n  # 1 on the chain being followed, 2 once known acyclic
+    for b in range(n):
+        chain = []
+        while b >= 0 and not seen[b]:
+            seen[b] = 1
+            chain.append(b)
+            b = girl_partner[boy_prefs[b][found[b]]] if found[b] < n else -1
+        if b >= 0 and seen[b] == 1:
+            raise ContractViolation("elimination chain did not end girl-optimal")
+        for x in chain:
+            seen[x] = 2
+    if len(rotations) > rotation_count_limit(n):
         raise ContractViolation("rotation count exceeds the n(n-1)/2 bound")
-    return order
+    return rotations, edges, probes
+
+
+def enumerate_rotations(inst: Instance) -> list[tuple[Pair, ...]]:
+    """Discover every rotation of the instance, each as its cycle of
+    (boy, girl) pairs rotated so its smallest boy comes first, in
+    elimination order: the rotations of :func:`_walk` from the
+    boy-optimal matching to the girl-optimal one."""
+    top = gale_shapley(inst, "boys")
+    return _walk(inst, top, gale_shapley(inst, "girls"), top)[0]
 
 
 def _replay(
@@ -207,50 +258,14 @@ def _replay(
 
 
 def build_poset(inst: Instance) -> RotationPoset:
-    """Enumerate rotations and connect them with precedence arcs.
-
-    Two arc families suffice to generate the full precedence order.  If one
-    rotation hands a pair to another, the maker precedes the breaker: these
-    arcs come straight from :func:`_replay`.  And if a rotation drags boy b
-    past a girl g he never stably holds, then g must already rank her
-    partner above b at that point, so the unique rotation that lifted g
-    across b precedes it.  Ids are the elimination order, so walking the
-    rotations in id order meets each girl's rises in the order the chain
-    made them, and each rotation's lookups see exactly the rises before it.
-    """
-    rotations = tuple(enumerate_rotations(inst))
-    m0 = gale_shapley(inst, "boys")
-    boy_rank, girl_rank = inst.boy_rank, inst.girl_rank
-    edges = {
-        (maker, breaker)
-        for _, _, maker, breaker in _replay(rotations, m0)
-        if maker >= 0 and breaker >= 0
-    }
-    # Per girl, her new partners' negated ranks (ascending) and their lifters.
-    rises: list[list[int]] = [[] for _ in range(inst.n)]
-    lifters: list[list[int]] = [[] for _ in range(inst.n)]
-    for rid, rho in enumerate(rotations):
-        r = len(rho)
-        for i, (b, g_from) in enumerate(rho):
-            g_to = rho[(i + 1) % r][1]
-            lo, hi = boy_rank[b][g_from], boy_rank[b][g_to]
-            for g in inst.boy_prefs[b][lo + 1 : hi]:
-                threshold = girl_rank[g][b]
-                if girl_rank[g][m0.partner_of_girl[g]] < threshold:
-                    continue
-                j = bisect_right(rises[g], -threshold)
-                if j == len(rises[g]):
-                    raise ContractViolation(
-                        f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
-                    )
-                edges.add((lifters[g][j], rid))
-        for i, (b, g) in enumerate(rho):
-            rank = girl_rank[g][rho[(i - 1) % r][0]]
-            if rank >= girl_rank[g][b]:
-                raise ContractViolation(f"girl {g + 1} does not rise to her next partner")
-            rises[g].append(-rank)
-            lifters[g].append(rid)
-
+    """The rotations and precedence arcs of one :func:`_walk` from the
+    boy-optimal matching to the girl-optimal one.  The girls' rises start
+    from a boy-optimal run of this function's own, so a walk that starts
+    anywhere else fails the rise check.  Raises ContractViolation unless
+    every arc runs from a lower id to a higher one."""
+    rotations, edges, _ = _walk(
+        inst, gale_shapley(inst, "boys"), gale_shapley(inst, "girls"), gale_shapley(inst, "boys")
+    )
     for a, b in edges:
         if a >= b:
             raise ContractViolation(
@@ -258,10 +273,43 @@ def build_poset(inst: Instance) -> RotationPoset:
             )
     return RotationPoset(
         inst=inst,
-        rotations=rotations,
+        rotations=tuple(rotations),
         edges=frozenset(edges),
         preds=tuple(_preds_from_edges(len(rotations), edges)),
     )
+
+
+def _eliminate(inst: Instance, m: Matching, rotations: Iterable[tuple[Pair, ...]]) -> Matching:
+    """Eliminate the rotations in turn from the stable matching m, each
+    after checking that it is exposed: its pairs are matched, and each of
+    its boys' successor girls, the first girl below his partner who
+    prefers him to her own, is the next pair's girl."""
+    boy_prefs, boy_rank, girl_rank = inst.boy_prefs, inst.boy_rank, inst.girl_rank
+    boy_partner = list(m.partner_of_boy)
+    girl_partner = list(m.partner_of_girl)
+    for rho in rotations:
+        for b, g in rho:
+            if boy_partner[b] != g:
+                raise ContractViolation(
+                    f"rotation pair ({b + 1}, {g + 1}) is not matched here"
+                )
+        nexts = [g for _, g in rho[1:]]
+        nexts.append(rho[0][1])  # the girl each boy moves to
+        for (b, g), g_next in zip(rho, nexts):
+            lo, hi = boy_rank[b][g], boy_rank[b][g_next]
+            rank = girl_rank[g_next]
+            exposed = lo < hi and rank[b] < rank[girl_partner[g_next]]
+            for h in boy_prefs[b][lo + 1 : hi]:
+                if girl_rank[h][b] < girl_rank[h][girl_partner[h]]:
+                    exposed = False
+            if not exposed:
+                raise ContractViolation(
+                    f"rotation is not exposed: boy {b + 1} does not lead to girl {g_next + 1}"
+                )
+        for (b, _), g_next in zip(rho, nexts):
+            boy_partner[b] = g_next
+            girl_partner[g_next] = b
+    return Matching(tuple(boy_partner))
 
 
 def closed_set_to_matching(poset: RotationPoset, closed: Iterable[int]) -> Matching:
@@ -275,7 +323,4 @@ def closed_set_to_matching(poset: RotationPoset, closed: Iterable[int]) -> Match
             raise ValueError(f"rotation id {rid} out of range")
     if not poset.is_closed(members):
         raise ContractViolation("rotation set is not predecessor-closed")
-    walk = _ChainWalk(poset.inst, poset.boy_optimal)
-    for rid in sorted(members):
-        walk.apply_cycle(poset.rotations[rid])
-    return walk.matching()
+    return _eliminate(poset.inst, poset.boy_optimal, (poset.rotations[r] for r in sorted(members)))

@@ -167,11 +167,29 @@ def max_cut_sides(
         yield frozenset(v for ci in ideal for v in components[ci])
 
 
+def relabelled(walked: rotations.Walk, order: list[int]) -> rotations.Walk:
+    """The walk's rotations listed in ``order``, its arcs renumbered to
+    match: rotation ``order[i]`` gets id i."""
+    found, edges, probes = walked
+    new_id = {r: i for i, r in enumerate(order)}
+    return (
+        [found[r] for r in order],
+        {(new_id[a], new_id[b]) for a, b in edges},
+        probes,
+    )
+
+
 @pytest.fixture
 def reversed_rotation_ids(monkeypatch):
-    """Make rotation discovery number rotations last-seen first."""
-    real = rotations.enumerate_rotations
-    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: real(inst)[::-1])
+    """Make the rotation walk number rotations last-seen first, for
+    ``enumerate_rotations`` and ``build_poset`` alike."""
+    real = rotations._walk
+
+    def reversed_walk(*args):
+        walked = real(*args)
+        return relabelled(walked, list(range(len(walked[0])))[::-1])
+
+    monkeypatch.setattr(rotations, "_walk", reversed_walk)
 
 
 def linear_extension(preds: tuple[frozenset[int], ...], rng: random.Random) -> list[int]:
@@ -196,21 +214,25 @@ def linear_extension(preds: tuple[frozenset[int], ...], rng: random.Random) -> l
 
 @pytest.fixture
 def shuffled_rotation_ids(monkeypatch):
-    """``shuffle(seed)`` makes rotation discovery, from then on, list the
+    """``shuffle(seed)`` makes the rotation walk, from then on, list the
     rotations in a random linear extension of their poset, drawn afresh
-    from ``random.Random(seed)`` for every instance: the ids another
-    valid elimination order would give."""
-    real = rotations.enumerate_rotations
+    from ``random.Random(seed)`` for every walk, with the arcs renumbered
+    to match: the ids another valid elimination order would give.  It
+    returns a list that gets, per walk, whether any id moved."""
+    real = rotations._walk
 
-    def shuffled(inst, seed):
-        with monkeypatch.context() as m:
-            m.setattr(rotations, "enumerate_rotations", real)
-            poset = rotations.build_poset(inst)
-        order = linear_extension(poset.preds, random.Random(seed))
-        return [poset.rotations[r] for r in order]
+    def shuffle(seed: int) -> list[bool]:
+        moved: list[bool] = []
 
-    def shuffle(seed: int) -> None:
-        monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: shuffled(inst, seed))
+        def shuffled_walk(*args):
+            walked = real(*args)
+            preds = _preds_from_edges(len(walked[0]), walked[1])
+            order = linear_extension(preds, random.Random(seed))
+            moved.append(order != sorted(order))
+            return relabelled(walked, order)
+
+        monkeypatch.setattr(rotations, "_walk", shuffled_walk)
+        return moved
 
     return shuffle
 

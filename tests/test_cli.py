@@ -444,7 +444,20 @@ def test_poset_with_arcs_against_rotation_ids_exits_two(files, reversed_rotation
         RunConfig("poset", instance_path=files("inst.txt", BRANCH_FOUR_TEXT))
     )
     assert status == 2
-    assert report == "error: rotation 0 moves boy 2 from girl 4, but his partner is girl 3"
+    assert report == "error: precedence arc (2, 0) does not follow rotation ids"
+
+
+def test_poset_with_a_wrong_girl_optimal_matching_exits_two(files, monkeypatch):
+    # A girls' run that returns the boy-optimal matching leaves the walk
+    # nothing to eliminate; the end check finds a rotation still exposed.
+    real = stablecut.rotations.gale_shapley
+    monkeypatch.setattr(
+        stablecut.rotations, "gale_shapley", lambda inst, side="boys": real(inst, "boys")
+    )
+    status, report = run(
+        RunConfig("poset", instance_path=files("inst.txt", BRANCH_FOUR_TEXT))
+    )
+    assert (status, report) == (2, "error: elimination chain did not end girl-optimal")
 
 
 def test_cut_solve_rejects_a_header_with_too_few_edges(files, capsys):

@@ -90,5 +90,7 @@ def test_listing_follows_neither_the_flow_nor_the_rotation_ids(
     with monkeypatch.context() as m:
         m.setattr(sublattice, "min_flow", edmonds_karp_min_flow)
         assert [enumerate_report(tmp_path, *case) for case in corpus] == reports
-    shuffled_rotation_ids(12)
+    moved = shuffled_rotation_ids(12)
     assert [enumerate_report(tmp_path, *case) for case in corpus] == reports
+    # The ids moved on 108 of the 304 inputs.
+    assert (sum(moved), len(moved)) == (108, 304)

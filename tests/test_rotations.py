@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from stablecut import (
     ContractViolation,
     Instance,
     Matching,
+    RotationPoset,
     all_stable_matchings,
     build_poset,
     closed_set_to_matching,
@@ -51,29 +53,70 @@ def test_unique_matching_exposes_nothing():
 def test_eliminate_swaps_the_couples():
     after = eliminate(two_by_two(), Matching((0, 1)), SWAP)
     assert after.partner_of_boy == (1, 0)
+    assert rotations._eliminate(two_by_two(), Matching((0, 1)), [SWAP]) == after
 
 
 def test_eliminate_rejects_unexposed_rotation():
-    with pytest.raises(ContractViolation, match="not matched here"):
-        eliminate(two_by_two(), Matching((1, 0)), SWAP)
+    with pytest.raises(ContractViolation, match=r"pair \(1, 1\) is not matched here"):
+        rotations._eliminate(two_by_two(), Matching((1, 0)), [SWAP])
 
 
 def test_eliminate_rejects_wrong_cycle():
     # Pairs are matched but the successor structure does not close.
     rho = ((0, 3), (2, 1))
     inst = branch_four()
-    with pytest.raises(ContractViolation, match="not exposed"):
-        eliminate(inst, gale_shapley(inst, "boys"), rho)
+    with pytest.raises(ContractViolation, match="not exposed: boy 1 does not lead to girl 2"):
+        rotations._eliminate(inst, gale_shapley(inst, "boys"), [rho])
+
+
+def test_closed_set_to_matching_checks_each_rotation_is_exposed():
+    # A hand-assembled poset whose one rotation is not exposed in the
+    # boy-optimal matching: its pairs are matched, but boy 1's successor
+    # girl is girl 3, not girl 2.
+    inst = branch_four()
+    poset = RotationPoset(inst, (((0, 3), (2, 1)),), frozenset(), (frozenset(),))
+    with pytest.raises(ContractViolation, match="not exposed: boy 1 does not lead to girl 2"):
+        closed_set_to_matching(poset, {0})
 
 
 def test_enumerate_rotations_two_by_two():
     assert enumerate_rotations(two_by_two()) == [SWAP]
 
 
-def test_walk_needs_a_successor_girl_away_from_the_girl_optimum(monkeypatch):
-    monkeypatch.setattr(rotations._ChainWalk, "successor_girl", lambda walk, b: -1)
-    with pytest.raises(ContractViolation, match="boy 1 is not girl-optimal but has no successor"):
-        enumerate_rotations(two_by_two())
+def test_walk_needs_a_successor_girl_away_from_the_girl_optimum():
+    # identity_three has one stable matching; told that another is
+    # girl-optimal, the walk starts from boy 1 and follows successor girls
+    # to boy 3, whom no girl below his partner prefers to her own.
+    inst = identity_three()
+    top = Matching((0, 1, 2))
+    with pytest.raises(ContractViolation, match="boy 3 is not girl-optimal but has no successor"):
+        rotations._walk(inst, top, Matching((1, 0, 2)), top)
+
+
+def boy_optimal_for_both_sides(monkeypatch) -> None:
+    """Make every deferred-acceptance run the rotation walk reads return
+    the boy-optimal matching, as a girls' run with the sides mixed up
+    would."""
+    real = rotations.gale_shapley
+    monkeypatch.setattr(rotations, "gale_shapley", lambda inst, side="boys": real(inst, "boys"))
+
+
+def test_end_check_finds_a_rotation_exposed_in_the_last_matching(monkeypatch):
+    # Told that branch_four's boy-optimal matching is girl-optimal, the
+    # walk eliminates nothing, and the end check finds the rotation
+    # ((1,4), (2,3)) exposed there.
+    boy_optimal_for_both_sides(monkeypatch)
+    for discover in (enumerate_rotations, build_poset):
+        with pytest.raises(ContractViolation, match="elimination chain did not end girl-optimal"):
+            discover(branch_four())
+    # An instance with one stable matching passes it.
+    assert enumerate_rotations(identity_three()) == []
+
+
+def test_walk_rejects_more_rotations_than_the_bound(monkeypatch):
+    monkeypatch.setattr(rotations, "rotation_count_limit", lambda n: 0)
+    with pytest.raises(ContractViolation, match=r"rotation count exceeds the n\(n-1\)/2 bound"):
+        build_poset(two_by_two())
 
 
 def test_enumerate_rotations_identity_three():
@@ -122,12 +165,13 @@ def exposed_rotations(inst: Instance, m: Matching) -> list[Cycle]:
 
 
 def eliminate(inst: Instance, m: Matching, rho: Cycle) -> Matching:
-    """Apply one exposed rotation.  Boys in the cycle move down their lists,
-    the affected girls move up; raises ContractViolation when rho is not
-    exposed in m."""
-    walk = rotations._ChainWalk(inst, m)
-    walk.apply_cycle(rho)
-    return walk.matching()
+    """Apply one rotation that ``exposed_rotations`` finds in m: each boy
+    of the cycle moves to the next pair's girl."""
+    assert rho in exposed_rotations(inst, m)
+    partner = list(m.partner_of_boy)
+    for (b, _), (_, g_next) in zip(rho, rho[1:] + rho[:1]):
+        partner[b] = g_next
+    return Matching(tuple(partner))
 
 
 def rescan_rotations(inst) -> set[Cycle]:
@@ -176,23 +220,10 @@ def test_random_rotations_match_the_rescan_referee():
         assert_matches_the_referee(random_instance(rng, rng.randint(1, max_n)))
 
 
-@pytest.fixture
-def successor_probes(monkeypatch):
-    """Count the successor probes of one enumerate_rotations call."""
-    counts: list[int] = []
-    real = rotations._ChainWalk.successor_girl
-
-    def counted(self, b):
-        counts[-1] += 1
-        return real(self, b)
-
-    def run(inst) -> int:
-        counts.append(0)
-        enumerate_rotations(inst)
-        return counts[-1]
-
-    monkeypatch.setattr(rotations._ChainWalk, "successor_girl", counted)
-    return run
+def successor_probes(inst: Instance) -> int:
+    """The successor probes of the walk that enumerate_rotations runs."""
+    top = gale_shapley(inst, "boys")
+    return rotations._walk(inst, top, gale_shapley(inst, "girls"), top)[2]
 
 
 # Measured when the rescan walk gave way to the persistent stack walk.
@@ -211,7 +242,7 @@ SEEDED_PROBES = {
 }
 
 
-def test_successor_probes_on_seeded_families(successor_probes):
+def test_successor_probes_on_seeded_families():
     found = {key: successor_probes(family_instance(*key)) for key in SEEDED_PROBES}
     assert found == SEEDED_PROBES
     for (family, n), probes in found.items():
@@ -234,62 +265,131 @@ def arcs_by_pairs(poset) -> set[tuple[Cycle, Cycle]]:
     return {(poset.rotations[a], poset.rotations[b]) for a, b in poset.edges}
 
 
-def test_build_poset_arcs_do_not_follow_the_rotation_ids(shuffled_rotation_ids):
-    """Fed the rotations in another linear extension, build_poset gives
-    the same arcs once they are named by their rotations' pairs: each
-    pair has one maker and one breaker, and each girl meets her stable
-    partners in one order along every maximal chain."""
+def two_pass_arcs(inst: Instance, order: list[Cycle]) -> set[tuple[Cycle, Cycle]]:
+    """The precedence arcs, named by their rotations' pairs, of a referee
+    that derives them in two passes over the rotations, taken in
+    ``order``, which must be an elimination order.  A replay from the
+    boy-optimal matching gives each pair's maker and breaker, and the
+    maker precedes the breaker.  Then, in order, each rotation that
+    drags a boy past a girl he skips gets an arc from the rotation that
+    lifted her across him, looked up in her rises so far; her rises are
+    recorded after the rotation's lookups."""
+    m0 = gale_shapley(inst, "boys")
+    boy_rank, girl_rank = inst.boy_rank, inst.girl_rank
+    edges = {
+        (maker, breaker)
+        for _, _, maker, breaker in rotations._replay(order, m0)
+        if maker >= 0 and breaker >= 0
+    }
+    # Per girl, her new partners' negated ranks (ascending) and their lifters.
+    rises: list[list[int]] = [[] for _ in range(inst.n)]
+    lifters: list[list[int]] = [[] for _ in range(inst.n)]
+    for rid, rho in enumerate(order):
+        r = len(rho)
+        for i, (b, g_from) in enumerate(rho):
+            g_to = rho[(i + 1) % r][1]
+            lo, hi = boy_rank[b][g_from], boy_rank[b][g_to]
+            for g in inst.boy_prefs[b][lo + 1 : hi]:
+                threshold = girl_rank[g][b]
+                if girl_rank[g][m0.partner_of_girl[g]] < threshold:
+                    continue
+                j = bisect_right(rises[g], -threshold)
+                assert j < len(rises[g]), "a girl is skipped before anyone lifts her"
+                edges.add((lifters[g][j], rid))
+        for i, (b, g) in enumerate(rho):
+            rises[g].append(-girl_rank[g][rho[(i - 1) % r][0]])
+            lifters[g].append(rid)
+    return {(order[a], order[b]) for a, b in edges}
+
+
+def arc_corpus() -> list[Instance]:
+    """316 seeded instances: random n = 3..40, cyclic n = 3..12 and
+    relabelled doubling n = 4, 8, 16."""
     rng = random.Random(18)
     corpus = [random_instance(rng, rng.randint(3, 40)) for _ in range(300)]
     corpus += [family_instance("cyclic", n) for n in range(3, 13)]
     corpus += [family_instance("doubling", n, seed) for n in (4, 8, 16) for seed in (1, 2)]
+    return corpus
+
+
+def test_build_poset_arcs_match_the_two_pass_referee():
+    for inst in arc_corpus():
+        poset = build_poset(inst)
+        assert arcs_by_pairs(poset) == two_pass_arcs(inst, list(poset.rotations))
+
+
+def test_build_poset_arcs_do_not_follow_the_rotation_ids(shuffled_rotation_ids):
+    """Fed the rotations in another linear extension, the two-pass
+    referee gives the walk's arcs once they are named by their rotations'
+    pairs: each pair has one maker and one breaker, and each girl meets
+    her stable partners in one order along every maximal chain."""
+    corpus = arc_corpus()
     posets = [build_poset(inst) for inst in corpus]
-    shuffled_rotation_ids(18)
-    moved = 0
+    moved = shuffled_rotation_ids(18)
     for inst, poset in zip(corpus, posets):
         shuffled = build_poset(inst)
-        assert arcs_by_pairs(shuffled) == arcs_by_pairs(poset)
-        moved += shuffled.rotations != poset.rotations
+        assert set(shuffled.rotations) == set(poset.rotations)
+        assert two_pass_arcs(inst, list(shuffled.rotations)) == arcs_by_pairs(poset)
     # Chains (cyclic shifts, most small random posets) have one order.
-    assert (moved, len(corpus)) == (79, 316)
+    assert (sum(moved), len(moved)) == (79, 316)
 
 
 def test_build_poset_rejects_arcs_against_rotation_ids(reversed_rotation_ids):
-    # Reversed, branch_four's rotations leave the elimination chain: the
-    # first one replayed breaks a pair its boy does not hold yet.
+    # Reversed, branch_four's arcs (0, 1) and (0, 2) become (2, 1) and
+    # (2, 0), acyclic but against increasing id.
     with pytest.raises(
-        ContractViolation,
-        match="rotation 0 moves boy 2 from girl 4, but his partner is girl 3",
+        ContractViolation, match=r"precedence arc \(2, (0|1)\) does not follow rotation ids"
     ):
         build_poset(branch_four())
 
 
 def test_build_poset_rejects_hand_off_arcs_against_rotation_ids(monkeypatch):
-    # A replay that swaps maker and breaker on every hand-off turns
-    # branch_four's arcs (0, 1) and (0, 2) into (1, 0) and (2, 0), acyclic
-    # but against increasing id.
-    real = rotations._replay
+    # A walk that records every hand-off backwards, the breaker before the
+    # maker, turns branch_four's arcs (0, 1) and (0, 2) into (1, 0) and
+    # (2, 0), acyclic but against increasing id.
+    real = rotations._walk
 
-    def swapped(rots, m0):
-        for b, g, maker, breaker in real(rots, m0):
-            if maker >= 0 and breaker >= 0:
-                maker, breaker = breaker, maker
-            yield b, g, maker, breaker
+    def swapped(*args):
+        found, edges, probes = real(*args)
+        return found, {(b, a) for a, b in edges}, probes
 
-    monkeypatch.setattr(rotations, "_replay", swapped)
+    monkeypatch.setattr(rotations, "_walk", swapped)
     with pytest.raises(
         ContractViolation, match=r"precedence arc \((1|2), 0\) does not follow rotation ids"
     ):
         build_poset(branch_four())
 
 
+def walk_from_floor(monkeypatch, floor: Matching) -> None:
+    """Make build_poset's walk record the girls' rises from ``floor``
+    instead of the boy-optimal matching."""
+    real = rotations._walk
+    monkeypatch.setattr(
+        rotations, "_walk", lambda inst, top, bottom, _: real(inst, top, bottom, floor)
+    )
+
+
 def test_build_poset_rejects_a_rotation_that_lowers_a_girl(monkeypatch):
-    # Boys 1 and 2 swapping partners in identity_three hands girl 1 the
-    # boy she ranks below the one she leaves.
-    swap = ((0, 0), (1, 1))
-    monkeypatch.setattr(rotations, "enumerate_rotations", lambda inst: [swap])
-    with pytest.raises(ContractViolation, match="girl 1 does not rise to her next partner"):
-        build_poset(identity_three())
+    # Rises recorded from two_by_two's girl-optimal matching start with
+    # each girl's favourite, so the one rotation lowers both girls, and
+    # boy 1 moves to girl 2 first.
+    walk_from_floor(monkeypatch, Matching((1, 0)))
+    with pytest.raises(ContractViolation, match="girl 2 does not rise to her next partner"):
+        build_poset(two_by_two())
+
+
+def test_build_poset_rejects_a_skipped_girl_nobody_lifted(monkeypatch):
+    # Recorded from this floor, girl 4 starts below boy 4, yet he skips
+    # her before any rotation has lifted her.
+    inst = Instance(
+        ((3, 2, 1, 0), (2, 0, 3, 1), (3, 0, 1, 2), (2, 1, 3, 0)),
+        ((3, 2, 0, 1), (0, 1, 3, 2), (0, 2, 3, 1), (2, 0, 3, 1)),
+    )
+    walk_from_floor(monkeypatch, Matching((0, 3, 1, 2)))
+    with pytest.raises(
+        ContractViolation, match="girl 4 never crosses boy 4 yet a rotation skips her"
+    ):
+        build_poset(inst)
 
 
 def test_poset_two_by_two_has_no_edges():
