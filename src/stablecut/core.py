@@ -367,11 +367,7 @@ def gale_shapley(inst: Instance, proposing_side: str = "boys") -> Matching:
         partner = [0] * n
         for girl, boy in enumerate(engaged_to):
             partner[boy] = girl
-        m = Matching(tuple(partner))
-        # engaged_to already maps each girl to her boy: seed the cached
-        # inverse with it instead of leaving it to be rebuilt.
-        m.__dict__["partner_of_girl"] = tuple(engaged_to)
-        return m
+        return Matching(tuple(partner))
     return Matching(tuple(engaged_to))
 
 

@@ -75,23 +75,20 @@ class WeightedDag:
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices leaving each vertex, ordered by head id then index."""
-        edges = self.edges
-        return _incidence(self.num_vertices, [e.tail for e in edges], [e.head for e in edges])
+        """Edge indices leaving each vertex, in edge order."""
+        return _incidence(self.num_vertices, [e.tail for e in self.edges])
 
     @cached_property
     def in_edges(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices entering each vertex, ordered by tail id then index."""
-        edges = self.edges
-        return _incidence(self.num_vertices, [e.head for e in edges], [e.tail for e in edges])
+        """Edge indices entering each vertex, in edge order."""
+        return _incidence(self.num_vertices, [e.head for e in self.edges])
 
 
-def _incidence(n: int, near: Sequence[int], far: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Entry v lists the ids i with ``near[i] == v``, ordered by ``far[i]``
-    then by i (the sort is stable)."""
+def _incidence(n: int, near: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Entry v lists the ids i with ``near[i] == v``, in increasing i."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(len(far)), key=far.__getitem__):
-        adj[near[i]].append(i)
+    for i, v in enumerate(near):
+        adj[v].append(i)
     return tuple(map(tuple, adj))
 
 
@@ -157,18 +154,15 @@ def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int], list[int]]:
                 order.append(head)
     if done != n:
         # Every vertex still holding in-degree has an unprocessed
-        # predecessor in the same set, so walking backwards must loop.
+        # predecessor in the same set, so walking backwards, always to the
+        # smallest such predecessor, must loop.
         remaining = {v for v in range(n) if indegree[v] > 0}
         start = min(remaining)
         walk = [start]
         pos = {start: 0}
         v = start
         while True:
-            u = next(
-                g.edges[i].tail
-                for i in g.in_edges[v]
-                if g.edges[i].tail in remaining
-            )
+            u = min(g.edges[i].tail for i in g.in_edges[v] if g.edges[i].tail in remaining)
             if u in pos:
                 loop = walk[pos[u]:]
                 break
@@ -223,8 +217,7 @@ def feasible_flow(g: WeightedDag) -> Flow:
     at or above its weight.  Raises ContractViolation unless the result
     meets every lower bound and is conserved at every vertex but the poles.
     """
-    # Shortest-path trees from the source and to the sink; edges are
-    # scanned in ascending far-end order, so ties go to low vertex ids.
+    # Shortest-path trees from the source and to the sink.
     order, from_source, to_sink = _validated_trees(g)
     edges = g.edges
     flow = [max(e.weight, 0) for e in edges]

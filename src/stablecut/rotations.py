@@ -18,7 +18,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import neg
 from typing import Iterable, Iterator
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
@@ -97,10 +96,11 @@ def _walk(inst: Instance, top: Matching, bottom: Matching, floor: Matching) -> W
     him on.  And a girl g that a probe of boy b skips already ranks her
     partner above b; unless her partner in ``floor`` did, a rotation has
     lifted her across b, and it precedes the rotation that moves b past
-    her.  Each girl's rises are kept as her partners' ranks (descending)
-    beside their lifters, starting from her partner in ``floor``, so the
-    probe finds that lifter by one bisect, and b keeps it until he moves.
-    A rise is only recorded when it is above the last one.
+    her.  Each girl's rises are kept as her partners' negated ranks
+    (ascending) beside their lifters, starting from her partner in
+    ``floor``, so the probe finds that lifter by one bisect, and b keeps
+    it until he moves.  A rise is only recorded when it is above the last
+    one.
 
     Then an end check confirms that no rotation is exposed in the final
     matching, whatever ``bottom`` said.  ``probes`` counts the walk's
@@ -119,7 +119,8 @@ def _walk(inst: Instance, top: Matching, bottom: Matching, floor: Matching) -> W
     cursor = [boy_rank[b][g] + 1 for b, g in enumerate(boy_partner)]
     maker = [-1] * n  # the rotation that gave each boy his partner
     floor_rank = [girl_rank[g][b] for g, b in enumerate(floor.partner_of_girl)]
-    rises = [[r] for r in floor_rank]
+    negated = [-r for r in range(n)]  # one int per rank, shared by every rise
+    rises = [[negated[r]] for r in floor_rank]
     lifters = [[-1] for _ in range(n)]
     crossed: list[list[int]] = [[] for _ in range(n)]  # lifters of girls each boy skipped
     rotations: list[tuple[Pair, ...]] = []
@@ -141,7 +142,7 @@ def _walk(inst: Instance, top: Matching, bottom: Matching, floor: Matching) -> W
                 if r < row[girl_partner[g]]:
                     break
                 if r < floor_rank[g]:  # a rotation has lifted her across b
-                    k = bisect_right(rises[g], -r, key=neg)
+                    k = bisect_right(rises[g], -r)
                     if k == len(rises[g]):
                         raise ContractViolation(
                             f"girl {g + 1} never crosses boy {b + 1} yet a rotation skips her"
@@ -178,8 +179,8 @@ def _walk(inst: Instance, top: Matching, bottom: Matching, floor: Matching) -> W
                 if crossed[x]:
                     before.update(crossed[x])
                     crossed[x] = []
-                r = girl_rank[g][x]
-                if r >= rises[g][-1]:
+                r = negated[girl_rank[g][x]]
+                if r <= rises[g][-1]:
                     raise ContractViolation(f"girl {g + 1} does not rise to her next partner")
                 rises[g].append(r)
                 lifters[g].append(rid)

@@ -8,6 +8,7 @@ from the benchmark's generators in ``bench/families.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections.abc import Iterator
 
@@ -22,6 +23,7 @@ from stablecut import (
     WeightedDag,
     WeightFunction,
     cut_weight,
+    idealcut,
     reduction,
     rotations,
 )
@@ -252,6 +254,42 @@ def lowered_edge(monkeypatch):
         monkeypatch.setattr(reduction, "Edge", edge)
 
     return lower
+
+
+@pytest.fixture
+def stalled_levels(monkeypatch):
+    """``stall()`` makes the next level search report the sink unreached,
+    so the ``min_flow`` that runs it stops at its feasible start."""
+    real = idealcut._source_levels
+    armed = False
+
+    def levels(g: WeightedDag, *args) -> list[int]:
+        nonlocal armed
+        level = real(g, *args)
+        if armed:
+            armed = False
+            level[g.sink] = -1
+        return level
+
+    def stall() -> None:
+        nonlocal armed
+        armed = True
+
+    monkeypatch.setattr(idealcut, "_source_levels", levels)
+    return stall
+
+
+def without_last_rotation(poset: rotations.RotationPoset) -> rotations.RotationPoset:
+    """The poset with its highest rotation id and the arcs into it
+    dropped: a closed part of the poset that stops short of the
+    girl-optimal matching."""
+    last = len(poset.rotations) - 1
+    return dataclasses.replace(
+        poset,
+        rotations=poset.rotations[:last],
+        edges=frozenset((a, b) for a, b in poset.edges if b != last),
+        preds=poset.preds[:last],
+    )
 
 
 def random_dag(

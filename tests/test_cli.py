@@ -13,7 +13,7 @@ import pytest
 
 import families
 import stablecut
-from conftest import IDENTITY_THREE_TEXT, TWO_BY_TWO_TEXT
+from conftest import IDENTITY_THREE_TEXT, TWO_BY_TWO_TEXT, without_last_rotation
 from stablecut import ContractViolation, ParseError
 from stablecut.cli import (
     RunConfig,
@@ -37,6 +37,9 @@ BRANCH_FOUR_TEXT = """\
 """
 
 DIAMOND_TEXT = "4 4\n1 4\n1 2 1\n1 3 4\n2 4 3\n3 4 2\n"
+# The feasible start sends 3 over each of 1-3-4 and 1-2-4; the minimum
+# flow sends its 3 over 1-2-3-4.
+DETOUR_TEXT = "4 5\n1 4\n1 2 3\n1 3 0\n2 4 0\n3 4 3\n2 3 -5\n"
 
 TIE_TABLE_TEXT = "3 2\n2 1\n"
 SINGLE_TABLE_TEXT = "1 0\n0 0\n"
@@ -388,6 +391,29 @@ def test_contract_violations_exit_two(files, monkeypatch):
     )
     assert status == 2
     assert "forced" in report
+
+
+def test_a_flow_stopped_at_its_feasible_start_exits_two(files, stalled_levels):
+    dag = files("dag.txt", DETOUR_TEXT)
+    assert run(RunConfig("cut-solve", dag_path=dag)) == (0, "weight 3\nS: 1 2 3")
+    stalled_levels()
+    status, report = run(RunConfig("cut-solve", dag_path=dag))
+    assert (status, report) == (2, "error: residual still connects sink to source")
+
+
+def test_a_poset_missing_its_last_rotation_exits_two(files, monkeypatch):
+    real = stablecut.reduction.build_poset
+    monkeypatch.setattr(
+        stablecut.reduction, "build_poset", lambda inst: without_last_rotation(real(inst))
+    )
+    status, report = run(
+        RunConfig(
+            "solve",
+            instance_path=files("inst.txt", BRANCH_FOUR_TEXT),
+            weights_path=files("w.txt", "1 2 3 4\n" * 4),
+        )
+    )
+    assert (status, report) == (2, "error: rotations do not end at the girl-optimal matching")
 
 
 def test_components_out_of_topological_order_exit_two(files, monkeypatch):

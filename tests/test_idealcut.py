@@ -19,6 +19,7 @@ from stablecut import (
     condense,
     cut_weight,
     feasible_flow,
+    idealcut,
     max_weight_ideal_cut,
     min_flow,
     parse_dag,
@@ -332,3 +333,47 @@ def test_min_flow_handles_parallel_edges():
     cut, weight = max_weight_ideal_cut(g)
     assert weight == 2
     assert cut == frozenset({0})
+
+
+def test_a_flow_stopped_at_its_feasible_start_fails_the_certificate(stalled_levels):
+    # Wherever the feasible start is not minimal, the sink still reaches
+    # the source through its residual graph.
+    rng = random.Random(426)
+    stopped = 0
+    for _ in range(60):
+        g = random_dag(rng, max_vertices=12)
+        if feasible_flow(g).value == min_flow(g).value:
+            continue
+        stalled_levels()
+        with pytest.raises(ContractViolation, match="^residual still connects sink to source$"):
+            min_flow(g)
+        stopped += 1
+    assert stopped > 20
+
+
+def test_a_feasible_start_with_a_wrong_value_fails_the_composed_value(monkeypatch):
+    real = idealcut.feasible_flow
+
+    def off_by_one(g: WeightedDag) -> Flow:
+        f = real(g)
+        return Flow(f.edge_flow, f.value + 1)
+
+    monkeypatch.setattr(idealcut, "feasible_flow", off_by_one)
+    rng = random.Random(421)
+    for _ in range(20):
+        with pytest.raises(ContractViolation, match="^composed flow value is inconsistent$"):
+            min_flow(random_dag(rng, max_vertices=12))
+
+
+def test_a_minimum_flow_with_a_wrong_value_fails_the_cut_weight(monkeypatch):
+    real = idealcut.min_flow
+
+    def off_by_one(g: WeightedDag) -> Flow:
+        f = real(g)
+        return Flow(f.edge_flow, f.value - 1)
+
+    monkeypatch.setattr(idealcut, "min_flow", off_by_one)
+    rng = random.Random(443)
+    for _ in range(20):
+        with pytest.raises(ContractViolation, match="^cut weight does not match the flow value$"):
+            max_weight_ideal_cut(random_dag(rng, max_vertices=12))

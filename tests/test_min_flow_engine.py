@@ -358,7 +358,7 @@ SEEDED_PHASES = {
     ("doubling", 16, 2): 9,
     ("doubling", 32, 0): 10,
     ("doubling", 32, 1): 9,
-    ("doubling", 32, 2): 11,
+    ("doubling", 32, 2): 12,
     ("doubling", 64, 0): 22,
 }
 

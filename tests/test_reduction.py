@@ -22,6 +22,7 @@ from conftest import (
     tie_weights,
     two_by_two,
     weighted_instances,
+    without_last_rotation,
 )
 from stablecut import (
     ContractViolation,
@@ -36,6 +37,7 @@ from stablecut import (
     matching_weight,
     max_weight_ideal_cut,
     preset_egalitarian,
+    reduction,
     solve_max_weight,
     validate_dag,
 )
@@ -92,6 +94,16 @@ def test_build_reduction_names_a_missing_hand_off_arc():
         match="rotation 1 takes boy 1 from rotation 0, but the poset has no arc 0 -> 1",
     ):
         build_reduction(broken, WeightFunction.zero(4))
+
+
+def test_a_poset_missing_its_last_rotation_does_not_end_girl_optimal():
+    insts = [branch_four(), family_instance("doubling", 8), family_instance("cyclic", 7)]
+    for inst in insts:
+        broken = without_last_rotation(build_poset(inst))
+        with pytest.raises(
+            ContractViolation, match="^rotations do not end at the girl-optimal matching$"
+        ):
+            build_reduction(broken, WeightFunction.zero(inst.n))
 
 
 def test_a_lowered_edge_weight_fails_a_prefix(lowered_edge):
@@ -202,6 +214,18 @@ def test_solve_branch_four_frozen():
     m, weight = solve_max_weight(inst, w)
     assert weight == 10
     assert m.partner_of_boy == (3, 2, 1, 0)
+
+
+def test_a_cut_weight_that_does_not_transport_fails_the_solve(monkeypatch):
+    real = reduction.max_weight_ideal_cut
+
+    def heavier(g):
+        cut, weight = real(g)
+        return cut, weight + 1
+
+    monkeypatch.setattr(reduction, "max_weight_ideal_cut", heavier)
+    with pytest.raises(ContractViolation, match="^cut weight does not transport to the matching$"):
+        solve_max_weight(two_by_two(), tie_weights())
 
 
 def test_solve_keeps_decimal_scale():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from bisect import bisect_right
 
@@ -77,6 +78,27 @@ def test_closed_set_to_matching_checks_each_rotation_is_exposed():
     poset = RotationPoset(inst, (((0, 3), (2, 1)),), frozenset(), (frozenset(),))
     with pytest.raises(ContractViolation, match="not exposed: boy 1 does not lead to girl 2"):
         closed_set_to_matching(poset, {0})
+
+
+def test_closed_set_to_matching_needs_a_crossing_arc():
+    # Rotation 1 moves boy 1 from girl 1 past girl 3 to girl 4.  Girl 3
+    # prefers boy 1 to her boy-optimal partner, boy 3, until rotation 0
+    # gives her boy 2, whom she ranks first.  So (0, 1) is a crossing
+    # arc, and no boy passes from rotation 0 to rotation 1.
+    inst = Instance(
+        ((0, 2, 3, 1), (1, 2, 3, 0), (2, 0, 3, 1), (3, 2, 0, 1)),
+        ((1, 3, 0, 2), (2, 0, 1, 3), (1, 0, 2, 3), (0, 3, 2, 1)),
+    )
+    poset = build_poset(inst)
+    assert poset.rotations == (((1, 1), (2, 2)), ((0, 0), (3, 3)))
+    assert poset.edges == {(0, 1)}
+    replayed = rotations._replay(poset.rotations, poset.boy_optimal)
+    assert all(maker < 0 for _, _, maker, breaker in replayed if breaker == 1)
+    broken = dataclasses.replace(poset, edges=frozenset(), preds=(frozenset(), frozenset()))
+    with pytest.raises(
+        ContractViolation, match="^rotation is not exposed: boy 1 does not lead to girl 4$"
+    ):
+        closed_set_to_matching(broken, {1})
 
 
 def test_enumerate_rotations_two_by_two():
