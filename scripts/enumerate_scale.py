@@ -8,7 +8,11 @@ process per n imports stablecut, reads both files, and runs the stages of
 poset, the first CAP + 1 ideals of its condensed poset, the translation of
 CAP of them into matchings, and the report.  One JSON line per n gives
 each stage's wall time in ms and, as ``<stage>_cpu_ms``, its CPU time,
-the report's size, and the child's peak RSS after the report.  Two
+the report's size, the child's peak RSS after the report, and
+``gc_collections`` and ``gc_ms``: the cyclic garbage collector's passes
+during the four stages and their wall time in ms (part of the stage
+times), read through ``gc.callbacks``; the stages run with the collector
+on, as a library caller runs them.  Two
 counts come from second, untimed passes: the subset checks the ideal
 walk makes, and the ``gale_shapley`` runs that translating the same
 ideals makes on a meta poset built afresh.  Linux only: the peak is read
@@ -27,7 +31,7 @@ import tempfile
 from itertools import islice
 from pathlib import Path
 
-from flow_ladder import _cpu_key, _timed
+from flow_ladder import _collector_cost, _cpu_key, _timed
 from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
 
 
@@ -54,8 +58,6 @@ def measure(inst_path: str, weights_path: str, cap: int) -> dict:
     inst = parse_instance(Path(inst_path).read_text())
     w = parse_weights(Path(weights_path).read_text(), inst.n)
     ms: dict[str, float] = {}
-    p = _timed(meta_rotation_poset, ms, "meta_poset_ms")(inst, w)
-    count, preds = len(p.rotation_sets), p.preds
 
     def first_ideals(preds):
         return list(islice(_proper_ideals(count, preds), cap + 1))
@@ -63,9 +65,12 @@ def measure(inst_path: str, weights_path: str, cap: int) -> dict:
     def translate(q):
         return [_elements_to_matching(q, ideal) for ideal in ideals[:cap]]
 
-    ideals = _timed(first_ideals, ms, "ideals_ms")(preds)
-    matchings = _timed(translate, ms, "translation_ms")(p)
-    report = _timed(cli._enumerate_report, ms, "rendering_ms")(matchings, len(ideals) > cap, inst.n)
+    with _collector_cost() as collector:
+        p = _timed(meta_rotation_poset, ms, "meta_poset_ms")(inst, w)
+        count, preds = len(p.rotation_sets), p.preds
+        ideals = _timed(first_ideals, ms, "ideals_ms")(preds)
+        matchings = _timed(translate, ms, "translation_ms")(p)
+        report = _timed(cli._enumerate_report, ms, "rendering_ms")(matchings, len(ideals) > cap, inst.n)
     peak_rss_mb = _peak_rss_mb()
 
     counted, checks = _counted(preds)
@@ -91,6 +96,8 @@ def measure(inst_path: str, weights_path: str, cap: int) -> dict:
         "translation_gale_shapley": runs[0],
         "report_mb": round(len(report) / 2**20, 1),
         "peak_rss_mb": round(peak_rss_mb, 1),
+        "gc_collections": collector["gc_collections"],
+        "gc_ms": round(collector["gc_ms"], 1),
     }
 
 

@@ -16,8 +16,13 @@ stage's wall time in ms (``rotations_ms`` is part of ``build_poset_ms``,
 CPU time in the stage, which other load on a shared machine disturbs
 less than wall time; then the probes (at most twice the rotation pairs
 plus the rotations), the phases, the feasible start's
-value, the minimum flow's value, and the child's peak RSS during the
-solve.  Linux only: the peak is read from ``/proc/self/status``.
+value, the minimum flow's value, the child's peak RSS during the
+solve, and ``gc_collections`` and ``gc_ms``: the cyclic garbage
+collector's passes during the three stages and their wall time in ms
+(part of the stage times), read through ``gc.callbacks``.  The stages
+run with the collector on, as a library caller runs them; ``stablecut``'s
+command line pauses it for each request.  Linux only: the peak is read
+from ``/proc/self/status``.
 Random instances are parse-bound and have few rotations;
 ``parse_scale.py`` covers them.
 
@@ -26,10 +31,12 @@ Usage:
 """
 
 import argparse
+import gc
 import json
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from time import perf_counter, process_time
 
 from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
@@ -54,6 +61,28 @@ def _timed(fn, into: dict, key: str):
 def _cpu_key(key: str) -> str:
     """``<stage>_cpu_ms`` for the wall-time key ``<stage>_ms``."""
     return key.removesuffix("_ms") + "_cpu_ms"
+
+
+@contextmanager
+def _collector_cost():
+    """Yields a dict that counts, while the block runs, the cyclic
+    collector's passes (``gc_collections``) and their wall time in ms
+    (``gc_ms``)."""
+    into = {"gc_collections": 0, "gc_ms": 0.0}
+    started = [0.0]
+
+    def watch(phase: str, _info: dict) -> None:
+        if phase == "start":
+            started[0] = perf_counter()
+        else:
+            into["gc_collections"] += 1
+            into["gc_ms"] += (perf_counter() - started[0]) * 1e3
+
+    gc.callbacks.append(watch)
+    try:
+        yield into
+    finally:
+        gc.callbacks.remove(watch)
 
 
 def measure(family: str, n: int, seed: int) -> dict:
@@ -95,9 +124,10 @@ def measure(family: str, n: int, seed: int) -> dict:
 
     rotations._walk = walk_counted
 
-    poset = _timed(build_poset, ms, "build_poset_ms")(inst)
-    art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
-    _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag)
+    with _collector_cost() as collector:
+        poset = _timed(build_poset, ms, "build_poset_ms")(inst)
+        art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
+        _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag)
     peak_rss_mb = _peak_rss_mb()
     return {
         "family": family,
@@ -116,6 +146,8 @@ def measure(family: str, n: int, seed: int) -> dict:
         "feasible_value": flows["feasible_value"],
         "min_value": weight,
         "peak_rss_mb": round(peak_rss_mb, 1),
+        "gc_collections": collector["gc_collections"],
+        "gc_ms": round(collector["gc_ms"], 1),
     }
 
 

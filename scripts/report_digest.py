@@ -25,6 +25,7 @@ import random
 import sys
 import tempfile
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,12 +107,12 @@ def dag_configs(workdir: Path, inst: str, weights: list[str]) -> list[dict]:
     return configs
 
 
-def digest(seed: int, workdir: Path, instances: int = INSTANCES) -> tuple[int, str]:
-    """Report count and sha256 over the first ``instances`` instances of
-    the seed's corpus; a smaller count digests a prefix of the same draws."""
+def requests(seed: int, workdir: Path, instances: int = INSTANCES) -> Iterator[tuple[dict, RunConfig]]:
+    """Every request on the first ``instances`` instances of the seed's
+    corpus, written under ``workdir`` one instance at a time: each
+    configuration, with file fields holding names, and the ``RunConfig``
+    that runs it."""
     rng = random.Random(seed)
-    h = hashlib.sha256()
-    count = 0
     for i in range(instances):
         boys, girls = draw_prefs(rng, FAMILIES[i % len(FAMILIES)], MAX_N)
         n = len(boys)
@@ -126,16 +127,24 @@ def digest(seed: int, workdir: Path, instances: int = INSTANCES) -> tuple[int, s
                 table = families.random_weights(rng, n, low, high, digits)
             weights.append(f"w{i}-{name}.txt")
             families.write_weights(workdir / weights[-1], table, digits)
-        configs = instance_configs(n, inst, weights) + dag_configs(workdir, inst, weights)
-        for config in configs:
+        for config in instance_configs(n, inst, weights) + dag_configs(workdir, inst, weights):
             paths = {
                 key: str(workdir / value) if key.endswith("_path") else value
                 for key, value in config.items()
             }
-            dag_text = Path(paths["dag_path"]).read_text() if "dag_path" in paths else ""
-            status, report = run(RunConfig(**paths))
-            h.update(repr((sorted(config.items()), dag_text, status, report)).encode())
-            count += 1
+            yield config, RunConfig(**paths)
+
+
+def digest(seed: int, workdir: Path, instances: int = INSTANCES) -> tuple[int, str]:
+    """Report count and sha256 over the first ``instances`` instances of
+    the seed's corpus; a smaller count digests a prefix of the same draws."""
+    h = hashlib.sha256()
+    count = 0
+    for config, cfg in requests(seed, workdir, instances):
+        dag_text = Path(cfg.dag_path).read_text() if cfg.dag_path else ""
+        status, report = run(cfg)
+        h.update(repr((sorted(config.items()), dag_text, status, report)).encode())
+        count += 1
     return count, h.hexdigest()
 
 

@@ -9,6 +9,7 @@ weights are printed as exact decimals.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -268,7 +269,14 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute a configuration; returns (exit status, report text)."""
+    """Execute a configuration; returns (exit status, report text).
+
+    A request makes no reference cycles, so the cyclic garbage collector
+    is paused while it runs and turned back on afterwards only if it was
+    on; ``tests/test_gc.py`` checks that a request leaves nothing for it.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return 0, _DISPATCH[cfg.subcommand](cfg)
     except ContractViolation as exc:
@@ -278,6 +286,9 @@ def run(cfg: RunConfig) -> tuple[int, str]:
     except MemoryError:
         # Unbound, so leaving this clause frees the request's frames.
         return 3, "error: out of memory"
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main(argv: list[str] | None = None) -> None:

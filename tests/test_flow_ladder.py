@@ -31,6 +31,7 @@ def test_flow_ladder_prints_one_sound_line_per_rung():
         stages = ("build_poset", "rotations", "build_reduction", "feasible_flow", "min_flow", "cut")
         for stage in stages:
             assert 0 <= row[f"{stage}_cpu_ms"]
+        assert row["gc_collections"] >= 0 and row["gc_ms"] >= 0
         # Each push is popped by an elimination: see test_rotations.
         assert row["probes"] <= 2 * row["rotation_pairs"] + row["rotations"]
     assert [(row["rotations"], row["rotation_pairs"]) for row in rows] == [(28, 56), (9, 90)]

@@ -39,6 +39,7 @@ def test_enumerate_scale_prints_one_sound_line_per_n():
         # matching.
         assert row["translation_gale_shapley"] == 1
         assert row["report_mb"] >= 0 and row["peak_rss_mb"] > 0
+        assert row["gc_collections"] >= 0 and row["gc_ms"] >= 0
     # Doubling n=8 has far more than 20 stable matchings, all optimal under
     # zero weights.
     assert rows[1]["listed"] == cap
