@@ -528,6 +528,19 @@ def condense(
     return tuple(frozenset(c) for c in comps), frozenset(edges)
 
 
+def _int_pair(line: tuple[int, str], names: str) -> tuple[int, tuple[int, int]]:
+    """The line number and the two integers of a (line number, text)
+    header line; ``names`` is the 'a b' its error message expects."""
+    lineno, text = line
+    parts = text.split()
+    if len(parts) == 2:
+        try:
+            return lineno, (int(parts[0]), int(parts[1]))
+        except ValueError:
+            pass
+    raise ParseError(f"line {lineno}: expected '{names}'")
+
+
 def parse_dag(text: str) -> WeightedDag:
     """Parse the V E / s t / edge-list format with decimal edge weights.
 
@@ -537,14 +550,7 @@ def parse_dag(text: str) -> WeightedDag:
     lines = _content_lines(text)
     if len(lines) < 2:
         raise ParseError("line 1: missing graph header")
-    lineno, head = lines[0]
-    parts = head.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {lineno}: expected 'V E'")
-    try:
-        num_vertices, num_edges = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected 'V E'") from None
+    lineno, (num_vertices, num_edges) = _int_pair(lines[0], "V E")
     if num_vertices < 2:
         raise ParseError(f"line {lineno}: need at least two vertices")
     if num_edges < 0:
@@ -555,14 +561,7 @@ def parse_dag(text: str) -> WeightedDag:
         raise ParseError(
             f"line {lineno}: {num_vertices} vertices need at least {num_vertices - 1} edges"
         )
-    lineno, pole_line = lines[1]
-    parts = pole_line.split()
-    if len(parts) != 2:
-        raise ParseError(f"line {lineno}: expected 's t'")
-    try:
-        source, sink = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected 's t'") from None
+    lineno, (source, sink) = _int_pair(lines[1], "s t")
     for v in (source, sink):
         if not 1 <= v <= num_vertices:
             raise ParseError(f"line {lineno}: vertex {v} out of range 1..{num_vertices}")

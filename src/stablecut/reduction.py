@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
 from .idealcut import Edge, WeightedDag, check_ideal_cut, max_weight_ideal_cut
-from .rotations import RotationPoset, _replay, build_poset, closed_set_to_matching
+from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,22 +51,36 @@ class ReductionArtifacts:
 
 
 def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifacts:
-    """Build the weighted cut graph for a rotation poset's instance.
+    """Build the weighted cut graph for a rotation poset's instance and
+    check it, in one replay of the rotations in id order, the elimination
+    order, from the boy-optimal matching m0.
 
-    The poset's arcs come first, as zero-weight edges in sorted order;
-    each other edge is appended when the replay first puts a pair on it,
-    and every pair adds its weight to the edge between its maker and its
-    breaker.  Raises ContractViolation unless the poset's rotations,
-    replayed in id order, lead from the instance's boy-optimal matching to
-    its girl-optimal one, every pair handed between two rotations has
-    their arc, and every prefix of the id order transports its weight
-    (see :func:`_check_prefix_weights`).  The graph's acyclicity and
-    reachability are checked once, by the flow that reads it
-    (``feasible_flow`` inside ``min_flow``).
+    The replay holds each boy's maker: the vertex of the rotation that
+    gave him his partner, or the source.  Each pair a rotation breaks adds
+    its weight to the edge from its maker to that rotation, and each final
+    pair to the edge from its maker to the sink, or to ``base_weight``
+    when no rotation moves its boy.  The poset's arcs come first, as
+    zero-weight edges in sorted order; each other edge is appended when
+    the replay first puts a pair on it, the final pairs by boy.
+
+    Raises ContractViolation when a rotation breaks a pair its boy does
+    not hold, a pair is handed between two rotations without their arc,
+    the replay does not end at the girl-optimal matching, or a prefix of
+    the id order does not transport its weight.  Edges run from lower ids
+    to higher ones, so the source plus rotations 0..j-1 is an ideal cut
+    whose matching is the replay's after j eliminations: the cut {source}
+    must weigh m0 less the base, and each rotation's vertex, out-weight
+    less in-weight over the built edges, must weigh what eliminating the
+    rotation changes the matching's weight by.  Every edge leaves the
+    source or a rotation, so a wrong edge weight fails the check at its
+    tail, the first vertex whose weight it changes.  The graph's
+    acyclicity and reachability are checked once, by the flow that reads
+    it (``feasible_flow`` inside ``min_flow``).
     """
     inst = poset.inst
     if w.n != inst.n:
         raise ValueError("weight table size does not match the instance")
+    table = w.table
     m0 = gale_shapley(inst, "boys")
     mz = gale_shapley(inst, "girls")
     k = len(poset.rotations)
@@ -78,71 +92,55 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     weight: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
     for a, b in sorted(poset.edges):
         weight[(a + 1, b + 1)] = 0
+    partner = list(m0.partner_of_boy)
+    maker = [source] * inst.n  # the vertex that gave each boy his partner
+    gain = [0] * sink  # per rotation vertex, its elimination's weight change
+    for v, rho in enumerate(poset.rotations, 1):
+        for (b, g), (_, g_next) in zip(rho, rho[1:] + rho[:1]):
+            if partner[b] != g:
+                raise ContractViolation(
+                    f"rotation {v - 1} moves boy {b + 1} from girl {g + 1},"
+                    f" but his partner is girl {partner[b] + 1}"
+                )
+            ends = (maker[b], v)
+            # A pair handed on is exactly what makes the precedence arc
+            # (maker, breaker), so its edge is that arc's edge.
+            if maker[b] != source and ends not in weight:
+                raise ContractViolation(
+                    f"rotation {v - 1} takes boy {b + 1} from rotation"
+                    f" {maker[b] - 1}, but the poset has no arc {maker[b] - 1} -> {v - 1}"
+                )
+            weight[ends] = weight.get(ends, 0) + table[b][g]
+            gain[v] += table[b][g_next] - table[b][g]
+            partner[b] = g_next
+            maker[b] = v
+    if tuple(partner) != mz.partner_of_boy:
+        raise ContractViolation("rotations do not end at the girl-optimal matching")
     base_weight = 0
-    for b, g, maker, breaker in _replay(poset.rotations, m0):
-        if breaker < 0 and mz.partner_of_boy[b] != g:
-            raise ContractViolation("rotations do not end at the girl-optimal matching")
-        if maker < 0 and breaker < 0:
+    for b, g in enumerate(partner):
+        if maker[b] == source:
             # A boy no rotation moves keeps one partner in every stable
             # matching, which only shifts the total by a constant.
-            base_weight += w.table[b][g]
-            continue
-        ends = (
-            source if maker < 0 else maker + 1,
-            sink if breaker < 0 else breaker + 1,
-        )
-        # A pair handed on is exactly what makes the precedence arc
-        # (maker, breaker), so its edge is that arc's edge.
-        if maker >= 0 and breaker >= 0 and ends not in weight:
-            raise ContractViolation(
-                f"rotation {breaker} takes boy {b + 1} from rotation"
-                f" {maker}, but the poset has no arc {maker} -> {breaker}"
-            )
-        weight[ends] = weight.get(ends, 0) + w.table[b][g]
+            base_weight += table[b][g]
+        else:
+            ends = (maker[b], sink)
+            weight[ends] = weight.get(ends, 0) + table[b][g]
 
     edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
     dag = WeightedDag(k + 2, source, sink, edges, w.scale)
-    net = _check_prefix_weights(poset, dag, base_weight, m0, w)
-    return ReductionArtifacts(poset=poset, dag=dag, base_weight=base_weight, net=net)
-
-
-def _check_prefix_weights(
-    poset: RotationPoset, dag: WeightedDag, base_weight: int, m0: Matching, w: WeightFunction
-) -> tuple[int, ...]:
-    """Check that the cut graph weighs every prefix of the rotation ids,
-    and return every vertex's out-weight less its in-weight.
-
-    Edges run from lower ids to higher ones, so the source plus rotations
-    0..j-1 is an ideal cut, and its matching is the chain's after j
-    eliminations.  The cut {source} must weigh m0 less the base, and
-    adding rotation j's vertex changes the cut by its out-weight less its
-    in-weight, which must equal what eliminating the rotation changes the
-    matching's weight by.  Every edge leaves the source or a rotation, so
-    a wrong edge weight fails one of these checks.  Raises
-    ContractViolation naming the first rotation whose prefix does not
-    transport.
-    """
-    table = w.table
-    net = [0] * dag.num_vertices  # out-weight less in-weight
-    for tail, head, weight in dag.edges:
-        net[tail] += weight
-        net[head] -= weight
-    if net[dag.source] + base_weight != matching_weight(m0, w):
+    net = [0] * (k + 2)  # out-weight less in-weight
+    for tail, head, wt in dag.edges:
+        net[tail] += wt
+        net[head] -= wt
+    if net[source] + base_weight != matching_weight(m0, w):
         raise ContractViolation("the cut {source} does not weigh the boy-optimal matching")
-    for v, rho in enumerate(poset.rotations, 1):
-        # Eliminating the rotation hands each of its girls to the boy
-        # before her partner in the cycle.
-        gain = 0
-        before = rho[-1][0]
-        for b, g in rho:
-            gain += table[before][g] - table[b][g]
-            before = b
-        if net[v] != gain:
+    for v in range(1, sink):
+        if net[v] != gain[v]:
             raise ContractViolation(
                 f"the cut graph weighs rotation {v - 1} at {net[v]}, but eliminating"
-                f" it changes the matching's weight by {gain}"
+                f" it changes the matching's weight by {gain[v]}"
             )
-    return tuple(net)
+    return ReductionArtifacts(poset=poset, dag=dag, base_weight=base_weight, net=tuple(net))
 
 
 def cut_to_matching(art: ReductionArtifacts, side: frozenset[int]) -> Matching:

@@ -8,9 +8,8 @@ stable matchings, which is what every solver in this package builds on.
 One elimination walk from the boy-optimal matching to the girl-optimal
 one (:func:`_walk`) discovers the rotations and records each precedence
 arc as it eliminates the rotation at its head, so the poset takes one pass
-over the pairs.  :func:`_replay` replays a finished poset independently,
-for the cut-graph reduction, and :func:`closed_set_to_matching` eliminates
-a closed set, checking that each rotation is exposed when its turn comes.
+over the pairs.  :func:`closed_set_to_matching` eliminates a closed set,
+checking that each rotation is exposed when its turn comes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import ContractViolation, Instance, Matching, gale_shapley
 from .ideals import _preds_from_edges
@@ -225,37 +224,6 @@ def enumerate_rotations(inst: Instance) -> list[tuple[Pair, ...]]:
     boy-optimal matching to the girl-optimal one."""
     top = gale_shapley(inst, "boys")
     return _walk(inst, top, gale_shapley(inst, "girls"), top)[0]
-
-
-def _replay(
-    rotations: Iterable[tuple[Pair, ...]], m0: Matching
-) -> Iterator[tuple[int, int, int, int]]:
-    """Replay the rotations, pair cycles whose list position is their id,
-    in id order, the elimination order, from the boy-optimal matching m0,
-    and yield (b, g, maker, breaker) for every pair a boy holds along the
-    chain.
-
-    ``maker`` is the rotation that gave boy b girl g (-1 when the pair is
-    boy-optimal) and ``breaker`` the one that moves him on (-1 when he
-    keeps her to the end).  Each rotation's pairs come in id order, then
-    every boy's final pair by boy id.  Raises ContractViolation when a
-    rotation breaks a pair its boy does not hold.
-    """
-    partner = list(m0.partner_of_boy)
-    maker = [-1] * len(partner)
-    for rid, rho in enumerate(rotations):
-        r = len(rho)
-        for i, (b, g) in enumerate(rho):
-            if partner[b] != g:
-                raise ContractViolation(
-                    f"rotation {rid} moves boy {b + 1} from girl {g + 1},"
-                    f" but his partner is girl {partner[b] + 1}"
-                )
-            yield b, g, maker[b], rid
-            partner[b] = rho[(i + 1) % r][1]
-            maker[b] = rid
-    for b, g in enumerate(partner):
-        yield b, g, maker[b], -1
 
 
 def build_poset(inst: Instance) -> RotationPoset:

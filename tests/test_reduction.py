@@ -108,7 +108,8 @@ def test_a_poset_missing_its_last_rotation_does_not_end_girl_optimal():
 
 def test_a_lowered_edge_weight_fails_a_prefix(lowered_edge):
     # Every edge leaves the source or a rotation, so a wrong weight breaks
-    # the prefix that adds its tail.
+    # the prefix that adds its tail, and no earlier one: only its tail and
+    # its later head weigh differently.
     rng = random.Random(913)
     insts = [branch_four()]
     insts += [family_instance(f, n, seed) for f, n in (("doubling", 8), ("cyclic", 7)) for seed in range(3)]
@@ -117,9 +118,13 @@ def test_a_lowered_edge_weight_fails_a_prefix(lowered_edge):
     for inst in insts:
         poset = build_poset(inst)
         w = random_weights(rng, inst.n)
-        for index in range(len(build_reduction(poset, w).dag.edges)):
+        for index, edge in enumerate(build_reduction(poset, w).dag.edges):
             lowered_edge(index)
-            with pytest.raises(ContractViolation, match="weigh"):
+            if edge.tail == 0:
+                message = "^the cut {source} does not weigh the boy-optimal matching$"
+            else:
+                message = f"^the cut graph weighs rotation {edge.tail - 1} at "
+            with pytest.raises(ContractViolation, match=message):
                 build_reduction(poset, w)
             faults += 1
     assert faults > 100

@@ -39,6 +39,19 @@ Cycle = tuple[tuple[int, int], ...]
 BRANCH_FOUR_ROTATIONS = [((0, 3), (1, 2)), ((0, 2), (3, 0)), ((1, 3), (2, 1))]
 
 
+def hand_offs(order) -> set[tuple[int, int]]:
+    """The (maker, breaker) index pairs of every pair that one rotation of
+    ``order`` makes and another breaks, read from the rotations' pairs
+    alone: a rotation moves each boy from his pair's girl to the next
+    pair's girl, so it makes (boy, next girl) and breaks (boy, girl)."""
+    maker = {
+        (b, g_to): rid
+        for rid, rho in enumerate(order)
+        for (b, _), (_, g_to) in zip(rho, rho[1:] + rho[:1])
+    }
+    return {(maker[pair], rid) for rid, rho in enumerate(order) for pair in rho if pair in maker}
+
+
 def test_exposed_in_boy_optimal():
     assert exposed_rotations(two_by_two(), Matching((0, 1))) == [SWAP]
 
@@ -92,8 +105,7 @@ def test_closed_set_to_matching_needs_a_crossing_arc():
     poset = build_poset(inst)
     assert poset.rotations == (((1, 1), (2, 2)), ((0, 0), (3, 3)))
     assert poset.edges == {(0, 1)}
-    replayed = rotations._replay(poset.rotations, poset.boy_optimal)
-    assert all(maker < 0 for _, _, maker, breaker in replayed if breaker == 1)
+    assert all(breaker != 1 for _, breaker in hand_offs(poset.rotations))
     broken = dataclasses.replace(poset, edges=frozenset(), preds=(frozenset(), frozenset()))
     with pytest.raises(
         ContractViolation, match="^rotation is not exposed: boy 1 does not lead to girl 4$"
@@ -290,19 +302,15 @@ def arcs_by_pairs(poset) -> set[tuple[Cycle, Cycle]]:
 def two_pass_arcs(inst: Instance, order: list[Cycle]) -> set[tuple[Cycle, Cycle]]:
     """The precedence arcs, named by their rotations' pairs, of a referee
     that derives them in two passes over the rotations, taken in
-    ``order``, which must be an elimination order.  A replay from the
-    boy-optimal matching gives each pair's maker and breaker, and the
-    maker precedes the breaker.  Then, in order, each rotation that
+    ``order``, which must be an elimination order.  The rotations' pairs
+    give each handed-on pair's maker and breaker (:func:`hand_offs`), and
+    the maker precedes the breaker.  Then, in order, each rotation that
     drags a boy past a girl he skips gets an arc from the rotation that
     lifted her across him, looked up in her rises so far; her rises are
     recorded after the rotation's lookups."""
     m0 = gale_shapley(inst, "boys")
     boy_rank, girl_rank = inst.boy_rank, inst.girl_rank
-    edges = {
-        (maker, breaker)
-        for _, _, maker, breaker in rotations._replay(order, m0)
-        if maker >= 0 and breaker >= 0
-    }
+    edges = hand_offs(order)
     # Per girl, her new partners' negated ranks (ascending) and their lifters.
     rises: list[list[int]] = [[] for _ in range(inst.n)]
     lifters: list[list[int]] = [[] for _ in range(inst.n)]
