@@ -21,10 +21,12 @@ contract: the value, the set the sink reaches in the residual graph,
 and the residual components with the order between them are the same
 for every minimum flow.  :func:`condense` always lists the source's
 component first and the sink's last, but the components between them
-come in one topological order among several, found by a search over the
-flow's residual arcs, so their numbering can differ between minimum
-flows.  Listings do not follow it: ``sublattice.meta_rotation_poset``
-renumbers the components from the instance alone.
+come in one topological order among several, found by Kosaraju's two
+searches over the flow's residual arcs (a depth-first search for
+finishing times, then searches along reversed arcs), so their numbering
+can differ between minimum flows.  Listings do not follow it:
+``sublattice.meta_rotation_poset`` renumbers the components from the
+instance alone.
 """
 
 from __future__ import annotations
@@ -437,53 +439,47 @@ def max_weight_ideal_cut(g: WeightedDag) -> tuple[frozenset[int], int]:
     return cut, weight
 
 
-def _tarjan_components(res: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Strongly connected components of a head adjacency, iterative
-    Tarjan, in reverse topological order of the condensation."""
+def _components(res: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of a head adjacency, in topological
+    order of the condensation, by Kosaraju's two searches.  A depth-first
+    search lists the vertices by finishing time; then, latest finisher
+    first, a search along reversed arcs from each unclaimed vertex claims
+    that vertex's component."""
     n = len(res)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            heads = res[v]
-            while pos < len(heads):
-                head = heads[pos]
-                pos += 1
-                if index[head] == -1:
-                    work.append((v, pos))
-                    work.append((head, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(res[root]))]
+        while stack:
+            v, heads = stack[-1]
+            for u in heads:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append((u, iter(res[u])))
                     break
-                if on_stack[head]:
-                    low[v] = min(low[v], index[head])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
+            else:
+                stack.pop()
+                finished.append(v)
+    tails: list[list[int]] = [[] for _ in range(n)]
+    for v, heads in enumerate(res):
+        for u in heads:
+            tails[u].append(v)
+    claimed = [False] * n
+    components: list[list[int]] = []
+    for root in reversed(finished):
+        if claimed[root]:
+            continue
+        claimed[root] = True
+        comp = [root]
+        for v in comp:  # comp grows while it is scanned
+            for u in tails[v]:
+                if not claimed[u]:
+                    claimed[u] = True
                     comp.append(u)
-                    if u == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+        components.append(comp)
     return components
 
 
@@ -492,7 +488,9 @@ def condense(
 ) -> tuple[tuple[frozenset[int], ...], frozenset[tuple[int, int]]]:
     """Shrink the residual graph of an optimal flow to its component DAG:
     the strongly connected components in topological order, and the
-    deduplicated arcs (a, b) between components a < b.
+    deduplicated arcs (a, b) between components a < b.  Kosaraju's two
+    searches, depth-first by finishing time and then along reversed
+    arcs, give the components already in that order.
 
     The ideal cuts of the result, pulled back to vertex sets, are exactly
     the maximum-weight ideal cuts of g.  Requires g validated (see
@@ -508,7 +506,7 @@ def condense(
     component out of place raises ContractViolation.
     """
     res = residual(g, f)
-    comps = list(reversed(_tarjan_components(res)))
+    comps = _components(res)
     comp_of = [0] * g.num_vertices
     for ci, comp in enumerate(comps):
         for v in comp:

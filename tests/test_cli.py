@@ -417,9 +417,9 @@ def test_a_poset_missing_its_last_rotation_exits_two(files, monkeypatch):
 
 
 def test_components_out_of_topological_order_exit_two(files, monkeypatch):
-    listed = stablecut.idealcut._tarjan_components
+    listed = stablecut.idealcut._components
     monkeypatch.setattr(
-        "stablecut.idealcut._tarjan_components", lambda res: list(reversed(listed(res)))
+        "stablecut.idealcut._components", lambda res: list(reversed(listed(res)))
     )
     status, report = run(
         RunConfig(

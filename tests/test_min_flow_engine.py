@@ -26,7 +26,7 @@ from functools import lru_cache
 import pytest
 
 import families
-from conftest import random_dag
+from conftest import family_instance, random_dag
 from stablecut import (
     ContractViolation,
     Edge,
@@ -416,14 +416,52 @@ def test_condense_raises_exactly_when_the_sink_reaches_the_source():
     assert raised > len(corpus()) // 2
 
 
-def distances_to(heads: tuple[tuple[int, ...], ...], target: int) -> list[int]:
-    """Length of the shortest path from each vertex to target in a head
-    adjacency, -1 where target is out of reach: a breadth-first search
-    from target over the reversed arcs."""
+def reversed_arcs(heads: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """The head adjacency with every arc turned around."""
     tails: list[list[int]] = [[] for _ in heads]
     for v, row in enumerate(heads):
         for w in row:
             tails[w].append(v)
+    return tails
+
+
+class ScanCountedRow(tuple):
+    """An adjacency row that counts how often it is iterated."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_components_are_the_mutually_reachable_classes_in_topological_order():
+    zero = WeightFunction(tuple((0,) * 16 for _ in range(16)))
+    doubling_zero = build_reduction(canonical(build_poset(family_instance("doubling", 16))), zero).dag
+    for g in (*corpus(), doubling_zero):
+        for f in (feasible_flow(g), min_flow(g)):
+            res = residual(g, f)
+            rows = [ScanCountedRow(row) for row in res]
+            comps = idealcut._components(rows)
+            # Once per search: the depth-first search resumes each row where
+            # it left off, and the reversed arcs are built in one pass.
+            assert max(row.scans for row in rows) <= 2
+            comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+            assert len(comp_of) == sum(map(len, comps)) == g.num_vertices
+            # Reaching each other is an equivalence, so each component must
+            # be what its first vertex reaches and is reached from.
+            tails = reversed_arcs(res)
+            for comp in comps:
+                assert set(comp) == _reachable(res, comp[0]) & _reachable(tails, comp[0])
+            assert all(comp_of[v] <= comp_of[u] for v, heads in enumerate(res) for u in heads)
+    assert len(condense(doubling_zero, min_flow(doubling_zero))[0]) == 16 * 15 // 2 + 2
+
+
+def distances_to(heads: tuple[tuple[int, ...], ...], target: int) -> list[int]:
+    """Length of the shortest path from each vertex to target in a head
+    adjacency, -1 where target is out of reach: a breadth-first search
+    from target over the reversed arcs."""
+    tails = reversed_arcs(heads)
     dist = [-1] * len(heads)
     dist[target] = 0
     queue = deque([target])
