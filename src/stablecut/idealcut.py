@@ -8,10 +8,11 @@ strongly connected components of the optimal flow's residual graph encode
 every maximum cut at once.
 
 The minimum flow is found by blocking flows from a feasible start built
-in two linear passes over a topological order.  In the residual graph
-every edge can take more flow forwards, and an edge carrying more than
-its weight can also give that slack back; the engine keeps the flow as
-one slack array, flow minus weight.  Each phase labels vertices with
+in two linear passes over the topological order that validation finds,
+along each vertex's first in-edge and first out-edge.  In the residual
+graph every edge can take more flow forwards, and an edge carrying more
+than its weight can also give that slack back; the engine keeps the
+flow as one slack array, flow minus weight.  Each phase labels vertices with
 their residual distance to the source, by a breadth-first search from
 the source over reversed arcs, and then augments from the sink along
 arcs that descend one level, so the blocking search only walks shortest
@@ -103,46 +104,32 @@ class Flow:
     value: int
 
 
-def _bfs_parents(adjacency: Sequence[Sequence[int]], endpoint: Sequence[int], root: int) -> list[int]:
-    """parent[v]: id of the edge that first reaches v from the root, -2 at
-    the root and -1 for unreached vertices.  ``adjacency[v]`` lists the ids
-    of the edges leaving v in scan order and ``endpoint[i]`` is the vertex
-    edge i leads to, so the same search runs forwards or backwards."""
-    parent = [-1] * len(adjacency)
-    parent[root] = -2
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for i in adjacency[v]:
-            w = endpoint[i]
-            if parent[w] == -1:
-                parent[w] = i
-                queue.append(w)
-    return parent
-
-
 def _reachable(heads: Sequence[Sequence[int]], start: int) -> frozenset[int]:
     """Vertices reachable from start in a head adjacency such as
     :func:`residual` returns."""
-    # Each adjacency entry is a vertex, so the far end of entry v is v.
-    parent = _bfs_parents(heads, range(len(heads)), start)
-    return frozenset(v for v, p in enumerate(parent) if p != -1)
+    seen = {start}
+    reached = [start]
+    for v in reached:  # reached grows while it is scanned
+        for w in heads[v]:
+            if w not in seen:
+                seen.add(w)
+                reached.append(w)
+    return frozenset(seen)
 
 
-def validate_dag(g: WeightedDag) -> None:
-    """Check acyclicity and that every vertex lies on a source-to-sink path;
-    errors name a witness cycle or vertex."""
-    _validated_trees(g)
+def validate_dag(g: WeightedDag) -> list[int]:
+    """Check acyclicity and that every vertex lies on a source-to-sink path,
+    and return the topological order Kahn's algorithm found.  Errors name
+    a witness cycle, or the smallest vertex off every such path.
 
-
-def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int], list[int]]:
-    """The checks of :func:`validate_dag`, returning what they computed:
-    the topological order of Kahn's algorithm, and the ``_bfs_parents``
-    trees from the source and to the sink."""
+    In a graph with no cycles, walking back along in-edges always ends at
+    a vertex without one, so every vertex is reachable from the source
+    exactly when every other vertex has an in-edge; likewise every vertex
+    reaches the sink exactly when every other vertex has an out-edge.  A
+    search from the pole runs only to name the vertex when a check fails.
+    """
     n = g.num_vertices
-    indegree = [0] * n
-    for e in g.edges:
-        indegree[e.head] += 1
+    indegree = [len(ins) for ins in g.in_edges]
     order = [v for v in range(n) if indegree[v] == 0]
     # order doubles as Kahn's queue: entries past ``done`` are waiting.
     done = 0
@@ -174,15 +161,16 @@ def _validated_trees(g: WeightedDag) -> tuple[list[int], list[int], list[int]]:
         cycle = [x + 1 for x in reversed(loop)]
         raise ValueError(f"graph has a cycle through vertices {cycle}")
 
-    forward = _bfs_parents(g.out_edges, [e.head for e in g.edges], g.source)
-    for v in range(n):
-        if forward[v] == -1:
-            raise ValueError(f"vertex {v + 1} is not reachable from the source")
-    backward = _bfs_parents(g.in_edges, [e.tail for e in g.edges], g.sink)
-    for v in range(n):
-        if backward[v] == -1:
-            raise ValueError(f"vertex {v + 1} cannot reach the sink")
-    return order, forward, backward
+    edges = g.edges
+    if any(not ins for v, ins in enumerate(g.in_edges) if v != g.source):
+        heads = [[edges[i].head for i in out] for out in g.out_edges]
+        v = min(set(range(n)) - _reachable(heads, g.source))
+        raise ValueError(f"vertex {v + 1} is not reachable from the source")
+    if any(not out for v, out in enumerate(g.out_edges) if v != g.sink):
+        tails = [[edges[i].tail for i in ins] for ins in g.in_edges]
+        v = min(set(range(n)) - _reachable(tails, g.sink))
+        raise ValueError(f"vertex {v + 1} cannot reach the sink")
+    return order
 
 
 def check_ideal_cut(g: WeightedDag, source_side: frozenset[int]) -> None:
@@ -210,17 +198,17 @@ def feasible_flow(g: WeightedDag) -> Flow:
     """A flow meeting every lower bound, in O(V + E).
 
     Every edge starts at max(w, 0).  Then, in reverse topological order,
-    each vertex that sends more than it receives pulls the shortfall from
-    the source over its source-tree edge, which only adds to the outflow
-    of that edge's tail, a vertex earlier in the order.  Last, in
-    topological order, each vertex that receives more than it sends
-    pushes the surplus on over its sink-tree edge, which only adds to the
-    inflow of a later vertex.  Flow only ever rises, so every edge stays
-    at or above its weight.  Raises ContractViolation unless the result
-    meets every lower bound and is conserved at every vertex but the poles.
+    each vertex that sends more than it receives pulls the shortfall over
+    its first in-edge, which only adds to the outflow of that edge's
+    tail, a vertex earlier in the order.  Last, in topological order,
+    each vertex that receives more than it sends pushes the surplus on
+    over its first out-edge, which only adds to the inflow of a later
+    vertex.  :func:`validate_dag` gives the order and guarantees both
+    edges.  Flow only ever rises, so every edge stays at or above its
+    weight.  Raises ContractViolation unless the result meets every lower
+    bound and is conserved at every vertex but the poles.
     """
-    # Shortest-path trees from the source and to the sink.
-    order, from_source, to_sink = _validated_trees(g)
+    order = validate_dag(g)
     edges = g.edges
     flow = [max(e.weight, 0) for e in edges]
     surplus = [0] * g.num_vertices  # inflow minus outflow
@@ -228,17 +216,18 @@ def feasible_flow(g: WeightedDag) -> Flow:
         surplus[e.head] += f
         surplus[e.tail] -= f
     source, sink = g.source, g.sink
+    in_edges, out_edges = g.in_edges, g.out_edges
     for v in reversed(order):
         short = surplus[v]
         if short < 0 and v != source:
-            i = from_source[v]
+            i = in_edges[v][0]
             flow[i] -= short
             surplus[v] = 0
             surplus[edges[i].tail] += short
     for v in order:
         extra = surplus[v]
         if extra > 0 and v != sink:
-            i = to_sink[v]
+            i = out_edges[v][0]
             flow[i] += extra
             surplus[edges[i].head] += extra
     for f, e in zip(flow, edges):

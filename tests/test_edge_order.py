@@ -8,6 +8,11 @@ shares must not move: the flow value, the maximum cut with the largest
 source side and its weight, and the residual condensation taken as sets
 of vertex sets.  Cycle errors and both ``cut-solve`` reports must not
 move either.
+
+Every corpus graph also numbers its vertices in topological order, the
+source first and the sink last, so the vertex-relabel gate shuffles the
+vertex ids too: what every minimum flow shares, mapped back, must not
+move, and must still agree with the Edmonds-Karp referee.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import random
 import pytest
 
 from conftest import random_dag
-from stablecut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow, validate_dag
+from stablecut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow, residual, validate_dag
 from stablecut.cli import RunConfig, run
+from stablecut.idealcut import _reachable
 from stablecut.oracle import MAX_ORACLE_VERTICES
-from test_min_flow_engine import condensation, corpus, reduction_dag
+from test_min_flow_engine import condensation, corpus, edmonds_karp_min_flow, reduction_dag
 
 
 def permuted(g: WeightedDag, rng: random.Random) -> tuple[WeightedDag, list[int]]:
@@ -51,6 +57,43 @@ def test_permuted_edges_keep_the_value_the_cut_and_the_condensation():
             moved += tuple(back) != f.edge_flow
     # The permutations reach the engine: many of them move per-edge flows.
     assert moved > len(corpus()) // 2
+
+
+def relabelled(g: WeightedDag, rng: random.Random) -> tuple[WeightedDag, list[int]]:
+    """g with its vertex ids shuffled, and the map back: the relabelled
+    graph's vertex v is g's vertex ``old[v]``."""
+    old = list(range(g.num_vertices))
+    rng.shuffle(old)
+    new = [0] * len(old)
+    for v, u in enumerate(old):
+        new[u] = v
+    edges = tuple(Edge(new[e.tail], new[e.head], e.weight) for e in g.edges)
+    return WeightedDag(g.num_vertices, new[g.source], new[g.sink], edges, g.scale), old
+
+
+def test_relabelled_vertices_keep_the_value_the_cut_and_the_condensation():
+    rng = random.Random(32)
+    poles_moved = 0
+    for g in corpus():
+        f = min_flow(g)
+        cut = max_weight_ideal_cut(g)
+        shared = condensation(condense(g, f))
+        h, old = relabelled(g, rng)
+
+        def back(side: frozenset[int]) -> frozenset[int]:
+            return frozenset(old[v] for v in side)
+
+        fh, referee = min_flow(h), edmonds_karp_min_flow(h)
+        assert fh.value == referee.value == f.value
+        cut_h, weight_h = max_weight_ideal_cut(h)
+        assert (back(cut_h), weight_h) == cut
+        assert cut_h == frozenset(range(h.num_vertices)) - _reachable(residual(h, referee), h.sink)
+        for flow in (fh, referee):
+            comps, arcs = condense(h, flow)
+            assert condensation((tuple(map(back, comps)), arcs)) == shared
+        poles_moved += (h.source, h.sink) != (0, h.num_vertices - 1)
+    # The shuffles move the poles away from the first and last ids.
+    assert poles_moved > len(corpus()) // 2
 
 
 def test_permuted_edges_keep_the_cycle_witness():

@@ -26,6 +26,7 @@ from stablecut import (
     residual,
     validate_dag,
 )
+from stablecut.cli import main
 from stablecut.idealcut import _reachable
 
 
@@ -74,6 +75,36 @@ def test_validate_rejects_dead_end_vertex():
     g = WeightedDag(4, 0, 3, (Edge(0, 1, 1), Edge(0, 2, 1), Edge(1, 3, 1)))
     with pytest.raises(ValueError, match="vertex 3 cannot reach"):
         validate_dag(g)
+
+
+# In each graph the vertex off every source-to-sink path lies before the
+# one that puts it there: vertex 3 lacks an in-edge in the first and an
+# out-edge in the second, yet both messages name vertex 2.
+SMALLEST_FAILING = (
+    (
+        WeightedDag(4, 0, 3, (Edge(0, 3, 1), Edge(2, 1, 1), Edge(1, 3, 1), Edge(2, 3, 1))),
+        "vertex 2 is not reachable from the source",
+    ),
+    (
+        WeightedDag(4, 0, 3, (Edge(0, 3, 1), Edge(0, 1, 1), Edge(1, 2, 1))),
+        "vertex 2 cannot reach the sink",
+    ),
+)
+
+
+@pytest.mark.parametrize(("g", "message"), SMALLEST_FAILING)
+def test_validation_names_the_smallest_failing_vertex(g, message, tmp_path, capsys):
+    with pytest.raises(ValueError) as caught:
+        validate_dag(g)
+    assert str(caught.value) == message
+    rows = [f"{g.num_vertices} {len(g.edges)}", f"{g.source + 1} {g.sink + 1}"]
+    rows += [f"{e.tail + 1} {e.head + 1} {e.weight}" for e in g.edges]
+    path = tmp_path / "dag.txt"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["cut-solve", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cut_weight_path_dag():
