@@ -60,7 +60,7 @@ def measure(inst_path: str, weights_path: str, cap: int) -> dict:
     ms: dict[str, float] = {}
 
     def first_ideals(preds):
-        return list(islice(_proper_ideals(count, preds), cap + 1))
+        return list(islice(_proper_ideals(preds), cap + 1))
 
     def translate(q):
         return [_elements_to_matching(q, ideal) for ideal in ideals[:cap]]

@@ -281,7 +281,7 @@ def run(cfg: RunConfig) -> tuple[int, str]:
         return 0, _DISPATCH[cfg.subcommand](cfg)
     except ContractViolation as exc:
         return 2, f"error: {exc}"
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return 1, f"error: {exc}"
     except MemoryError:
         # Unbound, so leaving this clause frees the request's frames.

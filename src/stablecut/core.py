@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_N = 5000
 MAX_FRACTION_DIGITS = 9
@@ -35,15 +35,13 @@ class ContractViolation(RuntimeError):
     """An operation was invoked outside its documented contract."""
 
 
-def _rank_table(prefs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(prefs)
-    table = []
-    for row in prefs:
-        rank = [0] * n
-        for pos, other in enumerate(row):
-            rank[other] = pos
-        table.append(tuple(rank))
-    return tuple(table)
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation of 0..n-1: entry x is the position of
+    x in ``perm``."""
+    inverse = [0] * len(perm)
+    for pos, x in enumerate(perm):
+        inverse[x] = pos
+    return tuple(inverse)
 
 
 @dataclass(frozen=True)
@@ -78,12 +76,12 @@ class Instance:
     @cached_property
     def boy_rank(self) -> tuple[tuple[int, ...], ...]:
         """``boy_rank[b][g]`` is the position of g in b's list (0 = best)."""
-        return _rank_table(self.boy_prefs)
+        return tuple(map(_inverse, self.boy_prefs))
 
     @cached_property
     def girl_rank(self) -> tuple[tuple[int, ...], ...]:
         """``girl_rank[g][b]`` is the position of b in g's list (0 = best)."""
-        return _rank_table(self.girl_prefs)
+        return tuple(map(_inverse, self.girl_prefs))
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,7 @@ class Matching:
 
     @cached_property
     def partner_of_girl(self) -> tuple[int, ...]:
-        inverse = [0] * self.n
-        for boy, girl in enumerate(self.partner_of_boy):
-            inverse[girl] = boy
-        return tuple(inverse)
+        return _inverse(self.partner_of_boy)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         return iter(enumerate(self.partner_of_boy))
@@ -364,10 +359,7 @@ def gale_shapley(inst: Instance, proposing_side: str = "boys") -> Matching:
         else:
             free.append(proposer)
     if proposing_side == "boys":
-        partner = [0] * n
-        for girl, boy in enumerate(engaged_to):
-            partner[boy] = girl
-        return Matching(tuple(partner))
+        return Matching(_inverse(engaged_to))
     return Matching(tuple(engaged_to))
 
 

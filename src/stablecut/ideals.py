@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-def iter_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[frozenset[int]]:
-    """Yield every subset of 0..count-1 that contains all predecessors of
+def iter_ideals(preds: Sequence[frozenset[int]]) -> Iterator[frozenset[int]]:
+    """Yield every subset of 0..len(preds)-1 that contains all predecessors of
     each of its members, smallest subsets first and lexicographic within a
     size.  ``preds[i]`` are the direct predecessors of element i; the walk
     closes them transitively on its own.
@@ -26,10 +26,9 @@ def iter_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[frozens
     candidate list, so callers that only need a bounded prefix should stop
     consuming early.
     """
-    succs: list[list[int]] = [[] for _ in range(count)]
+    succs: list[list[int]] = [[] for _ in range(len(preds))]
     minimal = []
-    for element in range(count):
-        below = preds[element]
+    for element, below in enumerate(preds):
         for p in below:
             if not 0 <= p < element:
                 raise ValueError(f"element {element} has predecessor {p}, which is not smaller")
@@ -63,11 +62,11 @@ def _preds_from_edges(count: int, edges: Iterable[tuple[int, int]]) -> list[froz
     return [frozenset(p) for p in preds]
 
 
-def _proper_ideals(count: int, preds: Sequence[frozenset[int]]) -> Iterator[frozenset[int]]:
+def _proper_ideals(preds: Sequence[frozenset[int]]) -> Iterator[frozenset[int]]:
     """:func:`iter_ideals` without the empty and the full set.  When the
     poles are the unique minimum and maximum, these are exactly the
     ideals that hold the first pole and not the second."""
-    full = frozenset(range(count))
-    for ideal in iter_ideals(count, preds):
+    full = frozenset(range(len(preds)))
+    for ideal in iter_ideals(preds):
         if ideal and ideal != full:
             yield ideal

@@ -110,10 +110,3 @@ def heaviest_ideal_cuts(g: WeightedDag) -> tuple[list[frozenset[int]], int]:
     best = max(wt for wt, _ in weighed)
     return [c for wt, c in weighed if wt == best], best
 
-
-def brute_max_weight_cut(g: WeightedDag) -> tuple[frozenset[int], int]:
-    """Heaviest ideal cut by exhaustion.  Ties go to the smallest source
-    side, then lexicographic: the first heaviest in ``all_ideal_cuts``
-    order."""
-    cuts, best = heaviest_ideal_cuts(g)
-    return cuts[0], best

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .core import ContractViolation, Instance, Matching, WeightFunction, matching_weight
+from .core import ContractViolation, Instance, Matching, WeightFunction, _inverse, matching_weight
 from .idealcut import Edge, WeightedDag, condense, max_weight_ideal_cut, min_flow
 from .ideals import _preds_from_edges, _proper_ideals
 from .reduction import build_reduction, cut_to_matching
@@ -95,7 +95,7 @@ def meta_rotation_poset(inst: Instance, w: WeightFunction) -> MetaRotationPoset:
             if not waiting[j]:
                 heappush(heap, ready(j))
     order.append(last)
-    number = {old: new for new, old in enumerate(order)}
+    number = _inverse(order)
     edges = frozenset((number[a], number[b]) for a, b in edges)
     return MetaRotationPoset(
         poset=poset,
@@ -162,7 +162,7 @@ def enumerate_max_matchings(p: MetaRotationPoset, cap: int) -> tuple[list[Matchi
         raise ValueError("cap must be at least 1")
     out: list[Matching] = []
     truncated = False
-    for ideal in _proper_ideals(len(p.rotation_sets), p.preds):
+    for ideal in _proper_ideals(p.preds):
         if len(out) == cap:
             truncated = True
             break

@@ -151,7 +151,7 @@ def ideal_cuts(g: WeightedDag) -> Iterator[frozenset[int]]:
     of its vertex order.  The walker raises ValueError on an edge that
     runs downwards."""
     preds = _preds_from_edges(g.num_vertices, ((e.tail, e.head) for e in g.edges))
-    return _proper_ideals(g.num_vertices, preds)
+    return _proper_ideals(preds)
 
 
 def max_cut_sides(
@@ -164,7 +164,7 @@ def max_cut_sides(
     last."""
     components, edges = condensed
     count = len(components)
-    for ideal in _proper_ideals(count, _preds_from_edges(count, edges)):
+    for ideal in _proper_ideals(_preds_from_edges(count, edges)):
         assert 0 in ideal and count - 1 not in ideal
         yield frozenset(v for ci in ideal for v in components[ci])
 

@@ -168,7 +168,7 @@ def test_criterion_02_closed_sets_biject_with_stable_matchings(
 ):
     bad = 0
     for stables, poset in zip(stable_sets, posets):
-        closed = list(iter_ideals(len(poset.rotations), poset.preds))
+        closed = list(iter_ideals(poset.preds))
         generated = {
             closed_set_to_matching(poset, s).partner_of_boy for s in closed
         }

@@ -75,12 +75,12 @@ class CountingPreds(Sequence):
 
 
 def test_empty_poset_yields_only_the_empty_set():
-    assert list(iter_ideals(0, [])) == [frozenset()]
+    assert list(iter_ideals([])) == [frozenset()]
 
 
 def test_chain_yields_exactly_the_prefixes():
     preds = [frozenset(), frozenset({0}), frozenset({1})]
-    assert list(iter_ideals(3, preds)) == [
+    assert list(iter_ideals(preds)) == [
         frozenset(),
         frozenset({0}),
         frozenset({0, 1}),
@@ -90,7 +90,7 @@ def test_chain_yields_exactly_the_prefixes():
 
 def test_antichain_yields_every_subset():
     preds = [frozenset()] * 3
-    ideals = list(iter_ideals(3, preds))
+    ideals = list(iter_ideals(preds))
     assert len(ideals) == 8
     assert len(set(ideals)) == 8
 
@@ -98,7 +98,7 @@ def test_antichain_yields_every_subset():
 def test_vee_shape_order_and_content():
     # 0 and 1 are minimal, 2 needs both
     preds = [frozenset(), frozenset(), frozenset({0, 1})]
-    assert list(iter_ideals(3, preds)) == [
+    assert list(iter_ideals(preds)) == [
         frozenset(),
         frozenset({0}),
         frozenset({1}),
@@ -109,7 +109,7 @@ def test_vee_shape_order_and_content():
 
 def test_prefix_consumption_stops_early():
     preds = [frozenset()] * 12
-    first = list(islice(iter_ideals(12, preds), 5))
+    first = list(islice(iter_ideals(preds), 5))
     assert first[0] == frozenset()
     assert all(len(c) <= 2 for c in first)
 
@@ -119,7 +119,7 @@ def test_first_size_two_ideal_streams_out_of_a_wide_antichain():
     # lookups) before yielding the first; building each ideal from its
     # parent and yielding it at once needs one pass per level.
     preds = CountingPreds([frozenset()] * 2000)
-    first = next(c for c in iter_ideals(2000, preds) if len(c) == 2)
+    first = next(c for c in iter_ideals(preds) if len(c) == 2)
     assert first == frozenset({0, 1})
     assert preds.lookups < 10_000
 
@@ -130,7 +130,7 @@ def test_a_wide_antichain_shares_its_candidate_lists():
     # these 30 000 ideals, where sharing peaks at 9 MB.
     tracemalloc.start()
     try:
-        assert sum(1 for _ in islice(iter_ideals(2000, [frozenset()] * 2000), 30_000)) == 30_000
+        assert sum(1 for _ in islice(iter_ideals([frozenset()] * 2000), 30_000)) == 30_000
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -143,7 +143,7 @@ def test_a_wide_antichain_shares_its_candidate_lists():
 )
 def test_rejects_a_predecessor_without_a_smaller_id(preds):
     with pytest.raises(ValueError, match="is not smaller"):
-        list(iter_ideals(len(preds), preds))
+        list(iter_ideals(preds))
 
 
 def test_iterate_ideal_cuts_rejects_an_edge_to_a_lower_id():
@@ -166,7 +166,7 @@ def random_posets(draw):
 @given(random_posets())
 def test_yields_exactly_the_closed_subsets(poset):
     count, preds = poset
-    ideals = list(iter_ideals(count, preds))
+    ideals = list(iter_ideals(preds))
 
     def closed(subset):
         return all(preds[e] <= subset for e in subset)
@@ -192,14 +192,14 @@ def test_matches_the_referee_on_seeded_random_posets():
         preds = [
             frozenset(j for j in range(i) if rng.random() < density) for i in range(count)
         ]
-        assert list(iter_ideals(count, preds)) == list(referee_ideals(count, preds))
+        assert list(iter_ideals(preds)) == list(referee_ideals(count, preds))
 
 
 @pytest.mark.parametrize("family,n", FAMILIES)
 def test_all_closed_sets_match_the_referee(family, n):
     poset = build_poset(family_instance(family, n))
     count = len(poset.rotations)
-    assert list(islice(iter_ideals(count, poset.preds), CAP + 1)) == list(
+    assert list(islice(iter_ideals(poset.preds), CAP + 1)) == list(
         islice(referee_ideals(count, poset.preds), CAP + 1)
     )
 
@@ -278,7 +278,7 @@ def test_subset_checks_on_seeded_posets():
     found = {}
     for key, preds in posets.items():
         counted, tally = counted_preds(preds)
-        yields = sum(1 for _ in islice(iter_ideals(len(counted), counted), 5002))
+        yields = sum(1 for _ in islice(iter_ideals(counted), 5002))
         assert yields == 5002
         found[key] = tally[0]
         # Each ideal checks only the successors of the element it added.

@@ -25,7 +25,6 @@ from stablecut import (
     WeightFunction,
     all_ideal_cuts,
     all_stable_matchings,
-    brute_max_weight_cut,
     brute_max_weight_matching,
     build_poset,
     check_ideal_cut,
@@ -33,8 +32,9 @@ from stablecut import (
     dominates,
     is_stable,
     matching_weight,
+    max_weight_ideal_cut,
 )
-from stablecut.oracle import _optimal_pole, heaviest_stable_matchings
+from stablecut.oracle import _optimal_pole, heaviest_ideal_cuts, heaviest_stable_matchings
 
 
 def test_all_stable_matchings_two_by_two():
@@ -120,22 +120,27 @@ def test_oracle_refuses_large_graphs():
 
 
 def test_brute_cut_fixtures():
-    cut, weight = brute_max_weight_cut(path_dag())
-    assert (cut, weight) == (frozenset({0}), 5)
-    cut, weight = brute_max_weight_cut(diamond_dag())
-    assert (cut, weight) == (frozenset({0, 1}), 7)
+    for g, first, weight in (
+        (path_dag(), frozenset({0}), 5),
+        (diamond_dag(), frozenset({0, 1}), 7),
+    ):
+        cuts, best = heaviest_ideal_cuts(g)
+        assert (cuts[0], best) == (first, weight)
+        assert cuts[-1] == max_weight_ideal_cut(g)[0]
 
 
 def test_brute_cut_single_negative_edge():
     g = WeightedDag(2, 0, 1, (Edge(0, 1, -3),))
-    cut, weight = brute_max_weight_cut(g)
-    assert (cut, weight) == (frozenset({0}), -3)
+    assert heaviest_ideal_cuts(g) == ([frozenset({0})], -3)
 
 
 def test_brute_cut_tie_prefers_small_source_side():
+    """The heaviest cuts are listed from the smallest source side; the
+    flow path takes the last, the largest."""
     g = WeightedDag(3, 0, 2, (Edge(0, 1, 2), Edge(1, 2, 2)))
-    cut, weight = brute_max_weight_cut(g)
-    assert (cut, weight) == (frozenset({0}), 2)
+    cuts, weight = heaviest_ideal_cuts(g)
+    assert (cuts, weight) == ([frozenset({0}), frozenset({0, 1})], 2)
+    assert max_weight_ideal_cut(g) == (cuts[-1], weight)
 
 
 def test_oracle_matchings_are_stable():

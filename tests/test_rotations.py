@@ -470,7 +470,7 @@ def test_closed_set_to_matching_rejects_bad_id():
 
 
 def closed_sets(poset):
-    return list(iter_ideals(len(poset.rotations), poset.preds))
+    return list(iter_ideals(poset.preds))
 
 
 def test_all_closed_sets_two_by_two():

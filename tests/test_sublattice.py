@@ -329,7 +329,7 @@ def test_listing_matches_a_referee_walk_from_a_fresh_boy_optimum():
     for inst, w in listing_cases():
         p = meta_rotation_poset(inst, w)
         ms, _ = enumerate_max_matchings(p, 50)
-        ideals = list(islice(_proper_ideals(len(p.rotation_sets), p.preds), len(ms)))
+        ideals = list(islice(_proper_ideals(p.preds), len(ms)))
         for m, ideal in zip(ms, ideals):
             closed = set().union(*(p.rotation_sets[i] for i in ideal))
             assert m.partner_of_boy == referee_walk(inst, p.poset, closed)
