@@ -25,14 +25,13 @@ Usage:
 import argparse
 import json
 import random
-import subprocess
 import sys
 import tempfile
 from itertools import islice
 from pathlib import Path
 
 from flow_ladder import _collector_cost, _cpu_key, _timed
-from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
+from parse_scale import _peak_rss_mb, run_child  # importing it puts this checkout's src first
 
 
 def _counted(preds: list[frozenset[int]]) -> tuple[list[frozenset[int]], list[int]]:
@@ -117,13 +116,7 @@ def main(argv: list[str] | None = None) -> None:
             boys, girls = families.relabel(rng, *families.doubling_prefs(n))
             families.write_instance(inst_path, boys, girls)
             families.write_weights(weights_path, families.zero_weights(n), 0)
-            child = subprocess.run(
-                [sys.executable, __file__, "--child", str(inst_path), str(weights_path), str(args.cap)],
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            print(child.stdout.strip(), flush=True)
+            run_child(__file__, inst_path, weights_path, args.cap)
 
 
 if __name__ == "__main__":

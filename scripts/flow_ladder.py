@@ -34,12 +34,11 @@ import argparse
 import gc
 import json
 import random
-import subprocess
 import sys
 from contextlib import contextmanager
 from time import perf_counter, process_time
 
-from parse_scale import _peak_rss_mb  # importing it puts this checkout's src first
+from parse_scale import _peak_rss_mb, run_child  # importing it puts this checkout's src first
 
 
 def _timed(fn, into: dict, key: str):
@@ -159,13 +158,7 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     for family, sizes in (("doubling", args.doubling), ("cyclic", args.cyclic)):
         for n in sizes:
-            child = subprocess.run(
-                [sys.executable, __file__, "--child", family, str(n), str(args.seed)],
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            print(child.stdout.strip(), flush=True)
+            run_child(__file__, family, n, args.seed)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,18 @@ def _peak_rss_mb() -> float:
     raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
+def run_child(script: str, *args: object) -> None:
+    """Run ``script --child args`` in a fresh interpreter and print the
+    JSON line it prints."""
+    child = subprocess.run(
+        [sys.executable, script, "--child", *map(str, args)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    print(child.stdout.strip(), flush=True)
+
+
 def measure(inst_path: str, weights_path: str) -> dict:
     """Parse both files once in this process; times in ms, memory in MB."""
     from stablecut.core import parse_instance, parse_weights
@@ -79,13 +91,7 @@ def main(argv: list[str] | None = None) -> None:
             table = families.random_weights(rng, n, -1000, 1000, DIGITS)
             families.write_weights(weights_path, table, DIGITS)
             del table
-            child = subprocess.run(
-                [sys.executable, __file__, "--child", str(inst_path), str(weights_path)],
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            print(child.stdout.strip(), flush=True)
+            run_child(__file__, inst_path, weights_path)
             inst_path.unlink()
             weights_path.unlink()
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
+from operator import getitem
+from typing import Iterable, Sequence
 
 MAX_N = 5000
 MAX_FRACTION_DIGITS = 9
@@ -102,9 +103,6 @@ class Matching:
     @cached_property
     def partner_of_girl(self) -> tuple[int, ...]:
         return _inverse(self.partner_of_boy)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(enumerate(self.partner_of_boy))
 
 
 def _check_scale(scale: int) -> None:
@@ -383,7 +381,7 @@ def is_stable(inst: Instance, m: Matching) -> bool:
 def matching_weight(m: Matching, w: WeightFunction) -> int:
     """Total scaled weight of the matched pairs.  Exact for any instance
     size: entries are 64-bit bounded and Python integers never wrap."""
-    return sum(w.table[b][g] for b, g in m.pairs())
+    return sum(map(getitem, w.table, m.partner_of_boy))
 
 
 def meet(m1: Matching, m2: Matching, inst: Instance) -> Matching:

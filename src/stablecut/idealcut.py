@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import ContractViolation, ParseError, _check_scale, _content_lines, _parse_decimal
 from .core import _scale_rows
@@ -211,25 +211,22 @@ def feasible_flow(g: WeightedDag) -> Flow:
     order = validate_dag(g)
     edges = g.edges
     flow = [max(e.weight, 0) for e in edges]
-    surplus = [0] * g.num_vertices  # inflow minus outflow
-    for e, f in zip(edges, flow):
-        surplus[e.head] += f
-        surplus[e.tail] -= f
+    net = _net_outflow(g, flow)
     source, sink = g.source, g.sink
     in_edges, out_edges = g.in_edges, g.out_edges
     for v in reversed(order):
-        short = surplus[v]
-        if short < 0 and v != source:
+        short = net[v]
+        if short > 0 and v != source:
             i = in_edges[v][0]
-            flow[i] -= short
-            surplus[v] = 0
-            surplus[edges[i].tail] += short
+            flow[i] += short
+            net[v] = 0
+            net[edges[i].tail] += short
     for v in order:
-        extra = surplus[v]
+        extra = -net[v]
         if extra > 0 and v != sink:
             i = out_edges[v][0]
             flow[i] += extra
-            surplus[edges[i].head] += extra
+            net[edges[i].head] -= extra
     for f, e in zip(flow, edges):
         if f < e.weight:
             raise ContractViolation("constructed flow misses a lower bound")
@@ -254,14 +251,21 @@ def residual(g: WeightedDag, f: Flow) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(lst) for lst in heads)
 
 
+def _net_outflow(g: WeightedDag, amounts: Iterable[int]) -> list[int]:
+    """Each vertex's outgoing amount less its incoming amount, where
+    ``amounts`` gives one amount per edge, in edge order."""
+    net = [0] * g.num_vertices
+    for (tail, head, _), x in zip(g.edges, amounts):
+        net[tail] += x
+        net[head] -= x
+    return net
+
+
 def _assert_conservation(g: WeightedDag, flow: Sequence[int]) -> int:
     """Check that every vertex but the poles passes on what it receives,
     naming the first that does not; return the source's net outflow, the
-    flow value.  One pass over the edges sums every vertex's net outflow."""
-    net = [0] * g.num_vertices
-    for (tail, head, _), f in zip(g.edges, flow):
-        net[tail] += f
-        net[head] -= f
+    flow value."""
+    net = _net_outflow(g, flow)
     value = net[g.source]
     net[g.source] = net[g.sink] = 0
     for v, x in enumerate(net):

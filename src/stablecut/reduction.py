@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import ContractViolation, Instance, Matching, WeightFunction, gale_shapley, matching_weight
-from .idealcut import Edge, WeightedDag, check_ideal_cut, max_weight_ideal_cut
+from .idealcut import Edge, WeightedDag, _net_outflow, check_ideal_cut, max_weight_ideal_cut
 from .rotations import RotationPoset, build_poset, closed_set_to_matching
 
 
@@ -128,10 +128,7 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
 
     edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
     dag = WeightedDag(k + 2, source, sink, edges, w.scale)
-    net = [0] * (k + 2)  # out-weight less in-weight
-    for tail, head, wt in dag.edges:
-        net[tail] += wt
-        net[head] -= wt
+    net = _net_outflow(dag, (e.weight for e in dag.edges))
     if net[source] + base_weight != matching_weight(m0, w):
         raise ContractViolation("the cut {source} does not weigh the boy-optimal matching")
     for v in range(1, sink):

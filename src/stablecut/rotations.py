@@ -8,8 +8,9 @@ stable matchings, which is what every solver in this package builds on.
 One elimination walk from the boy-optimal matching to the girl-optimal
 one (:func:`_walk`) discovers the rotations and records each precedence
 arc as it eliminates the rotation at its head, so the poset takes one pass
-over the pairs.  :func:`closed_set_to_matching` eliminates a closed set,
-checking that each rotation is exposed when its turn comes.
+over the pairs; :func:`build_poset` is its one caller.
+:func:`closed_set_to_matching` eliminates a closed set, checking that each
+rotation is exposed when its turn comes.
 """
 
 from __future__ import annotations
@@ -218,20 +219,18 @@ def _walk(inst: Instance, top: Matching, bottom: Matching, floor: Matching) -> W
 
 
 def enumerate_rotations(inst: Instance) -> list[tuple[Pair, ...]]:
-    """Discover every rotation of the instance, each as its cycle of
-    (boy, girl) pairs rotated so its smallest boy comes first, in
-    elimination order: the rotations of :func:`_walk` from the
-    boy-optimal matching to the girl-optimal one."""
-    top = gale_shapley(inst, "boys")
-    return _walk(inst, top, gale_shapley(inst, "girls"), top)[0]
+    """Every rotation of the instance, each as its cycle of (boy, girl)
+    pairs rotated so its smallest boy comes first, in elimination order:
+    :func:`build_poset`'s rotations as a list, with the same checks."""
+    return list(build_poset(inst).rotations)
 
 
 def build_poset(inst: Instance) -> RotationPoset:
     """The rotations and precedence arcs of one :func:`_walk` from the
     boy-optimal matching to the girl-optimal one.  The girls' rises start
-    from a boy-optimal run of this function's own, so a walk that starts
-    anywhere else fails the rise check.  Raises ContractViolation unless
-    every arc runs from a lower id to a higher one."""
+    from a second boy-optimal run, so a wrong start that lifted a girl the
+    walk then skips fails a check; not every wrong start does.  Raises
+    ContractViolation unless every arc runs from a lower id to a higher one."""
     rotations, edges, _ = _walk(
         inst, gale_shapley(inst, "boys"), gale_shapley(inst, "girls"), gale_shapley(inst, "boys")
     )

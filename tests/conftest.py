@@ -183,8 +183,8 @@ def relabelled(walked: rotations.Walk, order: list[int]) -> rotations.Walk:
 
 @pytest.fixture
 def reversed_rotation_ids(monkeypatch):
-    """Make the rotation walk number rotations last-seen first, for
-    ``enumerate_rotations`` and ``build_poset`` alike."""
+    """Make ``build_poset``'s rotation walk, which ``enumerate_rotations``
+    reaches through it, number rotations last-seen first."""
     real = rotations._walk
 
     def reversed_walk(*args):

@@ -34,10 +34,12 @@ def test_every_public_import_is_exported():
 
 
 def test_every_import_is_used():
-    """Every name a module binds by a top-level import is read somewhere
-    in that module; ``__init__.py`` imports in order to re-export."""
+    """Every name a module or script binds by a top-level import is read
+    somewhere in that file; ``__init__.py`` imports in order to re-export."""
     unused = []
-    for path in sorted(Path(stablecut.__file__).parent.glob("*.py")):
+    package = Path(stablecut.__file__).parent
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for path in sorted(package.glob("*.py")) + sorted(scripts.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -53,5 +55,5 @@ def test_every_import_is_used():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
-                        unused.append(f"{path.name}:{node.lineno} {name}")
+                        unused.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
     assert unused == []

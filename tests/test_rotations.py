@@ -147,6 +147,28 @@ def test_end_check_finds_a_rotation_exposed_in_the_last_matching(monkeypatch):
     assert enumerate_rotations(identity_three()) == []
 
 
+def test_a_walk_from_a_wrong_start_fails_against_the_boy_optimal_floor(monkeypatch):
+    # The stable matching (1,4,2,3) is not boy-optimal.  A walk from it
+    # skips girl 2 for boy 1, whom she ranks above her boy-optimal
+    # partner, yet no rotation the walk recorded has lifted her.
+    inst = Instance(
+        ((0, 2, 1, 3), (3, 2, 0, 1), (2, 1, 3, 0), (0, 1, 2, 3)),
+        ((1, 2, 0, 3), (2, 1, 0, 3), (3, 2, 0, 1), (0, 1, 3, 2)),
+    )
+    real = rotations.gale_shapley
+    for discover in (enumerate_rotations, build_poset):
+        wrong = [Matching((0, 3, 1, 2))]
+
+        def first_boys_run_is_wrong(inst, side="boys"):
+            return wrong.pop() if side == "boys" and wrong else real(inst, side)
+
+        monkeypatch.setattr(rotations, "gale_shapley", first_boys_run_is_wrong)
+        with pytest.raises(
+            ContractViolation, match="^girl 2 never crosses boy 1 yet a rotation skips her$"
+        ):
+            discover(inst)
+
+
 def test_walk_rejects_more_rotations_than_the_bound(monkeypatch):
     monkeypatch.setattr(rotations, "rotation_count_limit", lambda n: 0)
     with pytest.raises(ContractViolation, match=r"rotation count exceeds the n\(n-1\)/2 bound"):
@@ -255,7 +277,7 @@ def test_random_rotations_match_the_rescan_referee():
 
 
 def successor_probes(inst: Instance) -> int:
-    """The successor probes of the walk that enumerate_rotations runs."""
+    """The successor probes of the walk that build_poset runs."""
     top = gale_shapley(inst, "boys")
     return rotations._walk(inst, top, gale_shapley(inst, "girls"), top)[2]
 
@@ -367,10 +389,11 @@ def test_build_poset_arcs_do_not_follow_the_rotation_ids(shuffled_rotation_ids):
 def test_build_poset_rejects_arcs_against_rotation_ids(reversed_rotation_ids):
     # Reversed, branch_four's arcs (0, 1) and (0, 2) become (2, 1) and
     # (2, 0), acyclic but against increasing id.
-    with pytest.raises(
-        ContractViolation, match=r"precedence arc \(2, (0|1)\) does not follow rotation ids"
-    ):
-        build_poset(branch_four())
+    for discover in (enumerate_rotations, build_poset):
+        with pytest.raises(
+            ContractViolation, match=r"precedence arc \(2, (0|1)\) does not follow rotation ids"
+        ):
+            discover(branch_four())
 
 
 def test_build_poset_rejects_hand_off_arcs_against_rotation_ids(monkeypatch):
