@@ -3,23 +3,26 @@
 For each family and n, one child process imports stablecut, draws a
 relabelled instance of the family (``bench/families.py``) with -9..9
 integer weights, seeded by (family, n, seed), and runs ``build_poset``,
-``build_reduction`` and ``max_weight_ideal_cut`` once each.  Inside the
+``build_reduction`` and ``max_weight_ideal_cut`` once each, the cut from
+the reduction's boys'-path start as the solvers run it.  Inside the
 poset it times the rotation walk (``rotations._walk``: rotation
 discovery and precedence arcs) and reads the successor probes the walk
-counts; inside the cut it times ``min_flow`` and the ``feasible_flow``
-that ``min_flow`` starts from, and counts the flow's phases (its level
-searches).  One JSON line per n gives the rotation count and the
-rotations' total size in pairs, the cut graph's V and E, each
-stage's wall time in ms (``rotations_ms`` is part of ``build_poset_ms``,
-``min_flow_ms`` includes ``feasible_flow_ms``, and ``cut_ms`` includes
-``min_flow_ms``) and next to it, as ``<stage>_cpu_ms``, the process's
-CPU time in the stage, which other load on a shared machine disturbs
-less than wall time; then the probes (at most twice the rotation pairs
-plus the rotations), the phases, the feasible start's
-value, the minimum flow's value, the child's peak RSS during the
-solve, and ``gc_collections`` and ``gc_ms``: the cyclic garbage
-collector's passes during the three stages and their wall time in ms
-(part of the stage times), read through ``gc.callbacks``.  The stages
+counts; inside the cut it times ``min_flow`` and counts the flow's
+phases (its level searches).  After the solve it times one
+``feasible_flow`` on the same graph, the start that ``cut-solve`` and a
+bare ``min_flow(g)`` take, for its value.  One JSON line per n gives the
+rotation count and the rotations' total size in pairs, the cut graph's
+V and E, each stage's wall time in ms (``rotations_ms`` is part of
+``build_poset_ms``, ``cut_ms`` includes ``min_flow_ms``, and
+``feasible_flow_ms`` is part of neither) and next to it, as
+``<stage>_cpu_ms``, the process's CPU time in the stage, which other
+load on a shared machine disturbs less than wall time; then the probes
+(at most twice the rotation pairs plus the rotations), the phases, the
+boys'-path start's value (``start_value``), the first-edge start's
+(``feasible_value``), the minimum flow's value, the child's peak RSS
+during the solve, and ``gc_collections`` and ``gc_ms``: the cyclic
+garbage collector's passes during the three stages and their wall time
+in ms (part of the stage times), read through ``gc.callbacks``.  The stages
 run with the collector on, as a library caller runs them; ``stablecut``'s
 command line pauses it for each request.  Linux only: the peak is read
 from ``/proc/self/status``.
@@ -97,21 +100,14 @@ def measure(family: str, n: int, seed: int) -> dict:
     del prefs, boys, girls
 
     ms: dict[str, float] = {}
-    flows: dict[str, int] = {}
     phases = [0]
-    feasible, minimum, levels = idealcut.feasible_flow, idealcut.min_flow, idealcut._source_levels
-
-    def feasible_counted(g):
-        f = feasible(g)
-        flows["feasible_value"] = f.value
-        return f
+    levels = idealcut._source_levels
 
     def levels_counted(*args):
         phases[0] += 1
         return levels(*args)
 
-    idealcut.feasible_flow = _timed(feasible_counted, ms, "feasible_flow_ms")
-    idealcut.min_flow = _timed(minimum, ms, "min_flow_ms")
+    idealcut.min_flow = _timed(idealcut.min_flow, ms, "min_flow_ms")
     idealcut._source_levels = levels_counted
     probes: list[int] = []
     walk = _timed(rotations._walk, ms, "rotations_ms")
@@ -126,8 +122,11 @@ def measure(family: str, n: int, seed: int) -> dict:
     with _collector_cost() as collector:
         poset = _timed(build_poset, ms, "build_poset_ms")(inst)
         art = _timed(build_reduction, ms, "build_reduction_ms")(poset, w)
-        _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag)
+        _, weight = _timed(idealcut.max_weight_ideal_cut, ms, "cut_ms")(art.dag, art.start)
     peak_rss_mb = _peak_rss_mb()
+    dag = art.dag
+    start_value = sum(art.start[i] for i in dag.out_edges[dag.source])
+    feasible_value = _timed(idealcut.feasible_flow, ms, "feasible_flow_ms")(dag).value
     return {
         "family": family,
         "n": n,
@@ -142,7 +141,8 @@ def measure(family: str, n: int, seed: int) -> dict:
         "probes": probes[0],
         # The last level search finds that the sink cannot reach the source.
         "phases": phases[0],
-        "feasible_value": flows["feasible_value"],
+        "start_value": start_value,
+        "feasible_value": feasible_value,
         "min_value": weight,
         "peak_rss_mb": round(peak_rss_mb, 1),
         "gc_collections": collector["gc_collections"],

@@ -9,7 +9,7 @@ from then on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import getitem
 from typing import Iterable, Sequence
@@ -36,11 +36,18 @@ class ContractViolation(RuntimeError):
     """An operation was invoked outside its documented contract."""
 
 
-def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+def _inverse(perm: Sequence[int], positions: Sequence[int] | None = None) -> tuple[int, ...]:
     """The inverse of a permutation of 0..n-1: entry x is the position of
-    x in ``perm``."""
-    inverse = [0] * len(perm)
-    for pos, x in enumerate(perm):
+    x in ``perm``.  ``positions`` is ``tuple(range(n))``, which callers
+    that invert many rows share, so the rows share its int objects too.
+
+    Any other row raises IndexError or TypeError at an entry that is no
+    index, or leaves -1 in a slot that no entry names; a negative entry
+    is read as counting from the end."""
+    if positions is None:
+        positions = range(len(perm))
+    inverse = [-1] * len(perm)
+    for pos, x in zip(positions, perm):
         inverse[x] = pos
     return tuple(inverse)
 
@@ -50,11 +57,15 @@ class Instance:
     """A complete preference profile: one strict ranking per boy and girl.
 
     ``boy_prefs[b]`` lists girl ids most preferred first; ``girl_prefs[g]``
-    lists boy ids the same way.
+    lists boy ids the same way.  ``boy_rank[b][g]`` is the position of g
+    in b's list (0 = best) and ``girl_rank[g][b]`` the position of b in
+    g's; building them is what checks each row as a permutation.
     """
 
     boy_prefs: tuple[tuple[int, ...], ...]
     girl_prefs: tuple[tuple[int, ...], ...]
+    boy_rank: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    girl_rank: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.boy_prefs)
@@ -62,27 +73,27 @@ class Instance:
             raise ValueError("instance needs at least one boy")
         if len(self.girl_prefs) != n:
             raise ValueError("boy and girl sides must have the same size")
-        expected = set(range(n))
+        positions = tuple(range(n))
         for side, rows in (("boy", self.boy_prefs), ("girl", self.girl_prefs)):
+            ranks = []
             for i, row in enumerate(rows):
-                if len(row) != n or set(row) != expected:
+                # A row of n ids that fills every slot of its inverse and
+                # holds no negative id, which would alias one from the end,
+                # is a permutation of 0..n-1.
+                try:
+                    rank = _inverse(row, positions) if len(row) == n and min(row) >= 0 else None
+                except (IndexError, TypeError):
+                    rank = None
+                if rank is None or -1 in rank:
                     raise ValueError(
                         f"{side} {i + 1}: preference row is not a permutation of 1..{n}"
                     )
+                ranks.append(rank)
+            object.__setattr__(self, f"{side}_rank", tuple(ranks))
 
     @property
     def n(self) -> int:
         return len(self.boy_prefs)
-
-    @cached_property
-    def boy_rank(self) -> tuple[tuple[int, ...], ...]:
-        """``boy_rank[b][g]`` is the position of g in b's list (0 = best)."""
-        return tuple(map(_inverse, self.boy_prefs))
-
-    @cached_property
-    def girl_rank(self) -> tuple[tuple[int, ...], ...]:
-        """``girl_rank[g][b]`` is the position of b in g's list (0 = best)."""
-        return tuple(map(_inverse, self.girl_prefs))
 
 
 @dataclass(frozen=True)
@@ -259,17 +270,26 @@ def _scale_rows(
 ) -> tuple[list[tuple[int, ...]], int]:
     """Bring rows of unscaled integers, each tagged with its line number
     and fraction length, to one power-of-ten scale chosen from the longest
-    fraction.  Returns the scaled rows and the scale."""
+    fraction.  Returns the scaled rows and the scale; the caller checks
+    their range, with :func:`_check_scaled_range` naming the line."""
     digits = max((d for _, d, _ in rows), default=0)
     scaled_rows = []
-    for lineno, d, row in rows:
+    for _, d, row in rows:
         if d < digits:
             factor = 10 ** (digits - d)
             row = tuple([value * factor for value in row])
-        if not _fits_entry_range(row):
-            raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
         scaled_rows.append(row)
     return scaled_rows, 10**digits
+
+
+def _check_scaled_range(
+    rows: list[tuple[int, int, tuple[int, ...]]], scaled_rows: list[tuple[int, ...]]
+) -> None:
+    """Raise ParseError at the line of the first of :func:`_scale_rows`'s
+    results that leaves the 64-bit entry range."""
+    for (lineno, _, _), row in zip(rows, scaled_rows):
+        if not _fits_entry_range(row):
+            raise ParseError(f"line {lineno}: weight exceeds the 64-bit range after scaling")
 
 
 def _uniform_weight_row(line: str, n: int) -> tuple[int, tuple[int, ...]] | None:
@@ -312,7 +332,13 @@ def parse_weights(text: str, n: int) -> WeightFunction:
         digits, values = _uniform_weight_row(line, n) or _weight_row(lineno, line, n)
         rows.append((lineno, digits, values))
     table, scale = _scale_rows(rows)
-    return WeightFunction(tuple(table), scale)
+    # WeightFunction checks each row's range; only a row that fails is
+    # looked up again, for its line number.
+    try:
+        return WeightFunction(tuple(table), scale)
+    except ValueError:
+        _check_scaled_range(rows, table)
+        raise
 
 
 def format_scaled(value: int, scale: int) -> str:

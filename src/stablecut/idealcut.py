@@ -7,9 +7,15 @@ at least w(e) units on every edge e (weights may be negative), and the
 strongly connected components of the optimal flow's residual graph encode
 every maximum cut at once.
 
-The minimum flow is found by blocking flows from a feasible start built
-in two linear passes over the topological order that validation finds,
-along each vertex's first in-edge and first out-edge.  In the residual
+The minimum flow is found by blocking flows from a feasible start.  A
+caller that holds one passes it in; ``solve_max_weight`` and
+``meta_rotation_poset`` pass the boys'-path start that
+``reduction.build_reduction`` sums as it replays the rotations (each
+moved boy sends his largest varying-pair weight, or 0, along his pairs'
+edges), which lies within about 1.6x of the minimum on the doubling
+family.  Otherwise :func:`feasible_flow` builds one in two linear passes
+over the topological order that validation finds, along each vertex's
+first in-edge and first out-edge.  In the residual
 graph every edge can take more flow forwards, and an edge carrying more
 than its weight can also give that slack back; the engine keeps the
 flow as one slack array, flow minus weight.  Each phase labels vertices with
@@ -37,8 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import ContractViolation, ParseError, _check_scale, _content_lines, _parse_decimal
-from .core import _scale_rows
+from .core import ContractViolation, ParseError, _check_scale, _check_scaled_range, _content_lines
+from .core import _parse_decimal, _scale_rows
 
 
 class Edge(NamedTuple):
@@ -312,10 +318,32 @@ def _source_levels(
     return level
 
 
-def min_flow(g: WeightedDag) -> Flow:
+def _check_start(g: WeightedDag, start: Sequence[int]) -> int:
+    """Raise ContractViolation unless ``start`` gives every edge a flow at
+    or above its weight, naming the first edge it does not; return its
+    value, the source's net outflow.  Conservation is left to the check
+    on :func:`min_flow`'s result: an augmenting path changes no balance
+    but the poles', so it fails at the same first vertex there."""
+    if len(start) != len(g.edges):
+        raise ContractViolation("start flow does not give one value per edge")
+    for f, e in zip(start, g.edges):
+        if f < e.weight:
+            raise ContractViolation(
+                f"start flow misses the lower bound of edge ({e.tail + 1}, {e.head + 1})"
+            )
+    out_sum = sum(start[i] for i in g.out_edges[g.source])
+    return out_sum - sum(start[i] for i in g.in_edges[g.source])
+
+
+def min_flow(g: WeightedDag, start: Sequence[int] | None = None) -> Flow:
     """Minimum-value flow subject to f(e) >= w(e) on every edge.
 
-    Starts from :func:`feasible_flow` and pushes flow from the sink back
+    Starts from ``start``, one flow value per edge, such as the boys'-path
+    start of ``reduction.ReductionArtifacts``, or else from
+    :func:`feasible_flow`.  The graph is validated once either way.  A
+    start that misses a lower bound raises ContractViolation before any
+    push, and one that is not conserved fails the result's conservation
+    check.  From there it pushes flow from the sink back
     to the source by blocking flows (Dinic's phases in the minimum-flow
     form of Ciurea and Ciupala).  The flow is kept as one slack array,
     f(e) - w(e), and comes out as w(e) plus the final slack.  The residual
@@ -335,11 +363,16 @@ def min_flow(g: WeightedDag) -> Flow:
     reaches in the residual graph and the residual components with the
     order between them, which are the same for every minimum flow.
     """
-    base = feasible_flow(g)
+    if start is None:
+        base = feasible_flow(g)
+        start, start_value = base.edge_flow, base.value
+    else:
+        validate_dag(g)
+        start_value = _check_start(g, start)
     source, sink = g.source, g.sink
     tails = [e.tail for e in g.edges]
     heads = [e.head for e in g.edges]
-    slack = [f - e.weight for f, e in zip(base.edge_flow, g.edges)]
+    slack = [f - e.weight for f, e in zip(start, g.edges)]
     pushed_total = 0
     # arcs[v]: v's candidate residual arcs for the blocking search, edge i
     # forwards as i and backwards as ~i, out-edges first.  preds[v]: the
@@ -405,7 +438,7 @@ def min_flow(g: WeightedDag) -> Flow:
 
     flow = [s + e.weight for s, e in zip(slack, g.edges)]
     value = _assert_conservation(g, flow)
-    if value != base.value - pushed_total:
+    if value != start_value - pushed_total:
         raise ContractViolation("composed flow value is inconsistent")
     result = Flow(tuple(flow), value)
     # Optimality certificate: with the flow minimal, the sink can no longer
@@ -415,12 +448,15 @@ def min_flow(g: WeightedDag) -> Flow:
     return result
 
 
-def max_weight_ideal_cut(g: WeightedDag) -> tuple[frozenset[int], int]:
+def max_weight_ideal_cut(
+    g: WeightedDag, start: Sequence[int] | None = None
+) -> tuple[frozenset[int], int]:
     """The maximum-weight ideal cut with the largest source side, plus its
     weight.  A cut is its source side, a set of 0-based vertex ids.  The
-    weight always equals the minimum flow value; a cut that is not ideal
-    or weighs otherwise raises ContractViolation."""
-    f = min_flow(g)
+    minimum flow starts from ``start`` when given (see :func:`min_flow`).
+    The weight always equals the minimum flow value; a cut that is not
+    ideal or weighs otherwise raises ContractViolation."""
+    f = min_flow(g, start)
     sink_side = _reachable(residual(g, f), g.sink)
     cut = frozenset(range(g.num_vertices)) - sink_side
     try:
@@ -583,5 +619,6 @@ def parse_dag(text: str) -> WeightedDag:
         weights.append((lineno, digits, (value,)))
         ends.append((u - 1, v - 1))
     scaled, scale = _scale_rows(weights)
+    _check_scaled_range(weights, scaled)
     edges = tuple(Edge(u, v, w) for (u, v), (w,) in zip(ends, scaled))
     return WeightedDag(num_vertices, source - 1, sink - 1, edges, scale)

@@ -35,13 +35,18 @@ class ReductionArtifacts:
     weight of pairs present in every stable matching and must be added to
     any cut weight.  ``net[v]`` is vertex v's out-weight less its
     in-weight, so a cut weighs the sum of ``net`` over its source side.
-    The instance is ``poset.inst``.
+    ``start`` is a flow on ``dag``, one value per edge, that meets every
+    edge's weight and is conserved, for ``min_flow`` to start from: each
+    boy some rotation moves sends his cap, the largest weight among his
+    varying pairs or 0 if that is larger, along the edges of those pairs,
+    which form one source-to-sink path.  The instance is ``poset.inst``.
     """
 
     poset: RotationPoset
     dag: WeightedDag
     base_weight: int
     net: tuple[int, ...]
+    start: tuple[int, ...]
 
     def rotations_in(self, vertices: Iterable[int]) -> frozenset[int]:
         """The ids of the rotations at the given ``dag`` vertices; the source
@@ -59,9 +64,12 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     gave him his partner, or the source.  Each pair a rotation breaks adds
     its weight to the edge from its maker to that rotation, and each final
     pair to the edge from its maker to the sink, or to ``base_weight``
-    when no rotation moves its boy.  The poset's arcs come first, as
-    zero-weight edges in sorted order; each other edge is appended when
-    the replay first puts a pair on it, the final pairs by boy.
+    when no rotation moves its boy.  Each of those pairs also adds its
+    boy's cap to its edge's start flow; the caps come first, from one pass
+    over the rotations' pairs and the girl-optimal matching.  The poset's
+    arcs come first, as zero-weight edges in sorted order; each other edge
+    is appended when the replay first puts a pair on it, the final pairs
+    by boy.
 
     Raises ContractViolation when a rotation breaks a pair its boy does
     not hold, a pair is handed between two rotations without their arc,
@@ -74,8 +82,8 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     rotation changes the matching's weight by.  Every edge leaves the
     source or a rotation, so a wrong edge weight fails the check at its
     tail, the first vertex whose weight it changes.  The graph's
-    acyclicity and reachability are checked once, by the flow that reads
-    it (``feasible_flow`` inside ``min_flow``).
+    acyclicity and reachability, and the start's lower bounds and
+    conservation, are checked once, by the ``min_flow`` that reads them.
     """
     inst = poset.inst
     if w.n != inst.n:
@@ -86,12 +94,36 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
     k = len(poset.rotations)
     source, sink = 0, k + 1
 
-    # Edge (tail, head) -> weight; insertion order is the edge order.
-    # With no rotations the one stable matching is the one ideal cut
-    # {source}.
-    weight: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
+    # A moved boy's varying pairs lie on one source-to-sink path: from the
+    # source to the rotation that first moves him, on from each maker to
+    # its breaker, and last to the sink.  An edge's weight sums one pair
+    # of each boy whose path it is on, so the caps summed along the paths
+    # meet every edge's weight, and paths conserve.  A boy no rotation
+    # moves gets a cap too, which no edge reads.
+    cap = [max(0, table[b][g]) for b, g in enumerate(mz.partner_of_boy)]
+    for rho in poset.rotations:
+        for b, g in rho:
+            if table[b][g] > cap[b]:
+                cap[b] = table[b][g]
+
+    # Edge (tail, head) -> its index in weights and start; insertion order
+    # is the edge order.  With no rotations the one stable matching is the
+    # one ideal cut {source}.  Each key is made after the sort, so the
+    # keys lie in memory about in the order the replay looks them up;
+    # sorting keys made beforehand made the replay half again as slow
+    # at doubling n = 512.
+    index: dict[tuple[int, int], int] = {} if k else {(source, sink): 0}
     for a, b in sorted(poset.edges):
-        weight[(a + 1, b + 1)] = 0
+        index[(a + 1, b + 1)] = len(index)
+    weights = [0] * len(index)
+    start = [0] * len(index)
+
+    def new_edge(pair: tuple[int, int]) -> int:
+        i = index[pair] = len(index)
+        weights.append(0)
+        start.append(0)
+        return i
+
     partner = list(m0.partner_of_boy)
     maker = [source] * inst.n  # the vertex that gave each boy his partner
     gain = [0] * sink  # per rotation vertex, its elimination's weight change
@@ -102,15 +134,19 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
                     f"rotation {v - 1} moves boy {b + 1} from girl {g + 1},"
                     f" but his partner is girl {partner[b] + 1}"
                 )
-            ends = (maker[b], v)
-            # A pair handed on is exactly what makes the precedence arc
-            # (maker, breaker), so its edge is that arc's edge.
-            if maker[b] != source and ends not in weight:
-                raise ContractViolation(
-                    f"rotation {v - 1} takes boy {b + 1} from rotation"
-                    f" {maker[b] - 1}, but the poset has no arc {maker[b] - 1} -> {v - 1}"
-                )
-            weight[ends] = weight.get(ends, 0) + table[b][g]
+            pair = (maker[b], v)
+            i = index.get(pair)
+            if i is None:
+                # A pair handed on is exactly what makes the precedence
+                # arc (maker, breaker), so its edge is that arc's edge.
+                if maker[b] != source:
+                    raise ContractViolation(
+                        f"rotation {v - 1} takes boy {b + 1} from rotation"
+                        f" {maker[b] - 1}, but the poset has no arc {maker[b] - 1} -> {v - 1}"
+                    )
+                i = new_edge(pair)
+            weights[i] += table[b][g]
+            start[i] += cap[b]
             gain[v] += table[b][g_next] - table[b][g]
             partner[b] = g_next
             maker[b] = v
@@ -123,10 +159,14 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
             # matching, which only shifts the total by a constant.
             base_weight += table[b][g]
         else:
-            ends = (maker[b], sink)
-            weight[ends] = weight.get(ends, 0) + table[b][g]
+            pair = (maker[b], sink)
+            i = index.get(pair)
+            if i is None:
+                i = new_edge(pair)
+            weights[i] += table[b][g]
+            start[i] += cap[b]
 
-    edges = tuple(Edge(tail, head, wt) for (tail, head), wt in weight.items())
+    edges = tuple(Edge(tail, head, wt) for (tail, head), wt in zip(index, weights))
     dag = WeightedDag(k + 2, source, sink, edges, w.scale)
     net = _net_outflow(dag, (e.weight for e in dag.edges))
     if net[source] + base_weight != matching_weight(m0, w):
@@ -137,7 +177,9 @@ def build_reduction(poset: RotationPoset, w: WeightFunction) -> ReductionArtifac
                 f"the cut graph weighs rotation {v - 1} at {net[v]}, but eliminating"
                 f" it changes the matching's weight by {gain[v]}"
             )
-    return ReductionArtifacts(poset=poset, dag=dag, base_weight=base_weight, net=tuple(net))
+    return ReductionArtifacts(
+        poset=poset, dag=dag, base_weight=base_weight, net=tuple(net), start=tuple(start)
+    )
 
 
 def cut_to_matching(art: ReductionArtifacts, side: frozenset[int]) -> Matching:
@@ -160,7 +202,7 @@ def solve_max_weight(inst: Instance, w: WeightFunction) -> tuple[Matching, int]:
     sublattice.
     """
     art = build_reduction(build_poset(inst), w)
-    cut, weight = max_weight_ideal_cut(art.dag)
+    cut, weight = max_weight_ideal_cut(art.dag, art.start)
     m = cut_to_matching(art, cut)
     total = weight + art.base_weight
     if total != matching_weight(m, w):

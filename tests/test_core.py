@@ -106,6 +106,38 @@ def test_instance_rejects_a_row_that_is_not_a_permutation():
         Instance(((0, 1), (1, 0)), ((0, 1), (1, 1)))
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        (1, 1),  # a duplicate id
+        (0, 2),  # an id past n
+        (0,),  # a short row
+        (0, 1, 1),  # a long row
+        (0, "1"),  # an entry that is no int
+        (0.0, 1),  # an entry that is no index
+        (-1, 0),  # a negative id that aliases id n-1 in the rank table
+        (-2, -1),  # negative ids that fill every slot
+    ],
+)
+def test_instance_names_the_first_row_that_is_not_a_permutation(row):
+    with pytest.raises(ValueError) as err:
+        Instance(((0, 1), row), ((0, 1), (0, 1)))
+    assert str(err.value) == "boy 2: preference row is not a permutation of 1..2"
+    # The boys' rows are checked before the girls'.
+    with pytest.raises(ValueError) as err:
+        Instance((row, (0, 1)), (row, (0, 1)))
+    assert str(err.value) == "boy 1: preference row is not a permutation of 1..2"
+
+
+def test_instance_ranks_are_the_inverse_rows():
+    inst = Instance(((1, 0, 2), (2, 1, 0), (0, 1, 2)), ((2, 0, 1), (0, 1, 2), (1, 2, 0)))
+    assert inst.boy_rank == ((1, 0, 2), (2, 1, 0), (0, 1, 2))
+    assert inst.girl_rank == ((1, 2, 0), (0, 1, 2), (2, 0, 1))
+    # The ranks are derived, so equality, hashing and the repr skip them.
+    assert inst == Instance(inst.boy_prefs, inst.girl_prefs)
+    assert "rank" not in repr(inst)
+
+
 def test_matching_rejects_non_bijection():
     with pytest.raises(ValueError, match="bijection"):
         Matching((0, 0))
@@ -198,8 +230,16 @@ def test_parse_decimal_refuses_more_digits_than_a_64_bit_weight():
 def test_weight_entries_must_fit_64_bits():
     with pytest.raises(ValueError, match="64-bit"):
         WeightFunction(((2**63, 0), (0, 0)))
-    with pytest.raises(ParseError, match="line 1: weight exceeds the 64-bit range after scaling"):
+    with pytest.raises(ParseError) as err:
         parse_weights("9223372036854775807 0.1\n0 0\n", 2)
+    assert str(err.value) == "line 1: weight exceeds the 64-bit range after scaling"
+    # The row that leaves the range is named, not the row that sets the scale.
+    with pytest.raises(ParseError) as err:
+        parse_weights("0 0.1\n\n-922337203685477581 0\n", 2)
+    assert str(err.value) == "line 3: weight exceeds the 64-bit range after scaling"
+    # The unscaled limit itself fits, at either sign.
+    w = parse_weights("9223372036854775807 0\n0 -9223372036854775807\n", 2)
+    assert w.table == ((2**63 - 1, 0), (0, -(2**63 - 1)))
 
 
 # Test-only referees: the parsers that read a file token by token and

@@ -26,6 +26,7 @@ def test_flow_ladder_prints_one_sound_line_per_rung():
     assert [(row["family"], row["n"]) for row in rows] == [("doubling", 8), ("cyclic", 10)]
     for row in rows:
         assert row["phases"] >= 1
+        assert row["min_value"] <= row["start_value"]
         assert row["min_value"] <= row["feasible_value"]
         assert 0 <= row["rotations_ms"] <= row["build_poset_ms"]
         stages = ("build_poset", "rotations", "build_reduction", "feasible_flow", "min_flow", "cut")
@@ -35,6 +36,12 @@ def test_flow_ladder_prints_one_sound_line_per_rung():
         # Each push is popped by an elimination: see test_rotations.
         assert row["probes"] <= 2 * row["rotation_pairs"] + row["rotations"]
     assert [(row["rotations"], row["rotation_pairs"]) for row in rows] == [(28, 56), (9, 90)]
+    # The cut runs from the boys'-path start, and the first-edge start is
+    # built apart from it, on the same graph.
+    assert [(row["start_value"], row["feasible_value"], row["min_value"]) for row in rows] == [
+        (60, 60, 34),
+        (82, 36, 36),
+    ]
     # Doubling n=8 probes as often as test_rotations.SEEDED_PROBES pins.
     # Cyclic n=10 walks each of its 9 rotations afresh from boy 1: 9
     # probes that push, 1 that closes the cycle and 10 exposure checks.

@@ -34,6 +34,11 @@ def single_edge_dag(weight: int) -> WeightedDag:
     return WeightedDag(2, 0, 1, (Edge(0, 1, weight),))
 
 
+# Two parallel edges: the largest 64-bit weight, and a weight with one
+# fraction digit.
+OVERSCALED_DAG_TEXT = "2 2\n1 2\n1 2 9223372036854775807\n1 2 0.1\n"
+
+
 def test_dag_constructor_guards():
     with pytest.raises(ValueError, match="source and a sink"):
         WeightedDag(1, 0, 0, ())
@@ -307,6 +312,27 @@ def test_parse_dag_errors():
         parse_dag("2 1\n1 2\n1 2 1e3\n")
 
 
+def test_parse_dag_checks_each_weight_after_scaling():
+    # The second edge's fraction scales every weight by 10, which takes the
+    # first edge past the 64-bit range.
+    with pytest.raises(ParseError) as err:
+        parse_dag(OVERSCALED_DAG_TEXT)
+    assert str(err.value) == "line 3: weight exceeds the 64-bit range after scaling"
+    g = parse_dag("2 2\n1 2\n1 2 -9223372036854775807\n1 2 1\n")
+    assert [e.weight for e in g.edges] == [-(2**63 - 1), 1]
+
+
+def test_cut_solve_exits_one_on_a_weight_past_64_bits_after_scaling(tmp_path, capsys):
+    dag = tmp_path / "dag.txt"
+    dag.write_text(OVERSCALED_DAG_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main(["cut-solve", str(dag)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: weight exceeds the 64-bit range after scaling\n"
+
+
 def test_duality_on_random_dags():
     """Minimum flow value equals the brute-force maximum cut weight."""
     rng = random.Random(404)
@@ -399,8 +425,8 @@ def test_a_feasible_start_with_a_wrong_value_fails_the_composed_value(monkeypatc
 def test_a_minimum_flow_with_a_wrong_value_fails_the_cut_weight(monkeypatch):
     real = idealcut.min_flow
 
-    def off_by_one(g: WeightedDag) -> Flow:
-        f = real(g)
+    def off_by_one(g: WeightedDag, start=None) -> Flow:
+        f = real(g, start)
         return Flow(f.edge_flow, f.value - 1)
 
     monkeypatch.setattr(idealcut, "min_flow", off_by_one)

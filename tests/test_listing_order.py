@@ -88,7 +88,7 @@ def test_listing_follows_neither_the_flow_nor_the_rotation_ids(
     # listings hold more than one.
     assert sum(not r.startswith("count 1\n") for r in reports) == 126
     with monkeypatch.context() as m:
-        m.setattr(sublattice, "min_flow", edmonds_karp_min_flow)
+        m.setattr(sublattice, "min_flow", lambda g, start: edmonds_karp_min_flow(g))
         assert [enumerate_report(tmp_path, *case) for case in corpus] == reports
     moved = shuffled_rotation_ids(12)
     assert [enumerate_report(tmp_path, *case) for case in corpus] == reports

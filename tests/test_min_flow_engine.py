@@ -27,12 +27,13 @@ from functools import lru_cache
 import pytest
 
 import families
-from conftest import family_instance, random_dag
+from conftest import family_instance, random_dag, random_instance, random_weights
 from stablecut import (
     ContractViolation,
     Edge,
     Flow,
     Instance,
+    ReductionArtifacts,
     RotationPoset,
     WeightedDag,
     WeightFunction,
@@ -42,8 +43,11 @@ from stablecut import (
     feasible_flow,
     idealcut,
     max_weight_ideal_cut,
+    meta_rotation_poset,
     min_flow,
     residual,
+    solve_bi_objective,
+    solve_max_weight,
 )
 from stablecut.ideals import _preds_from_edges
 from stablecut.idealcut import _reachable
@@ -229,15 +233,20 @@ def canonical(poset: RotationPoset) -> RotationPoset:
     )
 
 
-def reduction_dag(family: str, n: int, draw: int) -> WeightedDag:
-    """The cut graph of a relabelled family instance under -9..9 weights,
+def reduction_artifacts(family: str, n: int, draw: int) -> ReductionArtifacts:
+    """The reduction of a relabelled family instance under -9..9 weights,
     seeded by (family, n, draw), with the rotations in canonical order."""
     rng = random.Random(f"{family}-{n}-{draw}")
     prefs = families.doubling_prefs(n) if family == "doubling" else families.cyclic_prefs(n)
     boys, girls = families.relabel(rng, *prefs)
     inst = Instance(tuple(map(tuple, boys)), tuple(map(tuple, girls)))
     w = WeightFunction(tuple(map(tuple, families.random_weights(rng, n, -9, 9, 0))))
-    return build_reduction(canonical(build_poset(inst)), w).dag
+    return build_reduction(canonical(build_poset(inst)), w)
+
+
+def reduction_dag(family: str, n: int, draw: int) -> WeightedDag:
+    """The cut graph of :func:`reduction_artifacts`."""
+    return reduction_artifacts(family, n, draw).dag
 
 
 # (family, n, draw) of every seeded cut graph in the corpus.
@@ -504,3 +513,135 @@ def test_first_level_search_gives_residual_distances(monkeypatch):
             assert labelled == [v for v in range(g.num_vertices) if dist[v] >= 0]
     # Most feasible starts are not minimal, so most searches stop early.
     assert stopped_early > len(corpus()) // 2
+
+
+def boys_path_corpus() -> list[ReductionArtifacts]:
+    """The reductions of the corpus's family graphs and of two more
+    doubling n=64 draws, then of random instances and cyclic shifts under
+    random weights, with the rotations in discovery order."""
+    arts = [reduction_artifacts(*key) for key in FAMILY_GRAPHS]
+    arts += [reduction_artifacts("doubling", 64, draw) for draw in (1, 2)]
+    rng = random.Random(727)
+    insts = [random_instance(rng, n) for n in (1, 2, 5, 9, 30, 60) for _ in range(3)]
+    insts += [family_instance("cyclic", n, seed) for n in (3, 12) for seed in range(2)]
+    for inst in insts:
+        arts.append(build_reduction(build_poset(inst), random_weights(rng, inst.n)))
+    return arts
+
+
+def test_the_boys_path_start_meets_every_lower_bound_and_conserves():
+    for art in boys_path_corpus():
+        g, start = art.dag, art.start
+        assert len(start) == len(g.edges)
+        assert all(f >= e.weight for f, e in zip(start, g.edges))
+        assert idealcut._assert_conservation(g, list(start)) == source_outflow(g, list(start))
+
+
+# The boys'-path start's value on the doubling graphs of SEEDED_FEASIBLE:
+# the sum of the moved boys' caps, so it follows the instance and the
+# weights but not the edge numbering.  It undercuts the first-edge start
+# from n = 16 on, by 5.2x at n = 64.
+SEEDED_START = {
+    ("doubling", 8, 0): 70,
+    ("doubling", 8, 1): 60,
+    ("doubling", 8, 2): 66,
+    ("doubling", 16, 0): 135,
+    ("doubling", 16, 1): 138,
+    ("doubling", 16, 2): 141,
+    ("doubling", 32, 0): 281,
+    ("doubling", 32, 1): 287,
+    ("doubling", 32, 2): 284,
+    ("doubling", 64, 0): 574,
+}
+
+
+def test_start_values_on_seeded_doubling():
+    assert list(SEEDED_START) == list(SEEDED_FEASIBLE)
+    for key, value in SEEDED_START.items():
+        art = reduction_artifacts(*key)
+        assert source_outflow(art.dag, list(art.start)) == value
+
+
+def test_min_flow_from_the_boys_path_start_agrees_with_the_first_edge_start():
+    for art in boys_path_corpus():
+        g = art.dag
+        ours, theirs = min_flow(g, art.start), min_flow(g)
+        assert ours.value == theirs.value
+        assert max_weight_ideal_cut(g, art.start) == max_weight_ideal_cut(g)
+        assert condensation(condense(g, ours)) == condensation(condense(g, theirs))
+
+
+def test_a_start_below_a_lower_bound_fails():
+    for art in boys_path_corpus()[:len(FAMILY_GRAPHS)]:
+        g = art.dag
+        # Lowering the start on one edge below its weight breaks both the
+        # lower bound there and conservation; the lower bound is checked
+        # first.
+        i = max(range(len(g.edges)), key=lambda j: g.edges[j].weight)
+        e = g.edges[i]
+        start = list(art.start)
+        start[i] = e.weight - 1
+        message = rf"^start flow misses the lower bound of edge \({e.tail + 1}, {e.head + 1}\)$"
+        with pytest.raises(ContractViolation, match=message):
+            min_flow(g, start)
+
+
+def test_a_start_that_is_not_conserved_fails():
+    checked = 0
+    for art in boys_path_corpus():
+        g = art.dag
+        inner = [i for i, e in enumerate(g.edges) if {e.tail, e.head}.isdisjoint({g.source, g.sink})]
+        if not inner:
+            continue
+        i = inner[len(inner) // 2]
+        start = list(art.start)
+        start[i] += 1
+        first = min(g.edges[i].tail, g.edges[i].head) + 1
+        with pytest.raises(ContractViolation, match=f"^flow conservation fails at vertex {first}$"):
+            min_flow(g, start)
+        checked += 1
+    assert checked > len(FAMILY_GRAPHS)
+
+
+def test_a_start_of_the_wrong_length_fails():
+    art = reduction_artifacts("doubling", 8, 0)
+    for start in (art.start[:-1], art.start + (0,)):
+        with pytest.raises(ContractViolation, match="^start flow does not give one value per edge$"):
+            min_flow(art.dag, start)
+
+
+def test_min_flow_validates_the_graph_once_from_a_start(monkeypatch):
+    calls = []
+    real = idealcut.validate_dag
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(idealcut, "validate_dag", counted)
+    art = reduction_artifacts("doubling", 16, 0)
+    min_flow(art.dag, art.start)
+    assert calls == [art.dag]
+    min_flow(art.dag)
+    assert calls == [art.dag, art.dag]
+
+
+def test_only_the_solve_and_meta_poset_flows_start_from_the_boys_paths(monkeypatch):
+    built = []
+    real = idealcut.feasible_flow
+
+    def counted(g):
+        built.append(g)
+        return real(g)
+
+    monkeypatch.setattr(idealcut, "feasible_flow", counted)
+    rng = random.Random(31)
+    inst = family_instance("doubling", 8, 0)
+    w1, w2 = random_weights(rng, inst.n), random_weights(rng, inst.n)
+    solve_max_weight(inst, w1)
+    meta_rotation_poset(inst, w1)
+    assert built == []
+    # The bi-objective flow keeps the first-edge start; see
+    # solve_bi_objective.
+    solve_bi_objective(inst, w1, w2)
+    assert len(built) == 1

@@ -130,6 +130,30 @@ def test_a_lowered_edge_weight_fails_a_prefix(lowered_edge):
     assert faults > 100
 
 
+def test_the_start_sends_each_moved_boys_cap_along_his_pairs_edges():
+    # Weights from -9 to 3 leave some boys with no positive varying pair,
+    # whose cap is 0.
+    rng = random.Random(557)
+    insts = [two_by_two(), branch_four(), identity_three()]
+    insts += [family_instance(f, n, seed) for f, n in (("doubling", 8), ("cyclic", 7)) for seed in range(3)]
+    insts += [random_instance(rng, n) for n in (5, 9, 20) for _ in range(4)]
+    zero_caps = 0
+    for inst in insts:
+        w = random_weights(rng, inst.n, -9, 3)
+        art = build_reduction(build_poset(inst), w)
+        edges = pair_edges(art)
+        cap: dict[int, int] = {}
+        for b, g in edges:
+            cap[b] = max(cap.get(b, 0), w.table[b][g])
+        zero_caps += sum(c == 0 for c in cap.values())
+        index = {e: i for i, e in enumerate(art.dag.edges)}
+        expected = [0] * len(art.dag.edges)
+        for (b, _), e in edges.items():
+            expected[index[e]] += cap[b]
+        assert art.start == tuple(expected)
+    assert zero_caps > 10
+
+
 def test_reduction_unique_matching_sentinel():
     inst = identity_three()
     w = preset_egalitarian(inst, "minimize")
@@ -224,8 +248,8 @@ def test_solve_branch_four_frozen():
 def test_a_cut_weight_that_does_not_transport_fails_the_solve(monkeypatch):
     real = reduction.max_weight_ideal_cut
 
-    def heavier(g):
-        cut, weight = real(g)
+    def heavier(g, start=None):
+        cut, weight = real(g, start)
         return cut, weight + 1
 
     monkeypatch.setattr(reduction, "max_weight_ideal_cut", heavier)
